@@ -18,6 +18,7 @@ from .equivalence import (
     Segment,
     SlotRef,
     WatermarkPass,
+    count_members,
     derive_target_distribution,
     estimate_natural_distribution,
     js_divergence,
@@ -26,9 +27,7 @@ from .equivalence import (
 )
 from .injector import (
     EditRecord,
-    MatchSpan,
     apply_pass,
-    scan_matches,
     watermark_corpus,
     watermark_trajectory,
 )
@@ -46,8 +45,6 @@ from .verifier import (
     DetectionResult,
     Verdict,
     classify_model,
-    detect_pass,
-    empirical_distribution,
     f1_grid,
     localize_user,
     verify_corpus,
@@ -64,7 +61,6 @@ __all__ = [
     "FullTrajectory",
     "GreyBoxTrajectory",
     "Lit",
-    "MatchSpan",
     "Registry",
     "Segment",
     "SlotRef",
@@ -75,9 +71,8 @@ __all__ = [
     "build_pool",
     "capacity",
     "classify_model",
+    "count_members",
     "derive_target_distribution",
-    "detect_pass",
-    "empirical_distribution",
     "estimate_natural_distribution",
     "f1_grid",
     "grey_box_view",
@@ -89,7 +84,6 @@ __all__ = [
     "passes_for_uid",
     "register_user",
     "save_pool",
-    "scan_matches",
     "serialize_trajectory",
     "validate_equivalence",
     "verify_corpus",

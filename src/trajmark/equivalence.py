@@ -401,18 +401,37 @@ def scan_equivalence(
     return out
 
 
+def count_members(
+    corpus: Iterable[GreyBoxTrajectory], eqsets: Sequence[EquivalenceSet]
+) -> list[list[int]]:
+    """Tally non-overlapping member matches of each set over a corpus.
+
+    Returns one member-indexed count vector per set, in set order: the
+    per-set sums of ``scan_equivalence`` results. Each trajectory's tool set
+    is built once, and sets sharing no tool with it are not scanned.
+    """
+    counts = [[0] * len(eqset.members) for eqset in eqsets]
+    set_tools = [eqset.tools() for eqset in eqsets]
+    for traj in corpus:
+        tools = {a.tool for a in traj.actions}
+        for eqset, needed, row in zip(eqsets, set_tools, counts):
+            if tools.isdisjoint(needed):
+                continue
+            for m_idx, _, _, _ in scan_equivalence(traj.actions, eqset):
+                row[m_idx] += 1
+    return counts
+
+
 def estimate_natural_distribution(
     corpus: Iterable[GreyBoxTrajectory], eqset: EquivalenceSet
 ) -> tuple[Distribution, int]:
-    """Count non-overlapping member matches across a corpus and normalize.
+    """Normalize one set's ``count_members`` tally into a distribution.
 
-    Raises NoObservations when the corpus contains no match at all, since a
-    natural distribution is undefined for an unobserved set.
+    Returns the distribution and the match count. Raises NoObservations
+    when the corpus contains no match at all, since a natural distribution
+    is undefined for an unobserved set.
     """
-    counts = [0] * len(eqset.members)
-    for traj in corpus:
-        for m_idx, _, _, _ in scan_equivalence(traj.actions, eqset):
-            counts[m_idx] += 1
+    counts = count_members(corpus, [eqset])[0]
     total = sum(counts)
     if total == 0:
         raise NoObservations(f"no matches for set {eqset.id} in corpus")

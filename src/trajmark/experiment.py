@@ -24,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .equivalence import Distribution, scan_equivalence
+from .equivalence import Distribution, count_members
 from .attacks import (
     attack_fk_replacement,
     attack_metrics,
@@ -400,15 +400,15 @@ def run_stealth(config: ExperimentConfig, corpus_size: int = 4000) -> dict:
             victim, active, seed=derive_seed(config.seed, "stealth", "inject", delta),
             uid_hex=user.uid_hex,
         )
+        eqsets = [p.eqset for p in passes]
+        rows_by_traj = [count_members([traj], eqsets) for traj in wm]
         max_exceed = 0.0
-        for wm_pass in passes:
+        for p_idx, wm_pass in enumerate(passes):
             natural = wm_pass.natural
             exceed = 0
             total = 0
-            for traj in wm:
-                counts = [0] * len(natural)
-                for m_idx, _, _, _ in scan_equivalence(traj.actions, wm_pass.eqset):
-                    counts[m_idx] += 1
+            for traj_rows in rows_by_traj:
+                counts = traj_rows[p_idx]
                 m = sum(counts)
                 if m == 0:
                     continue

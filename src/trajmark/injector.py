@@ -19,18 +19,7 @@ from typing import Iterable, Sequence
 from .equivalence import WatermarkPass, scan_equivalence
 from .errors import EmptyActions
 from .seeds import derive_rng
-from .trajectory import Action, GreyBoxTrajectory, Scalar
-
-
-@dataclass(frozen=True)
-class MatchSpan:
-    """One non-overlapping match of a pass's equivalence set."""
-
-    pass_id: int
-    member_index: int
-    start: int
-    length: int
-    bindings: dict[str, Scalar]
+from .trajectory import Action, GreyBoxTrajectory
 
 
 @dataclass
@@ -56,14 +45,6 @@ class EditRecord:
         return self.replacement_index != self.original_index
 
 
-def scan_matches(actions: Sequence[Action], wm_pass: WatermarkPass) -> list[MatchSpan]:
-    """Greedy leftmost-first, longest-member-first scan; spans never overlap."""
-    return [
-        MatchSpan(wm_pass.pass_id, m_idx, start, length, bindings)
-        for m_idx, start, length, bindings in scan_equivalence(actions, wm_pass.eqset)
-    ]
-
-
 def apply_pass(
     actions: Sequence[Action], wm_pass: WatermarkPass, rng: random.Random
 ) -> tuple[tuple[Action, ...], list[EditRecord]]:
@@ -72,35 +53,57 @@ def apply_pass(
     Returns the rewritten action sequence and one edit record per span
     (including draws that kept the original member).
     """
-    spans = scan_matches(actions, wm_pass)
+    spans = scan_equivalence(actions, wm_pass.eqset)
     if not spans:
         return tuple(actions), []
     out: list[Action] = []
     edits: list[EditRecord] = []
     cursor = 0
-    for span in spans:
-        out.extend(actions[cursor : span.start])
+    for member_index, start, length, bindings in spans:
+        out.extend(actions[cursor:start])
         draw = wm_pass.biased.sample(rng)
-        original = tuple(actions[span.start : span.start + span.length])
-        if draw == span.member_index:
+        original = tuple(actions[start : start + length])
+        if draw == member_index:
             rewritten = original
         else:
-            rewritten = wm_pass.eqset.rewrite(span.member_index, draw, span.bindings)
+            rewritten = wm_pass.eqset.rewrite(member_index, draw, bindings)
         out.extend(rewritten)
         edits.append(
             EditRecord(
                 pass_id=wm_pass.pass_id,
-                start=span.start,
-                length=span.length,
-                original_index=span.member_index,
+                start=start,
+                length=length,
+                original_index=member_index,
                 replacement_index=draw,
                 original_actions=original,
                 rewritten_actions=rewritten,
             )
         )
-        cursor = span.start + span.length
+        cursor = start + length
     out.extend(actions[cursor:])
     return tuple(out), edits
+
+
+def _carry_positions(positions: list[int], edits: Sequence[EditRecord]) -> list[int]:
+    """Map positions through one pass's edits, given in ascending ``start``.
+
+    A position shifts by the length change of every span to its left; one
+    inside a span survives only if that span's draw kept the original.
+    """
+    out = []
+    for pos in positions:
+        shift = 0
+        for edit in edits:
+            if pos < edit.start:
+                break
+            if pos < edit.start + edit.length:
+                if edit.changed:
+                    shift = None
+                break
+            shift += len(edit.rewritten_actions) - edit.length
+        if shift is not None:
+            out.append(pos + shift)
+    return out
 
 
 def watermark_trajectory(
@@ -118,18 +121,20 @@ def watermark_trajectory(
         raise EmptyActions(f"trajectory {t.query_id!r} has no actions")
     actions: tuple[Action, ...] = t.actions
     edits: list[EditRecord] = []
-    rewritten_ids: list[list[int]] = []
+    # final positions come from span arithmetic, not object identity: one
+    # Action object may sit at several indices of a trajectory
+    positions: list[list[int]] = []
     for wm_pass in sorted(passes, key=lambda p: p.order_rank):
         actions, new_edits = apply_pass(actions, wm_pass, rng)
+        positions = [_carry_positions(pos, new_edits) for pos in positions]
+        shift = 0
+        for edit in new_edits:
+            start = edit.start + shift
+            positions.append(list(range(start, start + len(edit.rewritten_actions))))
+            shift += len(edit.rewritten_actions) - edit.length
         edits.extend(new_edits)
-        rewritten_ids.extend([id(a) for a in e.rewritten_actions] for e in new_edits)
-    # actions spliced in by one pass may be displaced or replaced by a later
-    # pass; resolve which of each edit's actions survived, and where
-    position_of = {id(a): pos for pos, a in enumerate(actions)}
-    for edit, ids in zip(edits, rewritten_ids):
-        edit.final_positions = tuple(
-            position_of[i] for i in ids if i in position_of
-        )
+    for edit, pos in zip(edits, positions):
+        edit.final_positions = tuple(pos)
     return replace(t, actions=actions), edits
 
 

@@ -26,13 +26,13 @@ from .equivalence import (
     EquivalenceSet,
     WatermarkPass,
     ValidationReport,
+    count_members,
     derive_target_distribution,
     eqset_from_json,
     eqset_to_json,
-    estimate_natural_distribution,
     validate_equivalence,
 )
-from .errors import NoObservations, NoValidCandidates, SchemaViolation
+from .errors import NoValidCandidates, SchemaViolation
 from .seeds import derive_rng
 from .simkit.domains import DomainSpec
 from .simkit.generator import generate_greybox_corpus
@@ -93,7 +93,8 @@ def build_pool(
         domain=domain.name, delta=delta, calibration_size=calibration_size
     )
     accepted: list[tuple[EquivalenceSet, Distribution, int]] = []
-    for eqset in domain.eqsets:
+    counts = count_members(calibration, domain.eqsets)
+    for eqset, row in zip(domain.eqsets, counts):
         verdict: ValidationReport = validate_equivalence(
             eqset, domain.sandbox, n_cases=n_validation_cases, rng_seed=seed
         )
@@ -106,13 +107,12 @@ def build_pool(
                 }
             )
             continue
-        try:
-            natural, _count = estimate_natural_distribution(calibration, eqset)
-        except NoObservations:
+        if not any(row):
             report.rejected.append(
                 {"set_id": eqset.id, "reason": "no calibration observations"}
             )
             continue
+        natural = Distribution.from_counts(row)
         target = domain.targets.get(eqset.id)
         if target is None:
             target = derive_rng(seed, "target", eqset.id).randrange(len(eqset.members))

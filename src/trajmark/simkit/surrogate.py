@@ -14,8 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..equivalence import Distribution, estimate_natural_distribution
-from ..errors import NoObservations
+from ..equivalence import Distribution, count_members
 from ..trajectory import GreyBoxTrajectory
 from .domains import DomainSpec
 from .generator import generate_greybox_corpus, template_for_trajectory
@@ -83,15 +82,13 @@ def fit_surrogate(
         raise ValueError(f"eta must lie in [0, 1], got {eta}")
     fitted: dict[str, Distribution] = {}
     missing: list[str] = []
-    for eqset in domain.eqsets:
+    for eqset, row in zip(domain.eqsets, count_members(harvested, domain.eqsets)):
         natural = domain.natural[eqset.id]
-        try:
-            empirical, _ = estimate_natural_distribution(harvested, eqset)
-        except NoObservations:
+        if not any(row):
             missing.append(eqset.id)
             fitted[eqset.id] = natural
             continue
-        fitted[eqset.id] = _mix(empirical, natural, eta)
+        fitted[eqset.id] = _mix(Distribution.from_counts(row), natural, eta)
 
     counts: dict[str, int] = {t.id: 0 for t in domain.templates}
     matched = 0

@@ -129,8 +129,10 @@ def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise MalformedLine(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedLine("JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise SchemaViolation("trajectory line must be a JSON object")
     extra = set(obj) - {"query_id", "user_uid", "actions", "response"}
@@ -177,9 +179,13 @@ def read_jsonl(path: str) -> list[GreyBoxTrajectory]:
 
 def iter_jsonl(path: str) -> Iterator[GreyBoxTrajectory]:
     """Stream trajectories from a JSONL file one line at a time."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+    # bytes are decoded line by line so a bad UTF-8 sequence names its line
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise MalformedLine(f"{path}:{lineno}: not valid UTF-8: {exc}") from exc
             if not line:
                 continue
             try:

@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .equivalence import Distribution, WatermarkPass, js_divergence, scan_equivalence
+from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
 from .errors import EmptyRegistry
 from .registry import Registry, UserRecord, uid_bits
 from .trajectory import GreyBoxTrajectory
@@ -26,24 +26,6 @@ from .trajectory import GreyBoxTrajectory
 DEFAULT_THETA_J = 0.015
 DEFAULT_THETA_N = 3
 DEFAULT_M_MIN = 30
-
-
-def empirical_distribution(
-    suspect_trajs: Iterable[GreyBoxTrajectory], wm_pass: WatermarkPass
-) -> tuple[Distribution | None, int]:
-    """Member frequencies of one pass's set across a suspect corpus.
-
-    Returns (None, 0) when the corpus contains no match; downstream
-    detection treats that as inconclusive rather than an error.
-    """
-    counts = [0] * len(wm_pass.eqset.members)
-    for traj in suspect_trajs:
-        for m_idx, _, _, _ in scan_equivalence(traj.actions, wm_pass.eqset):
-            counts[m_idx] += 1
-    total = sum(counts)
-    if total == 0:
-        return None, 0
-    return Distribution.from_counts(counts), total
 
 
 @dataclass(frozen=True)
@@ -116,25 +98,17 @@ def evaluate_passes(
 ) -> list[PassEvaluation]:
     """Compute threshold-independent per-pass evidence over a corpus once.
 
-    Scanning skips passes whose tools never occur in a trajectory, which
-    keeps full-pool verification linear in practice.
+    One ``count_members`` call tallies every pass's set; a pass with no
+    match gets an empty evaluation, which detection treats as inconclusive.
     """
-    corpus = list(corpus)
-    tool_sets = [frozenset(a.tool for a in t.actions) for t in corpus]
+    counts = count_members(corpus, [p.eqset for p in pool])
     evaluations = []
-    for wm_pass in pool:
-        pass_tools = wm_pass.eqset.tools()
-        counts = [0] * len(wm_pass.eqset.members)
-        for traj, tools in zip(corpus, tool_sets):
-            if tools.isdisjoint(pass_tools):
-                continue
-            for m_idx, _, _, _ in scan_equivalence(traj.actions, wm_pass.eqset):
-                counts[m_idx] += 1
-        total = sum(counts)
+    for wm_pass, row in zip(pool, counts):
+        total = sum(row)
         if total == 0:
             evaluations.append(PassEvaluation(wm_pass.pass_id, None, 0, None))
         else:
-            emp = Distribution.from_counts(counts)
+            emp = Distribution.from_counts(row)
             evaluations.append(
                 PassEvaluation(
                     wm_pass.pass_id, emp, total, js_divergence(emp, wm_pass.biased)
@@ -143,39 +117,16 @@ def evaluate_passes(
     return evaluations
 
 
-def detect_pass(
-    empirical: Distribution | None,
-    count: int,
-    wm_pass: WatermarkPass,
-    theta_j: float,
-    m_min: int = DEFAULT_M_MIN,
-) -> DetectionResult:
-    """Apply the per-pass detection rule.
-
-    Conclusive iff at least ``m_min`` matches were observed; detected iff
-    conclusive and JSD(D', D-hat) < theta_j.
-    """
-    if not 0.0 < theta_j <= 1.0:
-        raise ValueError(f"theta_j must lie in (0, 1], got {theta_j}")
-    conclusive = count >= m_min and empirical is not None
-    jsd = js_divergence(empirical, wm_pass.biased) if empirical is not None else None
-    detected = bool(conclusive and jsd is not None and jsd < theta_j)
-    return DetectionResult(
-        pass_id=wm_pass.pass_id,
-        empirical=empirical,
-        observation_count=count,
-        jsd_to_target=jsd,
-        conclusive=conclusive,
-        detected=detected,
-    )
-
-
 def threshold_evaluations(
     evaluations: Sequence[PassEvaluation],
     theta_j: float,
     m_min: int = DEFAULT_M_MIN,
 ) -> list[DetectionResult]:
-    """Turn cached evidence into detection results at given thresholds."""
+    """Apply the detection rule to cached evidence at given thresholds.
+
+    A pass is conclusive iff at least ``m_min`` matches were observed, and
+    detected iff conclusive and JSD(D', D-hat) < theta_j.
+    """
     if not 0.0 < theta_j <= 1.0:
         raise ValueError(f"theta_j must lie in (0, 1], got {theta_j}")
     out = []

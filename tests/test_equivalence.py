@@ -1,8 +1,10 @@
 """Segment matching, scanning discipline, and set estimation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import move_eqset
+from conftest import make_pass, move_eqset
 from trajmark.equivalence import (
     ActionPattern,
     Distribution,
@@ -11,6 +13,7 @@ from trajmark.equivalence import (
     Segment,
     SlotRef,
     WatermarkPass,
+    count_members,
     eqset_from_json,
     eqset_to_json,
     estimate_natural_distribution,
@@ -19,6 +22,7 @@ from trajmark.equivalence import (
 )
 from trajmark.errors import InvalidDistribution, MappingGap, NoObservations
 from trajmark.trajectory import Action, GreyBoxTrajectory
+from trajmark.verifier import evaluate_passes
 
 
 def traj(actions, qid="q"):
@@ -177,6 +181,53 @@ def test_estimate_natural_distribution(ce_set):
 def test_estimate_raises_without_observations(ce_set):
     with pytest.raises(NoObservations):
         estimate_natural_distribution([traj([Action.make("X.Y", {})])], ce_set)
+
+
+def _stat_move_set() -> EquivalenceSet:
+    """Bare move vs. stat-then-move: shares Files.Move with the move set."""
+    return EquivalenceSet("test.ae.stat", "AE", (
+        Segment((ActionPattern("Files.Move", ("src", "dst")),)),
+        Segment((ActionPattern("Files.Stat", (("path", "src"),)),
+                 ActionPattern("Files.Move", ("src", "dst")))),
+    ))
+
+
+def _ghost_set() -> EquivalenceSet:
+    """A set whose tools never occur in the Files.* corpora."""
+    return EquivalenceSet("test.vr.ghost", "VR", (
+        Segment((ActionPattern("Ghost.Put", ("k",)),)),
+        Segment((ActionPattern("Ghost.Store", ("k",)),)),
+    ))
+
+
+_FILE_ACTIONS = st.one_of(
+    st.builds(lambda s, d: Action.make("Files.Move", {"src": s, "dst": d}),
+              st.sampled_from("ab"), st.sampled_from("ab")),
+    st.builds(lambda s, d: Action.make("Files.Copy", {"src": s, "dst": d}),
+              st.sampled_from("ab"), st.sampled_from("ab")),
+    st.builds(lambda p: Action.make("Files.Delete", {"path": p}), st.sampled_from("ab")),
+    st.builds(lambda p: Action.make("Files.Stat", {"path": p}), st.sampled_from("ab")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_FILE_ACTIONS, min_size=1, max_size=8), max_size=6))
+def test_count_members_equals_per_set_scans(action_lists):
+    corpus = [traj(actions, f"q{i}") for i, actions in enumerate(action_lists)]
+    eqsets = [move_eqset(), _stat_move_set(), _ghost_set()]
+    expected = []
+    for eqset in eqsets:
+        row = [0] * len(eqset.members)
+        for t in corpus:
+            for m_idx, _, _, _ in scan_equivalence(t.actions, eqset):
+                row[m_idx] += 1
+        expected.append(row)
+    counts = count_members(corpus, eqsets)
+    assert counts == expected
+    pool = [make_pass(e, (0.5, 0.5), pass_id=i) for i, e in enumerate(eqsets, start=1)]
+    evaluations = evaluate_passes(corpus, pool)
+    assert [ev.observation_count for ev in evaluations] == [sum(row) for row in counts]
+    assert evaluations[2].empirical is None
 
 
 def test_watermark_pass_verifies_biased(ce_set):

@@ -4,9 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import make_pass
+from conftest import make_pass, move_eqset
 from trajmark.equivalence import (
     ActionPattern,
     EquivalenceSet,
@@ -17,7 +19,6 @@ from trajmark.errors import EmptyActions
 from trajmark.injector import (
     apply_pass,
     changed_positions,
-    scan_matches,
     watermark_corpus,
     watermark_trajectory,
 )
@@ -29,20 +30,6 @@ from trajmark.trajectory import Action, GreyBoxTrajectory
 
 def traj(actions, qid="q"):
     return GreyBoxTrajectory(qid, tuple(actions), "r")
-
-
-def test_scan_matches_wraps_pass_id(ce_set):
-    p = make_pass(ce_set, (0.6, 0.4), pass_id=7)
-    spans = scan_matches(
-        [Action.make("Files.Copy", {"src": "a", "dst": "b"}),
-         Action.make("Files.Delete", {"path": "a"})],
-        p,
-    )
-    assert len(spans) == 1
-    assert spans[0].pass_id == 7
-    assert spans[0].member_index == 1
-    assert (spans[0].start, spans[0].length) == (0, 2)
-    assert spans[0].bindings == {"src": "a", "dst": "b"}
 
 
 def test_degenerate_draw_keeps_original(ce_set):
@@ -165,6 +152,51 @@ def test_final_positions_track_rewrites(ce_set):
     assert edits[0].changed
     assert edits[0].final_positions == (1, 2)
     assert changed_positions([edits]) == {0: {1, 2}}
+
+
+def test_final_positions_with_aliased_actions():
+    # one Move object sits at indices 0 and 2; both draws keep it
+    a = Action.make("Files.Move", {"src": "a", "dst": "b"})
+    f = Action.make("Other.Tool", {"k": 1})
+    p = make_pass(move_eqset(), (0.6, 0.4), target_index=0, delta=0.0)
+    out, edits = watermark_trajectory(traj([a, f, a]), [p], random.Random(3))
+    assert out.actions == (a, f, a)
+    assert [e.changed for e in edits] == [False, False]
+    assert [e.final_positions for e in edits] == [(0,), (2,)]
+
+
+_POSITION_ACTIONS = st.sampled_from([
+    ("X.Do", {"k": "u"}), ("X.Do", {"k": "v"}), ("Y.Do", {"k": "u"}),
+    ("Z.Fin", {"k": "u"}), ("Z.Fin", {"k": "v"}), ("W.All", {"k": "u"}),
+    ("Files.Move", {"src": "a", "dst": "b"}),
+    ("Files.Copy", {"src": "a", "dst": "b"}), ("Files.Delete", {"path": "a"}),
+    ("Other.Tool", {"k": 1}),
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    items=st.lists(_POSITION_ACTIONS, min_size=1, max_size=12),
+    ranks=st.permutations([1, 2, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_final_positions_match_object_identity(items, ranks, seed):
+    """Without aliasing, position arithmetic agrees with tracking objects."""
+    pass_a, pass_b = _order_fixture()
+    passes = [
+        make_pass(pass_a.eqset, (0.5, 0.5), delta=0.0, pass_id=1, order_rank=ranks[0]),
+        make_pass(pass_b.eqset, (0.5, 0.5), delta=0.0, pass_id=2, order_rank=ranks[1]),
+        make_pass(move_eqset(), (0.5, 0.5), delta=0.0, pass_id=3, order_rank=ranks[2]),
+    ]
+    t = traj([Action.make(tool, args) for tool, args in items])
+    out, edits = watermark_trajectory(t, passes, random.Random(seed))
+    position_of = {id(a): i for i, a in enumerate(out.actions)}
+    assert len(position_of) == len(out.actions)
+    for edit in edits:
+        expected = tuple(
+            position_of[id(a)] for a in edit.rewritten_actions if id(a) in position_of
+        )
+        assert edit.final_positions == expected
 
 
 def test_closed_loop_recovery_small_dense_corpus(mini_domain):

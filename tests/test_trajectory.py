@@ -2,16 +2,19 @@
 
 import json
 import random
+import re
 
 import pytest
 
-from trajmark.errors import EmptyActions, MalformedLine, SchemaViolation
+from trajmark.cli import main
+from trajmark.errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
 from trajmark.trajectory import (
     Action,
     FullTrajectory,
     GreyBoxTrajectory,
     grey_box_view,
     parse_trajectory_line,
+    read_jsonl,
     serialize_trajectory,
 )
 
@@ -67,6 +70,34 @@ def test_malformed_and_schema_errors():
         parse_trajectory_line(
             '{"query_id":"q","actions":[{"tool":"T"}],"response":"x","extra":1}'
         )
+
+
+_GOOD_LINE = b'{"query_id":"q","actions":[{"tool":"T.Op","args":{}}],"response":"r"}'
+
+MALFORMED_LINES = {
+    "deep_nesting": b'{"query_id":"q","actions":' + b"[" * 100_000 + b"]" * 100_000
+    + b',"response":"r"}',
+    "invalid_utf8": b'{"query_id":"q\xff","actions":[],"response":"r"}',
+    "bad_json": b'{"query_id":"q",',
+    "int_over_digit_limit": _GOOD_LINE.replace(b"{}", b'{"a":' + b"1" * 5000 + b"}"),
+    "not_an_object": b'["q", [], "r"]',
+    "unknown_key": _GOOD_LINE[:-1] + b',"extra":1}',
+    "empty_actions": b'{"query_id":"q","actions":[],"response":"r"}',
+    "non_scalar_arg": b'{"query_id":"q","actions":[{"tool":"T.Op","args":{"a":[1]}}],'
+    b'"response":"r"}',
+    "uppercase_uid": b'{"query_id":"q","user_uid":"ABC","actions":[{"tool":"T.Op"}],'
+    b'"response":"r"}',
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+def test_malformed_line_names_path_and_line(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    # the bad line is line 3, after a good line and a blank one
+    path.write_bytes(_GOOD_LINE + b"\n\n" + line + b"\n")
+    with pytest.raises(TrajmarkError, match=re.escape(f"{path}:3: ")):
+        read_jsonl(str(path))
+    assert main(["validate", "--corpus", str(path), "--quiet"]) == 2
 
 
 def test_serialize_shape():

@@ -7,14 +7,13 @@ import random
 import pytest
 
 from conftest import make_pass, move_eqset
-from trajmark.equivalence import Distribution, js_divergence
+from trajmark.equivalence import Distribution, count_members, js_divergence
 from trajmark.errors import EmptyRegistry
 from trajmark.registry import Registry, register_user, uid_bits
 from trajmark.verifier import (
+    PassEvaluation,
     classify_model,
     cosine_similarity_bits,
-    detect_pass,
-    empirical_distribution,
     localize_user,
     precision_recall_f1,
     threshold_evaluations,
@@ -39,34 +38,48 @@ def copy_delete(src="a", dst="b"):
     ]
 
 
-def test_empirical_distribution_counts(ce_set):
+def evidence(p, empirical, count):
+    """One pass's cached evidence, as ``evaluate_passes`` would record it."""
+    jsd = js_divergence(empirical, p.biased) if empirical is not None else None
+    return PassEvaluation(p.pass_id, empirical, count, jsd)
+
+
+def detect(p, empirical, count, theta_j=0.015, m_min=30):
+    return threshold_evaluations([evidence(p, empirical, count)], theta_j, m_min)[0]
+
+
+def test_count_members_counts(ce_set):
     p = make_pass(ce_set, (0.6, 0.4))
     corpus = [traj([move()], "q1"), traj([move("c", "d")], "q2"),
               traj(copy_delete("e", "f"), "q3")]
-    dist, count = empirical_distribution(corpus, p)
-    assert count == 3
-    assert dist.weights == pytest.approx((2 / 3, 1 / 3))
+    assert count_members(corpus, [ce_set]) == [[2, 1]]
+    (ev,) = evaluate_passes(corpus, [p])
+    assert ev.observation_count == 3
+    assert ev.empirical.weights == pytest.approx((2 / 3, 1 / 3))
+    assert ev.jsd_to_target == js_divergence(ev.empirical, p.biased)
 
 
-def test_empirical_distribution_empty(ce_set):
+def test_evaluate_passes_without_matches(ce_set):
     p = make_pass(ce_set, (0.6, 0.4))
-    dist, count = empirical_distribution([traj([Action.make("X.Y", {})])], p)
-    assert dist is None and count == 0
+    corpus = [traj([Action.make("X.Y", {})])]
+    assert count_members(corpus, [ce_set]) == [[0, 0]]
+    assert evaluate_passes(corpus, [p]) == [PassEvaluation(1, None, 0, None)]
 
 
 def test_detect_exact_match_detected(ce_set):
     p = make_pass(ce_set, (0.6, 0.4), delta=3.0)
-    result = detect_pass(p.biased, 100, p, theta_j=0.015, m_min=30)
+    result = detect(p, p.biased, 100)
     assert result.conclusive and result.detected
     assert result.jsd_to_target == 0.0
 
 
 def test_detect_below_m_min_inconclusive(ce_set):
     p = make_pass(ce_set, (0.6, 0.4), delta=3.0)
-    result = detect_pass(p.biased, 29, p, theta_j=0.015, m_min=30)
+    result = detect(p, p.biased, 29)
     assert not result.conclusive and not result.detected
-    result = detect_pass(None, 0, p, theta_j=0.015, m_min=30)
+    result = detect(p, None, 0)
     assert not result.conclusive and not result.detected
+    assert result.jsd_to_target is None
 
 
 def test_unwatermarked_suspect_not_detected(ce_set):
@@ -75,16 +88,16 @@ def test_unwatermarked_suspect_not_detected(ce_set):
     p = make_pass(ce_set, (0.6, 0.4), target_index=0, delta=3.0)
     gap = js_divergence(p.natural, p.biased)
     assert gap > 0.015
-    result = detect_pass(p.natural, 1000, p, theta_j=0.015, m_min=30)
+    result = detect(p, p.natural, 1000)
     assert result.conclusive and not result.detected
 
 
 def test_detect_theta_validation(ce_set):
     p = make_pass(ce_set, (0.6, 0.4))
     with pytest.raises(ValueError):
-        detect_pass(p.biased, 100, p, theta_j=0.0)
+        detect(p, p.biased, 100, theta_j=0.0)
     with pytest.raises(ValueError):
-        detect_pass(p.biased, 100, p, theta_j=1.5)
+        detect(p, p.biased, 100, theta_j=1.5)
 
 
 def _results(detected_ids, n=10, counts=None):
