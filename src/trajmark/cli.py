@@ -9,7 +9,6 @@ root integer.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -24,14 +23,11 @@ from .attacks import (
 )
 from .errors import TrajmarkError
 from .experiment import (
+    STAGES,
     ExperimentConfig,
+    pool_accessor,
     run_all,
-    run_attack_bench,
-    run_closed_loop,
-    run_delta_kld,
-    run_f1_grid,
-    run_localization,
-    run_stealth,
+    run_stage,
     _write_csv,
 )
 from .injector import read_edit_positions, watermark_corpus, write_edits
@@ -42,7 +38,7 @@ from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
 from .trajectory import read_jsonl, write_jsonl
-from .verifier import Verdict, localize_user, verify_corpus
+from .verifier import localize_user, verify_corpus
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -263,73 +259,15 @@ def _cmd_experiment(args) -> int:
         config = ExperimentConfig(seed=_seed(args), out_dir=args.out_dir or "reports")
     if args.domains:
         config.domains = tuple(args.domains.split(","))
-    stage = args.stage
-    if stage == "all":
-        summary = run_all(config)
-        for key, value in summary["acceptance"].items():
-            _say(args, f"{key}: {value}")
-        _say(args, f"reports in {config.out_dir}")
-        return 0 if summary["all_pass"] else ACCEPTANCE_FAILURE
-    if stage == "f1-grid":
-        result = run_f1_grid(config)
-        _write_csv(
-            f"{config.out_dir}/f1_grid.csv",
-            ["domain", "theta_j", "theta_n", "precision", "recall", "f1"],
-            result["rows"],
-        )
-        ok = all(c["f1_at_default"] == 1.0 for c in result["checks"].values())
-        for name, c in result["checks"].items():
-            _say(args, f"{name}: f1@default={c['f1_at_default']:.3f}")
-        return 0 if ok else ACCEPTANCE_FAILURE
-    if stage == "localization":
-        result = run_localization(config)
-        _write_csv(
-            f"{config.out_dir}/localization.csv",
-            ["domain", "pool_size", "top1_accuracy"],
-            result["rows"],
-        )
-        primary = config.domains[0]
-        top = result["accuracy"][primary][12 + max(config.localization_extra_users)]
-        _say(args, f"{primary} top-1 at largest pool: {top:.3f}")
-        return 0 if top >= 0.9 else ACCEPTANCE_FAILURE
-    if stage == "delta-kld":
-        result = run_delta_kld(config)
-        _write_csv(
-            f"{config.out_dir}/delta_kld.csv",
-            ["delta", "kld_mean", "kld_min", "kld_max"],
-            result["rows"],
-        )
-        _say(args, f"strictly increasing: {result['strictly_increasing']}")
-        return 0 if result["strictly_increasing"] and result["zero_at_zero"] else ACCEPTANCE_FAILURE
-    if stage == "attack-bench":
-        result = run_attack_bench(config)
-        _write_csv(
-            f"{config.out_dir}/attack_bench.csv",
-            ["strategy", "precision", "recall", "f1", "modification_rate",
-             "breakage_rate", "post_attack_n_det", "baseline_n_det"],
-            result["rows"],
-        )
-        fk = result["metrics"]["fk-replace"]["f1"]
-        ok = (
-            result["metrics"]["random-deletion"]["f1"] < 0.05
-            and result["metrics"]["pk-replace"]["f1"] < 0.05
-            and 0.1 < fk < 0.5
-        )
-        for row in result["rows"]:
-            _say(args, f"{row[0]}: F1={row[3]}")
-        return 0 if ok else ACCEPTANCE_FAILURE
-    if stage == "stealth":
-        result = run_stealth(config)
-        _write_csv(
-            f"{config.out_dir}/stealth.csv", ["delta", "max_exceedance"], result["rows"]
-        )
-        ok = all(v <= 0.05 for v in result["worst_exceedance"].values())
-        _say(args, f"worst exceedance: {result['worst_exceedance']}")
-        return 0 if ok else ACCEPTANCE_FAILURE
-    # closed-loop
-    result = run_closed_loop(config)
-    _say(args, f"max L1 over {result['n_active']} active sets: {result['max_l1']:.4f}")
-    return 0 if result["max_l1"] < 0.05 else ACCEPTANCE_FAILURE
+    if args.stage == "all":
+        acceptance = run_all(config)["acceptance"]
+    else:
+        _, acceptance = run_stage(args.stage, config, pool_accessor(config))
+    for key, value in acceptance.items():
+        _say(args, f"{key}: {value}")
+    _say(args, f"reports in {config.out_dir}")
+    passed = all(v for v in acceptance.values() if isinstance(v, bool))
+    return 0 if passed else ACCEPTANCE_FAILURE
 
 
 def _cmd_validate(args) -> int:
@@ -448,11 +386,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_attack)
 
     p = sub.add_parser("experiment", help="run the reproduction harness")
-    p.add_argument(
-        "stage", nargs="?", default="all",
-        choices=("all", "f1-grid", "localization", "delta-kld",
-                 "attack-bench", "stealth", "closed-loop"),
-    )
+    p.add_argument("stage", nargs="?", default="all", choices=("all", *STAGES))
     p.add_argument("--config", default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--domains", default=None, help="comma-separated domain list")

@@ -10,11 +10,13 @@ Stages mirror the evaluation artifacts the verification story rests on:
 * ``attack-bench`` identification P/R/F1 for the four removal strategies
 * ``stealth``      per-trajectory divergence vs. bootstrap sampling noise
 * ``closed-loop``  injection/re-estimation consistency at corpus scale
+* ``eta-sweep``    detection of one attacker at several imitation fidelities
 
 Every stage is deterministic given the config seed; all randomness flows
-through named derivations of that one integer. ``run_all`` writes the CSV
-reports plus a summary JSON with pass/fail against the acceptance
-thresholds.
+through named derivations of that one integer. ``STAGES`` is the one
+table of stages: ``run_all`` runs it in order, writes the CSV reports plus
+a summary JSON with pass/fail against the acceptance thresholds, and
+``trajmark experiment <stage>`` runs one entry of it.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import csv
 import json
 import os
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .equivalence import Distribution, count_members
 from .attacks import (
     attack_fk_replacement,
     attack_metrics,
@@ -33,7 +35,14 @@ from .attacks import (
     attack_rephrase_stub,
     semantic_breakage_rate,
 )
-from .equivalence import js_divergence, kl_divergence, estimate_natural_distribution
+from .equivalence import (
+    Distribution,
+    WatermarkPass,
+    count_members,
+    estimate_natural_distribution,
+    js_divergence,
+    kl_divergence,
+)
 from .injector import changed_positions, watermark_corpus
 from .pool import build_pool, rebias_pool
 from .registry import Registry, register_user, passes_for_uid, uid_bits
@@ -52,6 +61,7 @@ from .verifier import (
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
 DEFAULT_THETA_N_GRID = (1, 2, 3, 4, 5)
+STEALTH_CORPUS_SIZE = 4000
 
 
 @dataclass
@@ -94,7 +104,7 @@ class ExperimentConfig:
         return cfg
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: list[list]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -102,10 +112,25 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _domain_pool(config: ExperimentConfig, name: str):
-    domain = load_domain(name)
-    passes, _report = build_pool(domain, seed=config.pool_seed)
-    return domain, passes
+PoolAccessor = Callable[[str], tuple[DomainSpec, list[WatermarkPass]]]
+
+
+def pool_accessor(config: ExperimentConfig) -> PoolAccessor:
+    """``pools(name) -> (domain, passes)`` for one run.
+
+    Each domain's pool is built at ``config.pool_seed`` on first use and
+    kept only as long as the returned function: a domain may be a file
+    whose content changes between runs, so nothing outlives the run.
+    """
+    built: dict[str, tuple[DomainSpec, list[WatermarkPass]]] = {}
+
+    def pools(name: str):
+        if name not in built:
+            domain = load_domain(name)
+            built[name] = (domain, build_pool(domain, seed=config.pool_seed)[0])
+        return built[name]
+
+    return pools
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +180,12 @@ def _grid_suspects(config: ExperimentConfig, domain: DomainSpec, passes):
     return positives, positives_low, negatives, attackers
 
 
-def run_f1_grid(config: ExperimentConfig) -> dict:
+def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Detection performance across threshold configurations, per domain."""
     rows = []
     checks = {}
     for name in config.domains:
-        domain, passes = _domain_pool(config, name)
+        domain, passes = pools(name)
         positives, positives_low, negatives, _ = _grid_suspects(config, domain, passes)
         cells = f1_grid(
             positives, negatives, passes,
@@ -196,7 +221,7 @@ def run_f1_grid(config: ExperimentConfig) -> dict:
 # localization
 # ---------------------------------------------------------------------------
 
-def run_localization(config: ExperimentConfig) -> dict:
+def run_localization(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Top-1 attribution accuracy across user-pool sizes.
 
     Attackers register first; each seed then adds a fresh benign pool.
@@ -208,7 +233,7 @@ def run_localization(config: ExperimentConfig) -> dict:
     accuracy: dict[str, dict[int, float]] = {}
     max_extra = max(config.localization_extra_users)
     for name in config.domains:
-        domain, passes = _domain_pool(config, name)
+        domain, passes = pools(name)
         n_bits = len(passes)
         tallies = {extra: [0, 0] for extra in config.localization_extra_users}
         for seed_idx in range(config.localization_seeds):
@@ -253,10 +278,10 @@ def run_localization(config: ExperimentConfig) -> dict:
 # delta / KLD trade-off
 # ---------------------------------------------------------------------------
 
-def run_delta_kld(config: ExperimentConfig) -> dict:
+def run_delta_kld(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """KLD between the biased and natural distribution, swept over delta."""
     name = config.domains[0]
-    domain, passes = _domain_pool(config, name)
+    domain, passes = pools(name)
     rows = []
     per_pass_series = {p.pass_id: [] for p in passes}
     for delta in config.delta_list:
@@ -288,10 +313,10 @@ def run_delta_kld(config: ExperimentConfig) -> dict:
 # attack bench
 # ---------------------------------------------------------------------------
 
-def run_attack_bench(config: ExperimentConfig) -> dict:
+def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Table-shaped identification metrics for all four strategies."""
     name = config.domains[0]
-    domain, passes = _domain_pool(config, name)
+    domain, passes = pools(name)
     sizes = domain.corpus_sizes
     registry = Registry(domain.name, len(passes))
     attacker = register_user(registry, config.attack_user_seed)
@@ -373,7 +398,7 @@ def _bootstrap_q99(natural, m: int, rng, draws: int = 10000) -> float:
     return values[min(draws - 1, int(0.99 * draws))]
 
 
-def run_stealth(config: ExperimentConfig, corpus_size: int = 4000) -> dict:
+def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Check watermarked trajectories hide inside natural sampling noise.
 
     The attacker's filtering decision is per trajectory, so the comparison
@@ -382,9 +407,9 @@ def run_stealth(config: ExperimentConfig, corpus_size: int = 4000) -> dict:
     99th percentile of benign same-m noise more often than slack allows.
     """
     name = config.domains[0]
-    domain, base_passes = _domain_pool(config, name)
+    domain, base_passes = pools(name)
     victim = generate_greybox_corpus(
-        domain, corpus_size, derive_seed(config.seed, "stealth", "victim"),
+        domain, STEALTH_CORPUS_SIZE, derive_seed(config.seed, "stealth", "victim"),
         id_prefix="st",
     )
     registry = Registry(domain.name, len(base_passes))
@@ -430,10 +455,10 @@ def run_stealth(config: ExperimentConfig, corpus_size: int = 4000) -> dict:
 # closed-loop distribution recovery
 # ---------------------------------------------------------------------------
 
-def run_closed_loop(config: ExperimentConfig) -> dict:
+def run_closed_loop(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Inject at corpus scale, re-estimate, and measure recovery error."""
     name = config.domains[0]
-    domain, passes = _domain_pool(config, name)
+    domain, passes = pools(name)
     registry = Registry(domain.name, len(passes))
     user = register_user(registry, derive_seed(config.seed, "loop", "user"))
     active = passes_for_uid(user.uid_hex, passes)
@@ -456,7 +481,7 @@ def run_closed_loop(config: ExperimentConfig) -> dict:
     return {"per_set": per_set, "max_l1": max_l1, "n_active": len(active)}
 
 
-def run_eta_sweep(config: ExperimentConfig) -> dict:
+def run_eta_sweep(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Detection under imperfect imitation: one attacker at several etas.
 
     Models the dropped-pass phenomenon: a learner that only partially
@@ -464,7 +489,7 @@ def run_eta_sweep(config: ExperimentConfig) -> dict:
     the holistic threshold.
     """
     name = config.domains[0]
-    domain, passes = _domain_pool(config, name)
+    domain, passes = pools(name)
     sizes = domain.corpus_sizes
     registry = Registry(domain.name, len(passes))
     attacker = register_user(registry, derive_seed(config.seed, "eta", "user"))
@@ -494,129 +519,157 @@ def run_eta_sweep(config: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# orchestration
+# the stage table and orchestration
 # ---------------------------------------------------------------------------
+
+def _grid_acceptance(config: ExperimentConfig, grid: dict) -> dict:
+    checks = grid["checks"].values()
+    return {
+        "grid_f1_is_1": all(c["f1_at_default"] == 1.0 for c in checks),
+        "theta_n1_precision_below_1": all(
+            c["precision_at_loose_theta_n1"] < 1.0 for c in checks
+        ),
+        "theta_n_max_low_volume_recall_below_1": all(
+            c["recall_low_volume_theta_n_max"] < 1.0 for c in checks
+        ),
+    }
+
+
+def _localization_acceptance(config: ExperimentConfig, loc: dict) -> dict:
+    # the largest pool; the key names keep the 5k of the default config
+    top1 = loc["accuracy"][config.domains[0]][12 + max(config.localization_extra_users)]
+    return {
+        "localization_top1_at_5k_ge_0.9": top1 >= 0.9,
+        "localization_top1_at_5k": top1,
+    }
+
+
+def _kld_acceptance(config: ExperimentConfig, kld: dict) -> dict:
+    return {
+        "kld_strictly_increasing": kld["strictly_increasing"],
+        "kld_zero_at_delta_zero": kld["zero_at_zero"],
+    }
+
+
+def _attack_acceptance(config: ExperimentConfig, bench: dict) -> dict:
+    f1 = {strategy: m["f1"] for strategy, m in bench["metrics"].items()}
+    return {
+        "deletion_f1_below_0.05": f1["random-deletion"] < 0.05,
+        "pk_f1_below_0.05": f1["pk-replace"] < 0.05,
+        "fk_f1_in_band": 0.1 < f1["fk-replace"] < 0.5,
+        "fk_beats_pk_strategies": f1["fk-replace"] > max(
+            f1["random-deletion"], f1["pk-replace"]
+        ),
+    }
+
+
+def _stealth_acceptance(config: ExperimentConfig, stealth: dict) -> dict:
+    return {
+        "stealth_within_noise": all(v <= 0.05 for v in stealth["worst_exceedance"].values())
+    }
+
+
+def _closed_loop_acceptance(config: ExperimentConfig, loop: dict) -> dict:
+    return {
+        "closed_loop_max_l1_below_0.05": loop["max_l1"] < 0.05,
+        "closed_loop_max_l1": loop["max_l1"],
+    }
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One harness stage, keyed in ``STAGES`` by its CLI name.
+
+    ``report`` is the CSV file in ``out_dir`` that the stage's rows go to,
+    or None; ``acceptance(config, result)`` returns the stage's entries of
+    ``summary.json``'s acceptance block.
+    """
+
+    report: str | None
+    header: tuple[str, ...]
+    acceptance: Callable[[ExperimentConfig, dict], dict]
+
+
+# run order; the acceptance block of summary.json follows it
+STAGES: dict[str, Stage] = {
+    "f1-grid": Stage(
+        "f1_grid.csv",
+        ("domain", "theta_j", "theta_n", "precision", "recall", "f1"),
+        _grid_acceptance,
+    ),
+    "localization": Stage(
+        "localization.csv", ("domain", "pool_size", "top1_accuracy"),
+        _localization_acceptance,
+    ),
+    "delta-kld": Stage(
+        "delta_kld.csv", ("delta", "kld_mean", "kld_min", "kld_max"), _kld_acceptance
+    ),
+    "attack-bench": Stage(
+        "attack_bench.csv",
+        ("strategy", "precision", "recall", "f1", "modification_rate",
+         "breakage_rate", "post_attack_n_det", "baseline_n_det"),
+        _attack_acceptance,
+    ),
+    "stealth": Stage("stealth.csv", ("delta", "max_exceedance"), _stealth_acceptance),
+    "closed-loop": Stage(None, (), _closed_loop_acceptance),
+    "eta-sweep": Stage(
+        "fidelity_eta.csv",
+        ("eta", "active_passes", "n_det", "classified_as_imitation"),
+        lambda config, result: {},
+    ),
+}
+
+
+def run_stage(name: str, config: ExperimentConfig, pools: PoolAccessor) -> tuple[dict, dict]:
+    """Run one stage, write its report, and return (result, acceptance entries).
+
+    The stage function is looked up by its module-global name
+    ``run_<stage>`` at call time, so a wrapper set on that name sees the call.
+    """
+    stage = STAGES[name]
+    result = globals()["run_" + name.replace("-", "_")](config, pools)
+    if stage.report is not None:
+        _write_csv(os.path.join(config.out_dir, stage.report), stage.header, result["rows"])
+    return result, stage.acceptance(config, result)
+
+
+def _write_summary(config: ExperimentConfig, summary: dict) -> None:
+    with open(os.path.join(config.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=1)
+        fh.write("\n")
+
 
 def run_all(config: ExperimentConfig) -> dict:
     """Run every stage, write reports, and score acceptance thresholds.
 
-    If a stage fails, the stages completed so far are recorded in the
-    summary manifest before the error propagates.
+    Each domain's pool is built once for the whole run. If a stage fails,
+    the stages completed so far are recorded in the summary manifest
+    before the error propagates.
     """
     os.makedirs(config.out_dir, exist_ok=True)
+    pools = pool_accessor(config)
     completed: list[str] = []
+    results: dict[str, dict] = {}
+    acceptance: dict = {}
     try:
-        return _run_all_stages(config, completed)
+        for name in STAGES:
+            results[name], entries = run_stage(name, config, pools)
+            acceptance.update(entries)
+            completed.append(name)
     except Exception as exc:
-        manifest = {
+        _write_summary(config, {
             "completed_stages": completed,
             "failed": f"{type(exc).__name__}: {exc}",
-        }
-        with open(
-            os.path.join(config.out_dir, "summary.json"), "w", encoding="utf-8"
-        ) as fh:
-            json.dump(manifest, fh, indent=1)
-            fh.write("\n")
+        })
         raise
-
-
-def _run_all_stages(config: ExperimentConfig, completed: list[str]) -> dict:
-    grid = run_f1_grid(config)
-    _write_csv(
-        os.path.join(config.out_dir, "f1_grid.csv"),
-        ["domain", "theta_j", "theta_n", "precision", "recall", "f1"],
-        grid["rows"],
-    )
-    completed.append("f1-grid")
-
-    loc = run_localization(config)
-    _write_csv(
-        os.path.join(config.out_dir, "localization.csv"),
-        ["domain", "pool_size", "top1_accuracy"],
-        loc["rows"],
-    )
-    completed.append("localization")
-
-    kld = run_delta_kld(config)
-    _write_csv(
-        os.path.join(config.out_dir, "delta_kld.csv"),
-        ["delta", "kld_mean", "kld_min", "kld_max"],
-        kld["rows"],
-    )
-    completed.append("delta-kld")
-
-    bench = run_attack_bench(config)
-    _write_csv(
-        os.path.join(config.out_dir, "attack_bench.csv"),
-        ["strategy", "precision", "recall", "f1", "modification_rate",
-         "breakage_rate", "post_attack_n_det", "baseline_n_det"],
-        bench["rows"],
-    )
-    completed.append("attack-bench")
-
-    stealth = run_stealth(config)
-    _write_csv(
-        os.path.join(config.out_dir, "stealth.csv"),
-        ["delta", "max_exceedance"],
-        stealth["rows"],
-    )
-    completed.append("stealth")
-
-    loop = run_closed_loop(config)
-    completed.append("closed-loop")
-
-    eta = run_eta_sweep(config)
-    _write_csv(
-        os.path.join(config.out_dir, "fidelity_eta.csv"),
-        ["eta", "active_passes", "n_det", "classified_as_imitation"],
-        eta["rows"],
-    )
-    completed.append("eta-sweep")
-
-    primary_domain = config.domains[0]
-    grid_ok = all(c["f1_at_default"] == 1.0 for c in grid["checks"].values())
-    precision_drop = all(
-        c["precision_at_loose_theta_n1"] < 1.0 for c in grid["checks"].values()
-    )
-    recall_drop = all(
-        c["recall_low_volume_theta_n_max"] < 1.0 for c in grid["checks"].values()
-    )
-    loc_target = loc["accuracy"][primary_domain][12 + 5000]
-    fk = bench["metrics"]["fk-replace"]
-    pk_f1s = (
-        bench["metrics"]["random-deletion"]["f1"],
-        bench["metrics"]["pk-replace"]["f1"],
-    )
     summary = {
         "seed": config.seed,
         "completed_stages": completed,
         "f1_at_default_thresholds": {
-            name: c["f1_at_default"] for name, c in grid["checks"].items()
+            name: c["f1_at_default"] for name, c in results["f1-grid"]["checks"].items()
         },
-        "acceptance": {
-            "grid_f1_is_1": grid_ok,
-            "theta_n1_precision_below_1": precision_drop,
-            "theta_n_max_low_volume_recall_below_1": recall_drop,
-            "localization_top1_at_5k_ge_0.9": loc_target >= 0.9,
-            "localization_top1_at_5k": loc_target,
-            "kld_strictly_increasing": kld["strictly_increasing"],
-            "kld_zero_at_delta_zero": kld["zero_at_zero"],
-            "deletion_f1_below_0.05": bench["metrics"]["random-deletion"]["f1"] < 0.05,
-            "pk_f1_below_0.05": bench["metrics"]["pk-replace"]["f1"] < 0.05,
-            "fk_f1_in_band": 0.1 < fk["f1"] < 0.5,
-            "fk_beats_pk_strategies": all(fk["f1"] > v for v in pk_f1s),
-            "stealth_within_noise": all(
-                v <= 0.05 for v in stealth["worst_exceedance"].values()
-            ),
-            "closed_loop_max_l1_below_0.05": loop["max_l1"] < 0.05,
-            "closed_loop_max_l1": loop["max_l1"],
-        },
+        "acceptance": acceptance,
+        "all_pass": all(v for v in acceptance.values() if isinstance(v, bool)),
     }
-    summary["all_pass"] = all(
-        v for k, v in summary["acceptance"].items()
-        if isinstance(v, bool)
-    )
-    with open(os.path.join(config.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_summary(config, summary)
     return summary

@@ -25,6 +25,14 @@ _TOOL_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 _UID_RE = re.compile(r"[0-9a-f]+\Z")
 
 
+def _reject_constant(name: str):
+    raise MalformedLine(f"non-standard JSON constant {name}")
+
+
+# one decoder for every line; NaN and the infinities are not JSON
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 @dataclass(frozen=True)
 class Action:
     """One tool invocation: a tool name and its ordered scalar arguments."""
@@ -128,7 +136,7 @@ def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
     Argument order inside ``args`` is preserved exactly as read.
     """
     try:
-        obj = json.loads(line)
+        obj = _DECODER.decode(line)
     except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise MalformedLine(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:

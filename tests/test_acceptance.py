@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line (run pytest with ``-s`` to see them
 live) and asserts both the criterion and its runtime budget. The heavy
 stages reuse the experiment harness, so the numbers here are the same ones
-``trajmark experiment`` reports.
+``trajmark experiment`` reports. They share one pool accessor, so each
+domain's pool is built once for the whole session, as in one run.
 """
 
 import math
@@ -16,6 +17,7 @@ from trajmark.attacks import attack_pk_replacement, semantic_breakage_rate
 from trajmark.equivalence import Distribution, derive_target_distribution
 from trajmark.experiment import (
     ExperimentConfig,
+    pool_accessor,
     run_attack_bench,
     run_closed_loop,
     run_delta_kld,
@@ -37,6 +39,11 @@ def report(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def config():
     return ExperimentConfig(seed=7, out_dir="/tmp/trajmark-acceptance")
+
+
+@pytest.fixture(scope="session")
+def pools(config):
+    return pool_accessor(config)
 
 
 def test_eq1_correctness_against_scalar_oracle():
@@ -92,10 +99,10 @@ def test_uid_capacity_exact():
     )
 
 
-def test_closed_loop_distribution_recovery(config):
+def test_closed_loop_distribution_recovery(config, pools):
     """30k watermarked trajectories re-estimate every biased target to L1<0.05."""
     start = time.perf_counter()
-    result = run_closed_loop(config)
+    result = run_closed_loop(config, pools)
     elapsed = time.perf_counter() - start
     counts = [v["count"] for v in result["per_set"].values()]
     report(
@@ -106,10 +113,10 @@ def test_closed_loop_distribution_recovery(config):
     )
 
 
-def test_detection_grid(config):
+def test_detection_grid(config, pools):
     """F1=1.0 at the default cell; threshold extremes degrade as expected."""
     start = time.perf_counter()
-    result = run_f1_grid(config)
+    result = run_f1_grid(config, pools)
     elapsed = time.perf_counter() - start
     checks = result["checks"]
     f1_ok = all(c["f1_at_default"] == 1.0 for c in checks.values())
@@ -130,13 +137,13 @@ def test_detection_grid(config):
     )
 
 
-def test_localization_accuracy(config):
+def test_localization_accuracy(config, pools):
     """Top-1 attribution >= 0.9 at 12+5000 users with up to 2 dropped bits."""
     start = time.perf_counter()
     loc_config = ExperimentConfig(
         seed=config.seed, out_dir=config.out_dir, domains=("data",)
     )
-    result = run_localization(loc_config)
+    result = run_localization(loc_config, pools)
     elapsed = time.perf_counter() - start
     accuracy = result["accuracy"]["data"][12 + 5000]
     report(
@@ -147,10 +154,10 @@ def test_localization_accuracy(config):
     )
 
 
-def test_attack_bench(config):
+def test_attack_bench(config, pools):
     """Identification bands: deletion/PK under 0.05, FK in (0.1, 0.5) above both."""
     start = time.perf_counter()
-    result = run_attack_bench(config)
+    result = run_attack_bench(config, pools)
     elapsed = time.perf_counter() - start
     m = result["metrics"]
     deletion, pk, fk = m["random-deletion"]["f1"], m["pk-replace"]["f1"], m["fk-replace"]["f1"]
@@ -171,14 +178,10 @@ def test_attack_bench(config):
     )
 
 
-def test_semantic_preservation(config):
+def test_semantic_preservation(pools):
     """1,000 sampled rewrites all execute identically; blind swaps do not."""
-    from trajmark.simkit.domains import load_domain
-    from trajmark.pool import build_pool
-
     start = time.perf_counter()
-    domain = load_domain("data")
-    passes, _ = build_pool(domain, seed=config.pool_seed)
+    domain, passes = pools("data")
     registry = Registry("data", len(passes))
     # a heavy user maximizes rewrite yield per trajectory
     user = register_user(registry, rng_seed=14)
@@ -216,10 +219,10 @@ def test_semantic_preservation(config):
     )
 
 
-def test_delta_kld_tradeoff(config):
+def test_delta_kld_tradeoff(config, pools):
     """KLD(biased, natural) rises strictly with delta for every pool set."""
     start = time.perf_counter()
-    result = run_delta_kld(config)
+    result = run_delta_kld(config, pools)
     elapsed = time.perf_counter() - start
     report(
         "delta-kld-tradeoff",
@@ -229,10 +232,10 @@ def test_delta_kld_tradeoff(config):
     )
 
 
-def test_stealth_within_sampling_noise(config):
+def test_stealth_within_sampling_noise(config, pools):
     """Per-trajectory divergences stay inside bootstrap noise for delta<=3."""
     start = time.perf_counter()
-    result = run_stealth(config)
+    result = run_stealth(config, pools)
     elapsed = time.perf_counter() - start
     worst = max(result["worst_exceedance"].values())
     report(

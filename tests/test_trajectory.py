@@ -87,6 +87,9 @@ MALFORMED_LINES = {
     b'"response":"r"}',
     "uppercase_uid": b'{"query_id":"q","user_uid":"ABC","actions":[{"tool":"T.Op"}],'
     b'"response":"r"}',
+    "nan_arg": _GOOD_LINE.replace(b"{}", b'{"a":NaN}'),
+    "infinity_arg": _GOOD_LINE.replace(b"{}", b'{"a":Infinity}'),
+    "negative_infinity_arg": _GOOD_LINE.replace(b"{}", b'{"a":-Infinity}'),
 }
 
 
