@@ -353,7 +353,17 @@ class EquivalenceSet:
         self._scan_order = sorted(
             range(len(self.members)), key=lambda i: (-len(self.members[i]), i)
         )
-        self._first_tools = frozenset(seg.patterns[0].tool for seg in self.members)
+        # per first tool, the members starting with it as (member_index,
+        # segment, length) in scan order: at an action, only the members
+        # starting with its tool can match
+        by_tool: dict[str, list[tuple[int, Segment, int]]] = {}
+        for m_idx in self._scan_order:
+            seg = self.members[m_idx]
+            by_tool.setdefault(seg.patterns[0].tool, []).append(
+                (m_idx, seg, len(seg.patterns))
+            )
+        self._scan_entries = tuple((tool, tuple(row)) for tool, row in by_tool.items())
+        self._first_tools = frozenset(by_tool)
         self._all_tools = frozenset(
             pat.tool for seg in self.members for pat in seg.patterns
         )
@@ -401,25 +411,79 @@ def scan_equivalence(
     return out
 
 
+# tool -> (set index, that set's scan entries for the tool) per set
+_ToolIndex = dict[str, list[tuple[int, tuple[tuple[int, Segment, int], ...]]]]
+
+
+def _first_tool_index(eqsets: Sequence[EquivalenceSet]) -> _ToolIndex:
+    """Index the sets of a ``count_members`` call by their members' first tools."""
+    index: _ToolIndex = {}
+    for s_idx, eqset in enumerate(eqsets):
+        for tool, entries in eqset._scan_entries:
+            candidates = index.get(tool)
+            if candidates is None:
+                index[tool] = [(s_idx, entries)]
+            else:
+                candidates.append((s_idx, entries))
+    return index
+
+
+def _tally(actions: Sequence[Action], index: _ToolIndex, counts: list[list[int]]) -> None:
+    """Add one trajectory's member matches to ``counts``, in one walk.
+
+    Every set keeps a cursor, the first position its scan has not
+    consumed. At each position only the sets with a member starting with
+    that action's tool, and whose cursor has reached it, are tried, members
+    in scan order; a hit moves that set's cursor past the matched span.
+    That is ``scan_equivalence``'s leftmost-first, longest-member-first
+    greedy scan, run for every set side by side.
+    """
+    cursors = [0] * len(counts)
+    for pos, action in enumerate(actions):
+        candidates = index.get(action.tool)
+        if candidates is None:
+            continue
+        for s_idx, entries in candidates:
+            if cursors[s_idx] > pos:
+                continue
+            for m_idx, segment, length in entries:
+                if match_segment(segment, actions, pos) is not None:
+                    counts[s_idx][m_idx] += 1
+                    cursors[s_idx] = pos + length
+                    break
+
+
 def count_members(
     corpus: Iterable[GreyBoxTrajectory], eqsets: Sequence[EquivalenceSet]
 ) -> list[list[int]]:
     """Tally non-overlapping member matches of each set over a corpus.
 
     Returns one member-indexed count vector per set, in set order: the
-    per-set sums of ``scan_equivalence`` results. Each trajectory's tool set
-    is built once, and sets sharing no tool with it are not scanned.
+    per-set sums of ``scan_equivalence`` results. Each trajectory is walked
+    once for all sets.
     """
+    index = _first_tool_index(eqsets)
     counts = [[0] * len(eqset.members) for eqset in eqsets]
-    set_tools = [eqset.tools() for eqset in eqsets]
     for traj in corpus:
-        tools = {a.tool for a in traj.actions}
-        for eqset, needed, row in zip(eqsets, set_tools, counts):
-            if tools.isdisjoint(needed):
-                continue
-            for m_idx, _, _, _ in scan_equivalence(traj.actions, eqset):
-                row[m_idx] += 1
+        _tally(traj.actions, index, counts)
     return counts
+
+
+def count_members_by_trajectory(
+    corpus: Iterable[GreyBoxTrajectory], eqsets: Sequence[EquivalenceSet]
+) -> list[list[list[int]]]:
+    """``count_members([traj], eqsets)`` for every trajectory of a corpus.
+
+    The tool index is built once for the whole corpus instead of once per
+    trajectory.
+    """
+    index = _first_tool_index(eqsets)
+    out = []
+    for traj in corpus:
+        counts = [[0] * len(eqset.members) for eqset in eqsets]
+        _tally(traj.actions, index, counts)
+        out.append(counts)
+    return out
 
 
 def estimate_natural_distribution(

@@ -38,7 +38,7 @@ from .attacks import (
 from .equivalence import (
     Distribution,
     WatermarkPass,
-    count_members,
+    count_members_by_trajectory,
     estimate_natural_distribution,
     js_divergence,
     kl_divergence,
@@ -426,7 +426,7 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             uid_hex=user.uid_hex,
         )
         eqsets = [p.eqset for p in passes]
-        rows_by_traj = [count_members([traj], eqsets) for traj in wm]
+        rows_by_traj = count_members_by_trajectory(wm, eqsets)
         max_exceed = 0.0
         for p_idx, wm_pass in enumerate(passes):
             natural = wm_pass.natural

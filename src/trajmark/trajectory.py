@@ -13,6 +13,7 @@ stable key order ``query_id, user_uid, actions, response``.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
@@ -51,11 +52,18 @@ class Action:
         for name, value in self.args:
             if not isinstance(name, str):
                 raise SchemaViolation(f"argument name must be a string: {name!r}")
-            # bool must be listed before int: isinstance(True, int) holds
-            if not isinstance(value, (str, int, float, bool)):
-                raise SchemaViolation(
-                    f"argument {self.tool}.{name} must be a scalar, got {type(value).__name__}"
-                )
+            if not isinstance(value, (str, int, bool)):
+                # NaN and the infinities have no JSON form, so a corpus
+                # holding one could be written but never read back
+                if not isinstance(value, float):
+                    raise SchemaViolation(
+                        f"argument {self.tool}.{name} must be a scalar, "
+                        f"got {type(value).__name__}"
+                    )
+                if not math.isfinite(value):
+                    raise SchemaViolation(
+                        f"argument {self.tool}.{name} must be a finite number, got {value!r}"
+                    )
 
     @classmethod
     def make(cls, tool: str, args: Mapping[str, Scalar] | None = None) -> "Action":

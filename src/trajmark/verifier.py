@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
 from .errors import EmptyRegistry
-from .registry import Registry, UserRecord, uid_bits
+from .registry import Registry, bits_to_uid
 from .trajectory import GreyBoxTrajectory
 
 DEFAULT_THETA_J = 0.015
@@ -192,24 +192,17 @@ def verify_corpus(
     return classify_model(results, theta_n, theta_j, m_min)
 
 
-def cosine_similarity_bits(v: Sequence[int], p: Sequence[int]) -> float:
-    """Cosine similarity of two binary vectors: |v & p| / (sqrt|v| sqrt|p|)."""
-    dot = sum(1 for a, b in zip(v, p) if a and b)
-    nv = sum(1 for a in v if a)
-    np_ = sum(1 for b in p if b)
-    if nv == 0 or np_ == 0:
-        return 0.0
-    return dot / math.sqrt(nv * np_)
-
-
 def localize_user(
     detected_vector: Sequence[int], registry: Registry
 ) -> list[tuple[str, float]]:
     """Rank all registered users by similarity to the detected-pass vector.
 
-    Ties break toward earlier registration, then lexicographic UID; the
-    top-1 entry is the accusation, but the full ranking is returned so an
-    investigator can work down a shortlist.
+    The score is the cosine similarity of the two bit vectors,
+    ``|v & u| / sqrt(|v| |u|)``, or 0.0 when they share no bit; the
+    vector folds into an int (a nonzero entry is a set bit) and each UID
+    is scored by popcount. Ties break toward earlier registration, then
+    lexicographic UID; the top-1 entry is the accusation, but the full
+    ranking is returned so an investigator can work down a shortlist.
     """
     if not registry.users:
         raise EmptyRegistry(f"registry for domain {registry.domain!r} has no users")
@@ -217,13 +210,16 @@ def localize_user(
         raise ValueError(
             f"vector length {len(detected_vector)} != registry N {registry.n_bits}"
         )
+    v = bits_to_uid(detected_vector)
+    nv = v.bit_count()
     scored: list[tuple[float, str, str]] = []
     for user in registry.users:
-        bits = uid_bits(user.uid_int(), registry.n_bits)
-        sim = cosine_similarity_bits(detected_vector, bits)
-        scored.append((sim, user.created_at, user.uid_hex))
-    scored.sort(key=lambda row: (-row[0], row[1], row[2]))
-    return [(uid, sim) for sim, _, uid in scored]
+        u = int(user.uid_hex, 16)
+        dot = (v & u).bit_count()
+        sim = dot / math.sqrt(nv * u.bit_count()) if dot else 0.0
+        scored.append((-sim, user.created_at, user.uid_hex))
+    scored.sort()
+    return [(uid, -neg_sim) for neg_sim, _, uid in scored]
 
 
 # ---------------------------------------------------------------------------

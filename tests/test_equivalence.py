@@ -14,6 +14,7 @@ from trajmark.equivalence import (
     SlotRef,
     WatermarkPass,
     count_members,
+    count_members_by_trajectory,
     eqset_from_json,
     eqset_to_json,
     estimate_natural_distribution,
@@ -21,6 +22,10 @@ from trajmark.equivalence import (
     scan_equivalence,
 )
 from trajmark.errors import InvalidDistribution, MappingGap, NoObservations
+from trajmark.injector import watermark_corpus
+from trajmark.pool import build_pool
+from trajmark.simkit.domains import builtin_domain
+from trajmark.simkit.generator import generate_greybox_corpus
 from trajmark.trajectory import Action, GreyBoxTrajectory
 from trajmark.verifier import evaluate_passes
 
@@ -224,10 +229,34 @@ def test_count_members_equals_per_set_scans(action_lists):
         expected.append(row)
     counts = count_members(corpus, eqsets)
     assert counts == expected
+    assert count_members_by_trajectory(corpus, eqsets) == [
+        count_members([t], eqsets) for t in corpus
+    ]
     pool = [make_pass(e, (0.5, 0.5), pass_id=i) for i, e in enumerate(eqsets, start=1)]
     evaluations = evaluate_passes(corpus, pool)
     assert [ev.observation_count for ev in evaluations] == [sum(row) for row in counts]
     assert evaluations[2].empirical is None
+
+
+@pytest.mark.parametrize("name", ["data", "business", "social"])
+def test_count_members_equals_per_set_scans_on_builtin_domains(name):
+    # in real sets several members often start with the same tool (a base
+    # call vs. the base call plus more), which the Files.* sets never do
+    domain = builtin_domain(name)
+    passes, _ = build_pool(domain, seed=42, n_validation_cases=1, calibration_size=300)
+    corpus = generate_greybox_corpus(domain, 300, seed=5, id_prefix="d")
+    watermarked, _ = watermark_corpus(corpus, passes, seed=6, uid_hex="1")
+    for dump in (corpus, watermarked):
+        expected = []
+        for eqset in domain.eqsets:
+            row = [0] * len(eqset.members)
+            for t in dump:
+                for m_idx, _, _, _ in scan_equivalence(t.actions, eqset):
+                    row[m_idx] += 1
+            expected.append(row)
+        assert count_members(dump, domain.eqsets) == expected
+        by_trajectory = count_members_by_trajectory(dump, domain.eqsets)
+        assert [[sum(col) for col in zip(*rows)] for rows in zip(*by_trajectory)] == expected
 
 
 def test_watermark_pass_verifies_biased(ce_set):

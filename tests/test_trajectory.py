@@ -90,6 +90,7 @@ MALFORMED_LINES = {
     "nan_arg": _GOOD_LINE.replace(b"{}", b'{"a":NaN}'),
     "infinity_arg": _GOOD_LINE.replace(b"{}", b'{"a":Infinity}'),
     "negative_infinity_arg": _GOOD_LINE.replace(b"{}", b'{"a":-Infinity}'),
+    "overflow_float_arg": _GOOD_LINE.replace(b"{}", b'{"a":1e999}'),
 }
 
 
@@ -208,3 +209,10 @@ def test_action_validation():
         Action("T", (("a", 1), ("a", 2)))
     with pytest.raises(SchemaViolation):
         GreyBoxTrajectory("q", (Action.make("T"),), "r", user_uid="XYZ")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_action_rejects_non_finite_float(value):
+    # no JSON form exists, so such an action could be written but not read back
+    with pytest.raises(SchemaViolation, match="finite"):
+        Action.make("T", {"a": value})

@@ -5,15 +5,23 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_pass, move_eqset
 from trajmark.equivalence import Distribution, count_members, js_divergence
 from trajmark.errors import EmptyRegistry
-from trajmark.registry import Registry, register_user, uid_bits
+from trajmark.registry import (
+    Registry,
+    UserRecord,
+    bits_to_uid,
+    register_user,
+    uid_bits,
+    uid_to_hex,
+)
 from trajmark.verifier import (
     PassEvaluation,
     classify_model,
-    cosine_similarity_bits,
     localize_user,
     precision_recall_f1,
     threshold_evaluations,
@@ -153,18 +161,75 @@ def test_monotonicity_in_thresholds(data_domain, data_pool):
     assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
 
 
+def _brute_force_ranking(vector, registry):
+    """Reference ranking: per-bit cosine similarity, then the tie-breaks."""
+    scored = []
+    for user in registry.users:
+        bits = uid_bits(user.uid_int(), registry.n_bits)
+        dot = sum(1 for a, b in zip(vector, bits) if a and b)
+        nv = sum(1 for a in vector if a)
+        np_ = sum(1 for b in bits if b)
+        sim = 0.0 if nv == 0 or np_ == 0 else dot / math.sqrt(nv * np_)
+        scored.append((sim, user.created_at, user.uid_hex))
+    scored.sort(key=lambda row: (-row[0], row[1], row[2]))
+    return [(uid, sim) for sim, _, uid in scored]
+
+
+def _registry_of(n_bits, uids, stamps):
+    reg = Registry("probe", n_bits, w_min=0, w_max=n_bits)
+    for uid, stamp in zip(uids, stamps):
+        reg.append(UserRecord(
+            uid_to_hex(uid, n_bits),
+            tuple(i + 1 for i in range(n_bits) if (uid >> i) & 1),
+            stamp,
+        ))
+    return reg
+
+
 def test_cosine_similarity_against_brute_force():
     rng = random.Random(3)
     for _ in range(300):
         n = rng.randint(4, 20)
         v = [rng.randint(0, 1) for _ in range(n)]
         p = [rng.randint(0, 1) for _ in range(n)]
-        got = cosine_similarity_bits(v, p)
+        reg = _registry_of(n, [bits_to_uid(p)], ["2026-01-01T00:00:00"])
+        (got,) = localize_user(v, reg)
         dot = sum(a * b for a, b in zip(v, p))
         norm = math.sqrt(sum(v)) * math.sqrt(sum(p))
         expected = dot / norm if norm else 0.0
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert 0.0 <= got <= 1.0
+        assert got[1] == pytest.approx(expected, abs=1e-12)
+        assert 0.0 <= got[1] <= 1.0
+        assert [got] == _brute_force_ranking(v, reg)
+
+
+@st.composite
+def _localization_case(draw):
+    n_bits = draw(st.integers(4, 39))
+    w_min = draw(st.integers(0, 3))
+    w_max = draw(st.integers(w_min, min(w_min + 2, n_bits)))
+    weights = st.integers(w_min, w_max)
+    positions = st.permutations(range(n_bits))
+    uids = draw(st.lists(
+        st.builds(lambda w, order: sum(1 << i for i in order[:w]), weights, positions),
+        min_size=1, max_size=40, unique=True,
+    ))
+    # few distinct stamps, so equal scores fall through to the UID tie-break
+    stamps = draw(st.lists(
+        st.sampled_from(["2026-01-01T00:00:00", "2026-01-02T00:00:00"]),
+        min_size=len(uids), max_size=len(uids),
+    ))
+    vector = draw(st.one_of(
+        st.just([0] * n_bits),
+        st.lists(st.integers(0, 1), min_size=n_bits, max_size=n_bits),
+    ))
+    return vector, _registry_of(n_bits, uids, stamps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_localization_case())
+def test_localize_user_matches_brute_force(case):
+    vector, reg = case
+    assert localize_user(vector, reg) == _brute_force_ranking(vector, reg)
 
 
 def test_localization_exact_and_orthogonal():
