@@ -50,14 +50,7 @@ from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
-from .verifier import (
-    classify_model,
-    evaluate_passes,
-    f1_grid,
-    localize_user,
-    threshold_evaluations,
-    verify_corpus,
-)
+from .verifier import f1_grid, localize_user, verify_corpus
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
 DEFAULT_THETA_N_GRID = (1, 2, 3, 4, 5)
@@ -203,9 +196,9 @@ def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
         high_n = max(config.theta_n_list)
         missed = 0
         for corpus in positives_low:
-            evals = evaluate_passes(corpus, passes)
-            results = threshold_evaluations(evals, config.theta_j_default, config.m_min)
-            verdict = classify_model(results, high_n, config.theta_j_default, config.m_min)
+            verdict = verify_corpus(
+                corpus, passes, config.theta_j_default, high_n, config.m_min
+            )
             if not verdict.classified_as_imitation:
                 missed += 1
         recall_low = 1.0 - missed / len(positives_low)

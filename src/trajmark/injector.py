@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .equivalence import WatermarkPass, scan_equivalence
-from .errors import EmptyActions
+from .errors import EmptyActions, SchemaViolation
 from .seeds import derive_rng
-from .trajectory import Action, GreyBoxTrajectory
+from .trajectory import Action, GreyBoxTrajectory, decode_json_line, iter_parsed_lines
 
 
 @dataclass
@@ -209,23 +209,38 @@ def write_edits(
     return count
 
 
+def _is_index(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _parse_edit_line(line: str) -> tuple[int, bool, list[int]]:
+    """The ``traj_index``, ``changed`` and ``final_positions`` of one edit line."""
+    obj = decode_json_line(line)
+    if not isinstance(obj, dict):
+        raise SchemaViolation("edit line must be a JSON object")
+    traj_index = obj.get("traj_index")
+    if not _is_index(traj_index):
+        raise SchemaViolation("'traj_index' must be a non-negative integer")
+    changed = obj.get("changed")
+    if not isinstance(changed, bool):
+        raise SchemaViolation("'changed' must be a boolean")
+    final = obj.get("final_positions")
+    if not isinstance(final, list) or not all(_is_index(p) for p in final):
+        raise SchemaViolation("'final_positions' must be an array of non-negative integers")
+    return traj_index, changed, final
+
+
 def read_edit_positions(path: str) -> dict[int, set[int]]:
     """Load ground-truth watermark positions: traj_index -> changed indices.
 
     Only edits whose draw differed from the matched member count as true
     watermark positions; kept-original draws are invisible to an attacker.
+    A malformed line raises a ``TrajmarkError`` naming ``path:line``.
     """
     positions: dict[int, set[int]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if obj.get("changed"):
-                positions.setdefault(obj["traj_index"], set()).update(
-                    obj["final_positions"]
-                )
+    for traj_index, changed, final in iter_parsed_lines(path, _parse_edit_line):
+        if changed:
+            positions.setdefault(traj_index, set()).update(final)
     return positions
 
 

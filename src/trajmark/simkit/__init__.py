@@ -4,6 +4,6 @@ Submodules:
 
 * ``sandbox``   deterministic tool execution with effect logging
 * ``domains``   synthetic domain specs (tool libraries, templates, pools)
-* ``generator`` victim-corpus generation from a domain spec
+* ``generator`` grey-box corpus generation from a domain spec
 * ``surrogate`` distribution-fitting imitation model and its sampler
 """

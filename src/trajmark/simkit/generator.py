@@ -1,25 +1,21 @@
-"""Victim-corpus generation from a domain spec.
+"""Grey-box corpus generation from a domain spec.
 
 Each trajectory instantiates one query template: filler positions become
 concrete actions with fresh token arguments, equivalence slots draw a
-member from the slot's natural distribution and instantiate it through the
-set's canonical bindings. Thoughts and observations are synthesized with
-sentinel markers so grey-box projection is meaningfully lossy and its
-safety is mechanically checkable.
+member from the slot's distribution and instantiate it through the set's
+canonical bindings. Trajectories are built in the form a service reveals,
+actions plus the final response, so no hidden reasoning is ever produced.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..equivalence import Distribution, EquivalenceSet, match_segment
 from ..seeds import derive_rng
-from ..trajectory import Action, FullTrajectory, GreyBoxTrajectory, grey_box_view
+from ..trajectory import Action, GreyBoxTrajectory
 from .domains import DomainSpec, Template
-
-THOUGHT_MARKER = "[[HT:"
-OBSERVATION_MARKER = "[[HO:"
 
 
 def _token(rng: random.Random) -> str:
@@ -48,70 +44,38 @@ def instantiate_member(
     return eqset.rewrite(0, member_index, bindings)
 
 
-def _pick_template(domain: DomainSpec, rng: random.Random) -> Template:
-    weights = [t.weight for t in domain.templates]
-    return rng.choices(domain.templates, weights=weights, k=1)[0]
-
-
 def generate_trajectory(
     domain: DomainSpec,
     template: Template,
     query_id: str,
     rng: random.Random,
     slot_dist: Callable[[str], Distribution] | None = None,
-) -> FullTrajectory:
-    """Instantiate one template into a full trajectory.
+) -> GreyBoxTrajectory:
+    """Instantiate one template into a grey-box trajectory.
 
     ``slot_dist`` overrides the member distribution per set id; the default
     is the domain's configured natural distribution.
     """
-    steps = []
+    actions: list[Action] = []
     for item in template.items:
         if item.kind == "action":
             args = tuple((name, _gen_value(gen, rng)) for name, gen in item.args)
-            actions: Sequence[Action] = (Action(item.tool, args),)
+            emitted: tuple[Action, ...] = (Action(item.tool, args),)
         else:
             eqset = domain.eqset(item.set_id)
             dist = slot_dist(item.set_id) if slot_dist else domain.natural[item.set_id]
             member = dist.sample(rng)
-            actions = instantiate_member(eqset, member, rng)
-        for action in actions:
-            marker = _token(rng)
-            steps.append(
-                (
-                    f"plan {action.tool} {THOUGHT_MARKER}{marker}]]",
-                    action,
-                    f"ok {action.tool} {OBSERVATION_MARKER}{marker}]]",
-                )
-            )
-    return FullTrajectory(
+            emitted = instantiate_member(eqset, member, rng)
+        for action in emitted:
+            # one discarded draw per action keeps the per-trajectory RNG
+            # stream, and so every seeded corpus, unchanged
+            rng.getrandbits(32)
+            actions.append(action)
+    return GreyBoxTrajectory(
         query_id=query_id,
-        steps=tuple(steps),
+        actions=tuple(actions),
         response=f"completed {template.id} for {query_id}",
     )
-
-
-def generate_victim_corpus(
-    domain: DomainSpec,
-    n: int,
-    seed: int,
-    id_prefix: str = "q",
-) -> list[FullTrajectory]:
-    """Generate ``n`` full trajectories with per-trajectory derived RNG.
-
-    Each trajectory's stream depends only on (seed, prefix, index), so
-    generation is order-independent and safe to parallelize.
-    """
-    if n < 1:
-        raise ValueError("corpus size must be >= 1")
-    corpus = []
-    for idx in range(n):
-        rng = derive_rng(seed, "gen", id_prefix, idx)
-        template = _pick_template(domain, rng)
-        corpus.append(
-            generate_trajectory(domain, template, f"{id_prefix}{idx:06d}", rng)
-        )
-    return corpus
 
 
 def generate_greybox_corpus(
@@ -122,7 +86,11 @@ def generate_greybox_corpus(
     slot_dist: Callable[[str], Distribution] | None = None,
     template_weights: dict[str, float] | None = None,
 ) -> list[GreyBoxTrajectory]:
-    """Generate a grey-box corpus directly (what a service would emit)."""
+    """Generate ``n`` grey-box trajectories, what a service would emit.
+
+    Each trajectory's RNG stream depends only on (seed, prefix, index), so
+    generation is order-independent and safe to parallelize.
+    """
     if n < 1:
         raise ValueError("corpus size must be >= 1")
     templates = domain.templates
@@ -136,10 +104,9 @@ def generate_greybox_corpus(
     for idx in range(n):
         rng = derive_rng(seed, "gen", id_prefix, idx)
         template = rng.choices(templates, weights=weights, k=1)[0]
-        full = generate_trajectory(
-            domain, template, f"{id_prefix}{idx:06d}", rng, slot_dist
+        corpus.append(
+            generate_trajectory(domain, template, f"{id_prefix}{idx:06d}", rng, slot_dist)
         )
-        corpus.append(grey_box_view(full))
     return corpus
 
 
@@ -158,9 +125,6 @@ def template_for_trajectory(
         pos = 0
         ok = True
         for item in template.items:
-            if pos > len(actions):
-                ok = False
-                break
             if item.kind == "action":
                 if pos >= len(actions) or actions[pos].tool != item.tool:
                     ok = False

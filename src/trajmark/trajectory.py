@@ -3,8 +3,10 @@
 An action is a tool invocation with an ordered map of scalar arguments.
 A grey-box trajectory is what a deployed agent service reveals to users:
 the action sequence and the final response, with internal reasoning steps
-withheld. Full trajectories (thought/action/observation triples) exist only
-inside the simulation kit and are never written to corpus files.
+withheld. It is the only trajectory form the pipeline builds, reads or
+writes. ``FullTrajectory`` (thought/action/observation triples) and its
+projection ``grey_box_view`` state the grey-box contract: projection keeps
+actions and the response verbatim and drops every hidden step.
 
 Wire format: one JSON object per line (JSONL), UTF-8, ``\\n`` line endings,
 stable key order ``query_id, user_uid, actions, response``.
@@ -16,11 +18,12 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .errors import EmptyActions, MalformedLine, SchemaViolation
 
 Scalar = Union[str, int, float, bool]
+T = TypeVar("T")
 
 _TOOL_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 _UID_RE = re.compile(r"[0-9a-f]+\Z")
@@ -97,10 +100,11 @@ class GreyBoxTrajectory:
 
 @dataclass(frozen=True)
 class FullTrajectory:
-    """Internal trajectory with hidden thought/observation steps.
+    """A trajectory as the agent runs it, hidden steps included.
 
-    Exists only inside the simulation kit; the grey-box projection is the
-    only form ever serialized.
+    Each step is a (thought, action, observation) triple. The pipeline
+    never builds or serializes one; ``grey_box_view`` maps it to what a
+    user sees.
     """
 
     query_id: str
@@ -138,17 +142,22 @@ def _action_from_obj(obj: object, where: str) -> Action:
     return Action(tool, tuple(args.items()))
 
 
+def decode_json_line(line: str) -> object:
+    """Decode one JSON line; every decoding failure raises ``MalformedLine``."""
+    try:
+        return _DECODER.decode(line)
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
+        raise MalformedLine(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedLine("JSON nested too deeply") from exc
+
+
 def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
     """Parse one JSONL line into a validated grey-box trajectory.
 
     Argument order inside ``args`` is preserved exactly as read.
     """
-    try:
-        obj = _DECODER.decode(line)
-    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
-        raise MalformedLine(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedLine("JSON nested too deeply") from exc
+    obj = decode_json_line(line)
     if not isinstance(obj, dict):
         raise SchemaViolation("trajectory line must be a JSON object")
     extra = set(obj) - {"query_id", "user_uid", "actions", "response"}
@@ -195,6 +204,15 @@ def read_jsonl(path: str) -> list[GreyBoxTrajectory]:
 
 def iter_jsonl(path: str) -> Iterator[GreyBoxTrajectory]:
     """Stream trajectories from a JSONL file one line at a time."""
+    return iter_parsed_lines(path, parse_trajectory_line)
+
+
+def iter_parsed_lines(path: str, parse: Callable[[str], T]) -> Iterator[T]:
+    """Yield ``parse(line)`` for each non-blank line of a UTF-8 JSONL file.
+
+    A ``MalformedLine`` or ``SchemaViolation`` from decoding or from
+    ``parse`` is re-raised as the same type, prefixed with ``path:line``.
+    """
     # bytes are decoded line by line so a bad UTF-8 sequence names its line
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -205,7 +223,7 @@ def iter_jsonl(path: str) -> Iterator[GreyBoxTrajectory]:
             if not line:
                 continue
             try:
-                yield parse_trajectory_line(line)
+                yield parse(line)
             except (MalformedLine, SchemaViolation) as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
 

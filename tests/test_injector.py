@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,23 +10,26 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import make_pass, move_eqset
+from trajmark.cli import main
 from trajmark.equivalence import (
     ActionPattern,
     EquivalenceSet,
     Segment,
     estimate_natural_distribution,
 )
-from trajmark.errors import EmptyActions
+from trajmark.errors import EmptyActions, TrajmarkError
 from trajmark.injector import (
     apply_pass,
     changed_positions,
+    read_edit_positions,
     watermark_corpus,
     watermark_trajectory,
+    write_edits,
 )
 from trajmark.registry import Registry, passes_for_uid, register_user
 from trajmark.simkit.generator import generate_greybox_corpus
 from trajmark.simkit.sandbox import segments_equivalent
-from trajmark.trajectory import Action, GreyBoxTrajectory
+from trajmark.trajectory import Action, GreyBoxTrajectory, write_jsonl
 
 
 def traj(actions, qid="q"):
@@ -238,3 +242,49 @@ def test_semantic_preservation_of_edits(data_domain, data_pool):
             ), (edit.pass_id, edit.original_actions, edit.rewritten_actions)
             checked += 1
     assert checked > 30
+
+
+def test_edit_log_round_trip(tmp_path, data_domain, data_pool):
+    corpus = generate_greybox_corpus(data_domain, 60, seed=56, id_prefix="el")
+    reg = Registry("data", len(data_pool))
+    user = register_user(reg, rng_seed=9)
+    active = passes_for_uid(user.uid_hex, data_pool)
+    _, edits_by_traj = watermark_corpus(corpus, active, seed=67, uid_hex=user.uid_hex)
+    path = tmp_path / "edits.jsonl"
+    write_edits(str(path), corpus, edits_by_traj)
+    truth = changed_positions(edits_by_traj)
+    assert truth
+    assert read_edit_positions(str(path)) == truth
+
+
+_GOOD_EDIT = b'{"traj_index":0,"changed":true,"final_positions":[0]}'
+MALFORMED_EDIT_LINES = {
+    "not_an_object": b"[1]",
+    "final_positions_not_array": b'{"traj_index":0,"changed":true,"final_positions":5}',
+    "final_position_not_int": b'{"traj_index":0,"changed":true,"final_positions":["0"]}',
+    "bad_json": b'{"traj_index":0,',
+    "missing_traj_index": b'{"changed":true,"final_positions":[0]}',
+    "negative_traj_index": b'{"traj_index":-1,"changed":true,"final_positions":[0]}',
+    "changed_not_bool": b'{"traj_index":0,"changed":"yes","final_positions":[0]}',
+    "invalid_utf8": b'{"traj_index":0,"changed":true,"final_positions":[0],"q":"\xff"}',
+}
+
+
+@pytest.mark.parametrize(
+    "line", MALFORMED_EDIT_LINES.values(), ids=MALFORMED_EDIT_LINES.keys()
+)
+def test_malformed_edit_line_names_path_and_line(tmp_path, capsys, line):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(str(corpus), [traj([Action.make("T.Op", {"k": "v"})])])
+    edits = tmp_path / "edits.jsonl"
+    # the bad line is line 3, after a good line and a blank one
+    edits.write_bytes(_GOOD_EDIT + b"\n\n" + line + b"\n")
+    where = f"{edits}:3: "
+    with pytest.raises(TrajmarkError, match=re.escape(where)):
+        read_edit_positions(str(edits))
+    code = main(["attack", "--strategy", "rephrase-stub", "--in", str(corpus),
+                 "--edits", str(edits), "--out", str(tmp_path / "out.jsonl"),
+                 "--quiet"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
