@@ -25,8 +25,10 @@ from .errors import (
     ArityMismatch,
     IndexOutOfRange,
     InvalidDistribution,
+    ManifestError,
     MappingGap,
     NoObservations,
+    SchemaViolation,
     SupportMismatch,
     UnknownTool,
 )
@@ -240,14 +242,15 @@ class Segment:
                 f"param_map covers {len(self.param_map)} actions, "
                 f"segment has {len(self.patterns)}"
             )
-        own = self.slots()
+        own = frozenset(s for pat in self.patterns for s in pat.slot_names())
+        object.__setattr__(self, "_slots", own)
         for entry in self.param_map:
             for _, source in entry:
                 if isinstance(source, SlotRef) and source.slot not in own:
                     raise MappingGap(f"param_map references unknown slot {source.slot!r}")
 
     def slots(self) -> frozenset[str]:
-        return frozenset(s for pat in self.patterns for s in pat.slot_names())
+        return self._slots
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -289,7 +292,14 @@ def instantiate_mapping(
     target: Segment,
     bindings: dict[str, Scalar],
 ) -> tuple[Action, ...]:
-    """Build the target segment's concrete actions from source bindings."""
+    """Build the target segment's concrete actions from source bindings.
+
+    ``mapping`` must be one of an ``EquivalenceSet``'s effective mappings
+    onto ``target``, whose tool names, argument names and literals the set
+    checked when it was built, and every bound value must come from a
+    validated action or a generated token: the actions are built without
+    re-validation.
+    """
     if len(mapping) != len(target.patterns):
         raise MappingGap("mapping arity does not match target segment")
     actions = []
@@ -305,7 +315,7 @@ def instantiate_mapping(
                         f"{pattern.tool}.{arg_name}"
                     )
                 args.append((arg_name, bindings[source.slot]))
-        actions.append(Action(pattern.tool, tuple(args)))
+        actions.append(Action._trusted(pattern.tool, tuple(args)))
     return tuple(actions)
 
 
@@ -321,6 +331,11 @@ class EquivalenceSet:
     whose slot namespaces differ; every other pair defaults to the target
     member's own ``param_map`` resolved against the source bindings.
     Instances are immutable by convention after construction.
+
+    Construction checks every effective mapping the way ``Action`` checks
+    an action: valid tool names, distinct string argument names, and
+    literals that are finite scalars. ``rewrite`` then builds actions
+    without re-checking them.
     """
 
     id: str
@@ -334,21 +349,31 @@ class EquivalenceSet:
         self.members = tuple(self.members)
         if len(self.members) < 2:
             raise ValueError(f"equivalence set {self.id} needs k >= 2 members")
-        # every ordered pair must be rewritable: all slot refs of the
-        # effective mapping resolve against the source member's slots
-        for src in range(len(self.members)):
-            src_slots = self.members[src].slots()
-            for dst in range(len(self.members)):
-                if src == dst:
+        # every ordered pair, a member onto itself included, must be
+        # rewritable: all slot refs of the effective mapping resolve against
+        # the source member's slots (``Segment`` checks its own param_map)
+        for src, source in enumerate(self.members):
+            src_slots = source.slots()
+            for dst, target in enumerate(self.members):
+                mapping = self.cross_overrides.get((src, dst))
+                if mapping is not None:
+                    self._check_actions(mapping, dst, src)
+                elif src == dst:
                     continue
-                mapping = self.cross_map(src, dst)
+                else:
+                    mapping = target.param_map
                 for entry in mapping:
-                    for arg_name, source in entry:
-                        if isinstance(source, SlotRef) and source.slot not in src_slots:
+                    for _, arg_source in entry:
+                        if isinstance(arg_source, SlotRef) and arg_source.slot not in src_slots:
                             raise MappingGap(
                                 f"set {self.id}: mapping {src}->{dst} needs slot "
-                                f"{source.slot!r} not bound by member {src}"
+                                f"{arg_source.slot!r} not bound by member {src}"
                             )
+        # the actions each member's own param_map builds
+        for dst, member in enumerate(self.members):
+            self._check_actions(member.param_map, dst)
+        # member 0's slot namespace, in the order bindings are drawn for it
+        self._base_slots = tuple(sorted(self.members[0].slots()))
         # longest-member-first scan order, ties by member index
         self._scan_order = sorted(
             range(len(self.members)), key=lambda i: (-len(self.members[i]), i)
@@ -367,6 +392,31 @@ class EquivalenceSet:
         self._all_tools = frozenset(
             pat.tool for seg in self.members for pat in seg.patterns
         )
+
+    def _check_actions(self, mapping: ParamMapping, dst: int, src: int | None = None) -> None:
+        """Refuse a mapping onto member ``dst`` that builds actions ``Action`` refuses.
+
+        ``src`` names an explicit cross mapping; without it, ``mapping`` is
+        the member's own. Each target action is built once through the
+        public constructor, with an empty string standing in for every
+        slot value: bound values come from validated actions, so only the
+        tool name, the argument names and the literals can be wrong.
+        """
+        patterns = self.members[dst].patterns
+        if len(mapping) != len(patterns):
+            raise MappingGap(
+                f"set {self.id}: mapping {src}->{dst} covers {len(mapping)} actions, "
+                f"member {dst} has {len(patterns)}"
+            )
+        for pattern, entry in zip(patterns, mapping):
+            try:
+                Action(pattern.tool, tuple([
+                    (name, source.value if isinstance(source, Lit) else "")
+                    for name, source in entry
+                ]))
+            except SchemaViolation as exc:
+                where = f"member {dst}" if src is None else f"mapping {src}->{dst}"
+                raise ManifestError(f"set {self.id}: {where}: {exc}") from exc
 
     def cross_map(self, src: int, dst: int) -> ParamMapping:
         explicit = self.cross_overrides.get((src, dst))
@@ -645,9 +695,10 @@ def validate_equivalence(
     the comparison first erases log entries produced by ancillary
     (read-only) tools, which by declaration never alter state.
 
-    Member 0's slots are instantiated with generated values; the other
-    members are built through the set's cross mappings, so a wrong mapping
-    surfaces here as an inequivalence.
+    Member 0's slots are instantiated with generated values, and every
+    member, member 0 included, is built through the set's mapping from
+    member 0, as the corpus generator builds it; a wrong mapping surfaces
+    here as an inequivalence.
     """
     from .simkit.sandbox import canonical_log, execute_segment
 
@@ -656,22 +707,18 @@ def validate_equivalence(
             raise UnknownTool(f"set {eqset.id} uses unknown tool {tool!r}")
 
     erase_ancillary = eqset.scheme == "AE"
-    base = eqset.members[0]
-    base_slots = sorted(base.slots())
     rng = derive_rng(rng_seed, "validate", eqset.id)
 
     for case in range(n_cases):
         bindings = {
-            slot: f"k{case}_{slot}_{rng.randrange(16**6):06x}" for slot in base_slots
+            slot: f"k{case}_{slot}_{rng.randrange(16**6):06x}" for slot in eqset._base_slots
         }
         env0 = {str(v): f"data:{v}" for v in bindings.values()}
         env0["const"] = "anchor"
 
         reference = None
         for m_idx in range(len(eqset.members)):
-            actions = eqset.rewrite(0, m_idx, bindings) if m_idx else instantiate_mapping(
-                base.param_map, base, bindings
-            )
+            actions = eqset.rewrite(0, m_idx, bindings)
             result = execute_segment(actions, sandbox, dict(env0))
             observed = (result.env, canonical_log(result.log, erase_ancillary))
             if m_idx == 0:

@@ -38,11 +38,12 @@ from .attacks import (
 from .equivalence import (
     Distribution,
     WatermarkPass,
+    count_members,
     count_members_by_trajectory,
-    estimate_natural_distribution,
     js_divergence,
     kl_divergence,
 )
+from .errors import NoObservations
 from .injector import changed_positions, watermark_corpus
 from .pool import build_pool, rebias_pool
 from .registry import Registry, register_user, passes_for_uid, uid_bits
@@ -378,15 +379,24 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
 # ---------------------------------------------------------------------------
 
 def _bootstrap_q99(natural, m: int, rng, draws: int = 10000) -> float:
-    """99th percentile of JSD(empirical of m natural draws, natural)."""
+    """99th percentile of JSD(empirical of m natural draws, natural).
+
+    Only C(m+k-1, k-1) count vectors exist for m draws over k members, so
+    the JSD is computed once per distinct vector; every draw is still taken.
+    """
     values = []
+    jsd_of: dict[tuple[int, ...], float] = {}
     k = len(natural)
     for _ in range(draws):
         counts = [0] * k
         for _ in range(m):
             counts[natural.sample(rng)] += 1
-        emp = Distribution(tuple(c / m for c in counts))
-        values.append(js_divergence(emp, natural))
+        key = tuple(counts)
+        jsd = jsd_of.get(key)
+        if jsd is None:
+            emp = Distribution(tuple(c / m for c in counts))
+            jsd = jsd_of[key] = js_divergence(emp, natural)
+        values.append(jsd)
     values.sort()
     return values[min(draws - 1, int(0.99 * draws))]
 
@@ -464,10 +474,13 @@ def run_closed_loop(config: ExperimentConfig, pools: PoolAccessor) -> dict:
         uid_hex=user.uid_hex,
     )
     per_set = {}
-    for wm_pass in active:
-        estimated, count = estimate_natural_distribution(wm, wm_pass.eqset)
+    counts = count_members(wm, [p.eqset for p in active])
+    for wm_pass, row in zip(active, counts):
+        count = sum(row)
+        if count == 0:
+            raise NoObservations(f"no matches for set {wm_pass.eqset.id} in corpus")
         per_set[wm_pass.eqset.id] = {
-            "l1": estimated.l1_distance(wm_pass.biased),
+            "l1": Distribution.from_counts(row).l1_distance(wm_pass.biased),
             "count": count,
         }
     max_l1 = max(v["l1"] for v in per_set.values())

@@ -116,16 +116,25 @@ def watermark_trajectory(
     Each pass scans the possibly already-rewritten sequence of its
     predecessors. Edit records come back with ``final_positions`` resolved
     against the returned trajectory.
+
+    A pass none of whose members' first tools occurs in the current
+    actions has no span, so it draws nothing and is skipped; the tools
+    present change only when a draw changes a span.
     """
     if not t.actions:
         raise EmptyActions(f"trajectory {t.query_id!r} has no actions")
     actions: tuple[Action, ...] = t.actions
+    present = {a.tool for a in actions}
     edits: list[EditRecord] = []
     # final positions come from span arithmetic, not object identity: one
     # Action object may sit at several indices of a trajectory
     positions: list[list[int]] = []
     for wm_pass in sorted(passes, key=lambda p: p.order_rank):
+        if present.isdisjoint(wm_pass.eqset._first_tools):
+            continue
         actions, new_edits = apply_pass(actions, wm_pass, rng)
+        if not new_edits:
+            continue
         positions = [_carry_positions(pos, new_edits) for pos in positions]
         shift = 0
         for edit in new_edits:
@@ -133,6 +142,8 @@ def watermark_trajectory(
             positions.append(list(range(start, start + len(edit.rewritten_actions))))
             shift += len(edit.rewritten_actions) - edit.length
         edits.extend(new_edits)
+        if any(edit.changed for edit in new_edits):
+            present = {a.tool for a in actions}
     for edit, pos in zip(edits, positions):
         edit.final_positions = tuple(pos)
     return replace(t, actions=actions), edits

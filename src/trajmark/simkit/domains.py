@@ -43,8 +43,9 @@ from ..equivalence import (
     eqset_from_json,
     eqset_to_json,
 )
-from ..errors import ManifestError
+from ..errors import ManifestError, SchemaViolation
 from ..seeds import derive_rng
+from ..trajectory import Action
 from .sandbox import SandboxSpec, ToolSpec
 
 # Table of per-scheme pass counts for the builtin domains.
@@ -118,13 +119,49 @@ class DomainSpec:
         by_id = {e.id: e for e in self.eqsets}
         if len(by_id) != len(self.eqsets):
             raise ManifestError(f"domain {self.name}: duplicate set ids")
+        checked: set[TemplateItem] = set()  # fillers that passed, shared by templates
         for template in self.templates:
             for item in template.items:
-                if item.kind == "slot" and item.set_id not in by_id:
+                if item.kind == "action":
+                    self._check_filler(template, item, checked)
+                elif item.kind == "slot" and item.set_id not in by_id:
                     raise ManifestError(
                         f"template {template.id} references unknown set {item.set_id}"
                     )
         self._by_id = by_id
+
+    def _check_filler(
+        self, template: Template, item: TemplateItem, checked: set[TemplateItem]
+    ) -> None:
+        """Refuse a filler action whose generated actions ``Action`` would refuse.
+
+        Generation builds filler actions without re-validation, so the tool
+        name, the argument names and every ("lit", value) generator are
+        checked here, once per distinct filler; a ("token",) generator
+        always yields a string.
+        """
+        try:
+            if item in checked:
+                return
+        except TypeError:  # unhashable, so it holds a value the checks refuse
+            pass
+        where = f"domain {self.name}: template {template.id}"
+        args = []
+        for name, gen in item.args:
+            kind = gen[0] if isinstance(gen, tuple) and gen else None
+            if kind == "token":
+                args.append((name, ""))
+            elif kind == "lit" and len(gen) > 1:
+                args.append((name, gen[1]))
+            else:
+                raise ManifestError(
+                    f"{where}: unknown argument generator {gen!r} for {item.tool}.{name}"
+                )
+        try:
+            Action(item.tool, tuple(args))
+        except SchemaViolation as exc:
+            raise ManifestError(f"{where}: {exc}") from exc
+        checked.add(item)
 
     def eqset(self, set_id: str) -> EquivalenceSet:
         return self._by_id[set_id]
@@ -471,6 +508,13 @@ def build_domain(
     fillers, filler_names = _filler_tools(tag, rng)
     for tool in fillers:
         sandbox.add(tool)
+    # one immutable item per filler tool, shared by every template using it
+    filler_items = {
+        tool.name: TemplateItem(
+            kind="action", tool=tool.name, args=tuple((arg, ("token",)) for arg in tool.args)
+        )
+        for tool in fillers
+    }
 
     # slot pool: every set twice, weak sets four times, shuffled and dealt
     # into templates of 3-5 slots each
@@ -493,15 +537,7 @@ def build_domain(
         ]
         n_fillers = rng.randint(8, 12)
         for _ in range(n_fillers):
-            tool_name = rng.choice(filler_names)
-            spec = sandbox.tools[tool_name]
-            items.append(
-                TemplateItem(
-                    kind="action",
-                    tool=tool_name,
-                    args=tuple((arg, ("token",)) for arg in spec.args),
-                )
-            )
+            items.append(filler_items[rng.choice(filler_names)])
         rng.shuffle(items)
         templates.append(Template(f"{name}-t{t_index:02d}", tuple(items)))
 

@@ -23,11 +23,8 @@ def _token(rng: random.Random) -> str:
 
 
 def _gen_value(gen: tuple, rng: random.Random):
-    if gen[0] == "token":
-        return _token(rng)
-    if gen[0] == "lit":
-        return gen[1]
-    raise ValueError(f"unknown argument generator {gen!r}")
+    # ``DomainSpec`` admits only ("token",) and ("lit", value) generators
+    return _token(rng) if gen[0] == "token" else gen[1]
 
 
 def instantiate_member(
@@ -39,8 +36,7 @@ def instantiate_member(
     set's cross mapping, so every generated occurrence is rewritable by the
     injector no matter which member it instantiates.
     """
-    base = eqset.members[0]
-    bindings = {slot: _token(rng) for slot in sorted(base.slots())}
+    bindings = {slot: _token(rng) for slot in eqset._base_slots}
     return eqset.rewrite(0, member_index, bindings)
 
 
@@ -54,13 +50,15 @@ def generate_trajectory(
     """Instantiate one template into a grey-box trajectory.
 
     ``slot_dist`` overrides the member distribution per set id; the default
-    is the domain's configured natural distribution.
+    is the domain's configured natural distribution. Actions are built
+    without re-validation: the domain checked its templates and sets when
+    it was built, and every generated value is a token or a checked literal.
     """
     actions: list[Action] = []
     for item in template.items:
         if item.kind == "action":
             args = tuple((name, _gen_value(gen, rng)) for name, gen in item.args)
-            emitted: tuple[Action, ...] = (Action(item.tool, args),)
+            emitted: tuple[Action, ...] = (Action._trusted(item.tool, args),)
         else:
             eqset = domain.eqset(item.set_id)
             dist = slot_dist(item.set_id) if slot_dist else domain.natural[item.set_id]

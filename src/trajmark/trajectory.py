@@ -72,6 +72,20 @@ class Action:
     def make(cls, tool: str, args: Mapping[str, Scalar] | None = None) -> "Action":
         return cls(tool, tuple((args or {}).items()))
 
+    @classmethod
+    def _trusted(cls, tool: str, args: tuple[tuple[str, Scalar], ...]) -> "Action":
+        """Build an action from parts that were validated already; no checks.
+
+        For internal construction only: the tool name and argument names
+        come from an equivalence set or template checked when it was
+        built, and every value from a validated action, a checked literal
+        or a generated token.
+        """
+        action = object.__new__(cls)
+        object.__setattr__(action, "tool", tool)
+        object.__setattr__(action, "args", args)
+        return action
+
     def arg_map(self) -> dict[str, Scalar]:
         return dict(self.args)
 

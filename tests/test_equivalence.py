@@ -1,10 +1,14 @@
 """Segment matching, scanning discipline, and set estimation."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_pass, move_eqset
+from trajmark.cli import main
 from trajmark.equivalence import (
     ActionPattern,
     Distribution,
@@ -18,14 +22,15 @@ from trajmark.equivalence import (
     eqset_from_json,
     eqset_to_json,
     estimate_natural_distribution,
+    instantiate_mapping,
     match_segment,
     scan_equivalence,
 )
-from trajmark.errors import InvalidDistribution, MappingGap, NoObservations
+from trajmark.errors import InvalidDistribution, MappingGap, NoObservations, TrajmarkError
 from trajmark.injector import watermark_corpus
-from trajmark.pool import build_pool
+from trajmark.pool import build_pool, pool_from_json, pool_to_json
 from trajmark.simkit.domains import builtin_domain
-from trajmark.simkit.generator import generate_greybox_corpus
+from trajmark.simkit.generator import generate_greybox_corpus, instantiate_member
 from trajmark.trajectory import Action, GreyBoxTrajectory
 from trajmark.verifier import evaluate_passes
 
@@ -265,3 +270,112 @@ def test_watermark_pass_verifies_biased(ce_set):
     assert abs(sum(ok.biased.weights) - 1.0) <= 1e-12
     with pytest.raises(InvalidDistribution):
         WatermarkPass(1, ce_set, natural, 0, 2.0, 1, biased=Distribution((0.5, 0.5)))
+
+
+# --- build-time checks and trusted construction ------------------------------
+
+def _pgr_set(set_id, mode_source, fine_tool="P.Exact", mode_name="mode"):
+    coarse = Segment((ActionPattern("P.Quick", ("dest",)),))
+    fine = Segment((ActionPattern(fine_tool, ("dest", "mode")),))
+    return EquivalenceSet(
+        set_id, "PGR", (coarse, fine),
+        cross_overrides={
+            (0, 1): ((("dest", SlotRef("dest")), (mode_name, mode_source)),),
+            (1, 0): ((("dest", SlotRef("dest")),),),
+        },
+    )
+
+
+BAD_SETS = {
+    "lit_list": lambda: _pgr_set("test.bad.set", Lit([1])),
+    "lit_none": lambda: _pgr_set("test.bad.set", Lit(None)),
+    "lit_nan": lambda: _pgr_set("test.bad.set", Lit(float("nan"))),
+    "pattern_tool": lambda: _pgr_set("test.bad.set", Lit("std"), fine_tool="bad tool!"),
+    "duplicate_cross_arg": lambda: _pgr_set("test.bad.set", Lit("std"), mode_name="dest"),
+    "non_string_cross_arg": lambda: _pgr_set("test.bad.set", Lit("std"), mode_name=7),
+}
+
+
+@pytest.mark.parametrize("build", BAD_SETS.values(), ids=BAD_SETS.keys())
+def test_bad_set_rejected_at_build(build):
+    # each of these used to build, and failed only at the first rewrite
+    with pytest.raises(TrajmarkError, match=r"set test\.bad\.set: mapping 0->1: "):
+        build()
+
+
+def test_bad_set_in_pool_file_rejected_at_load(tmp_path, capsys):
+    obj = pool_to_json([make_pass(_pgr_set("test.bad.pool", Lit("std")), (0.5, 0.5))])
+    # the 0->1 cross map's literal for "mode" becomes null
+    obj["passes"][0]["set"]["cross_maps"]["0->1"][0][1][1] = ["lit", None]
+    with pytest.raises(TrajmarkError, match=r"set test\.bad\.pool: "):
+        pool_from_json(obj)
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--pool", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "set test.bad.pool" in err and "Traceback" not in err
+
+
+_SCALARS = st.one_of(
+    st.text(max_size=4),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_TOOLS = st.sampled_from(["A.Op", "B.Op", "C_2.run", "d.e.f"])
+_SLOTS = ("s", "t", "u")
+
+
+@st.composite
+def _small_sets(draw):
+    """A random 2- or 3-member set over slots s, t, u and four tools.
+
+    A member's patterns bind slots under their own argument names or
+    renamed ones. Every ordered pair whose target needs a slot its source
+    does not bind gets an explicit mapping of slot refs and literals.
+    """
+    members = []
+    for _ in range(draw(st.integers(2, 3))):
+        patterns = []
+        for _ in range(draw(st.integers(1, 2))):
+            slots = draw(st.lists(st.sampled_from(_SLOTS), unique=True, max_size=3))
+            renamed = draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+            patterns.append(ActionPattern(draw(_TOOLS), tuple(
+                (f"arg_{slot}", slot) if rename else slot
+                for slot, rename in zip(slots, renamed)
+            )))
+        members.append(Segment(tuple(patterns)))
+    overrides = {}
+    for src, source in enumerate(members):
+        for dst, target in enumerate(members):
+            if target.slots() <= source.slots() and not draw(st.booleans()):
+                continue
+            refs = sorted(source.slots())
+            arg_sources = st.one_of(st.builds(Lit, _SCALARS), *(
+                [st.sampled_from([SlotRef(s) for s in refs])] if refs else []
+            ))
+            overrides[(src, dst)] = tuple(
+                tuple((arg, draw(arg_sources)) for arg, _ in pat.arg_slots)
+                for pat in target.patterns
+            )
+    return EquivalenceSet("test.small", "VR", tuple(members), overrides)
+
+
+def _assert_validated(actions):
+    for a in actions:
+        checked = Action(a.tool, a.args)
+        assert type(a.args) is tuple
+        assert a == checked and hash(a) == hash(checked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eqset=_small_sets(), values=st.lists(_SCALARS, min_size=3, max_size=3),
+       seed=st.integers(0, 2**16))
+def test_trusted_actions_equal_validated_ones(eqset, values, seed):
+    bindings = dict(zip(_SLOTS, values))
+    for src in range(len(eqset.members)):
+        for dst in range(len(eqset.members)):
+            mapping = eqset.cross_map(src, dst)
+            _assert_validated(instantiate_mapping(mapping, eqset.members[dst], bindings))
+            _assert_validated(eqset.rewrite(src, dst, bindings))
+        _assert_validated(instantiate_member(eqset, src, random.Random(seed)))

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from trajmark.equivalence import (
 )
 from trajmark.errors import EmptyActions, TrajmarkError
 from trajmark.injector import (
+    _carry_positions,
     apply_pass,
     changed_positions,
     read_edit_positions,
@@ -201,6 +203,65 @@ def test_final_positions_match_object_identity(items, ranks, seed):
             position_of[id(a)] for a in edit.rewritten_actions if id(a) in position_of
         )
         assert edit.final_positions == expected
+
+
+def _unskipped_watermark(t, passes, rng):
+    """Reference injector: every pass scans, in ``order_rank`` order."""
+    actions = t.actions
+    edits, positions = [], []
+    for wm_pass in sorted(passes, key=lambda p: p.order_rank):
+        actions, new_edits = apply_pass(actions, wm_pass, rng)
+        positions = [_carry_positions(pos, new_edits) for pos in positions]
+        shift = 0
+        for edit in new_edits:
+            start = edit.start + shift
+            positions.append(list(range(start, start + len(edit.rewritten_actions))))
+            shift += len(edit.rewritten_actions) - edit.length
+        edits.extend(new_edits)
+    for edit, pos in zip(edits, positions):
+        edit.final_positions = tuple(pos)
+    return replace(t, actions=actions), edits
+
+
+def _late_set(set_id, first, second):
+    return EquivalenceSet(set_id, "VR", (
+        Segment((ActionPattern(first, ("k",)),)), Segment((ActionPattern(second, ("k",)),)),
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    items=st.lists(_POSITION_ACTIONS, min_size=1, max_size=12),
+    ranks=st.permutations([1, 2, 3, 4, 5]),
+    deltas=st.lists(st.sampled_from([0.0, 1.0, 50.0]), min_size=5, max_size=5),
+    targets=st.lists(st.integers(0, 1), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_skipping_idle_passes_changes_nothing(items, ranks, deltas, targets, seed):
+    """Skipping passes with no first tool present equals running every pass.
+
+    Y.Do occurs in no generated trajectory, and W.All in few: the fold and
+    alias passes often match only what an earlier pass wrote.
+    """
+    pass_a, pass_b = _order_fixture()
+    eqsets = [pass_a.eqset, pass_b.eqset, move_eqset(),
+              _late_set("fix.late", "W.All", "V.One"), _late_set("fix.ghost", "G.Put", "G.Set")]
+    passes = [
+        make_pass(eqset, (0.5, 0.5), target_index=target, delta=delta,
+                  pass_id=i, order_rank=rank)
+        for i, (eqset, rank, delta, target) in enumerate(
+            zip(eqsets, ranks, deltas, targets), start=1)
+    ]
+    t = traj([Action.make(tool, args) for tool, args in items if tool != "Y.Do"])
+    if not t.actions:
+        return
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    out, edits = watermark_trajectory(t, passes, rng)
+    expected, expected_edits = _unskipped_watermark(t, passes, reference_rng)
+    assert out == expected
+    assert edits == expected_edits
+    assert [e.final_positions for e in edits] == [e.final_positions for e in expected_edits]
+    assert rng.random() == reference_rng.random()
 
 
 def test_closed_loop_recovery_small_dense_corpus(mini_domain):

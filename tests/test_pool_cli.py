@@ -1,5 +1,6 @@
 """Pool construction, persistence, and the command-line surface."""
 
+import hashlib
 import json
 
 import pytest
@@ -68,6 +69,23 @@ def test_pool_build_reproducible_byte_identical(tmp_path, data_domain):
     save_pool(str(a), passes1, "data")
     save_pool(str(b), passes2, "data")
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the pool file ``trajmark genpool --domain <name> --seed 42``
+# writes; recorded once and held across commits
+POOL_DIGESTS = {
+    "data": "c8844e699f3403c8aefaeb04313566660b3df79ca9d078093f01e0ac25693110",
+    "business": "561e6efe3230b99a4d0dd7576f0ef149d10f471339b8b6eca1bf74d00bc31027",
+    "social": "d0fca98178cf29b03214b7f307e1523db0b5172b5f82027600a900a440f51760",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_DIGESTS))
+def test_pool_file_is_pinned(tmp_path, name):
+    passes, _ = build_pool(builtin_domain(name), seed=42)
+    path = tmp_path / "pool.json"
+    save_pool(str(path), passes, name)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == POOL_DIGESTS[name]
 
 
 def test_pool_rejects_bad_schema(tmp_path):

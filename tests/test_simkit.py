@@ -1,18 +1,24 @@
 """Simulation kit: generation, surrogate fitting, domain shapes."""
 
 import hashlib
+import json
 
 import pytest
 
+from conftest import dense_domain
+from trajmark.cli import main
 from trajmark.equivalence import (
     Distribution,
     estimate_natural_distribution,
     js_divergence,
     validate_equivalence,
 )
+from trajmark.errors import TrajmarkError
 from trajmark.simkit.domains import (
     POOL_SHAPES,
     DomainSpec,
+    Template,
+    TemplateItem,
     builtin_domain,
     load_domain,
 )
@@ -23,7 +29,7 @@ from trajmark.simkit.surrogate import (
     fit_surrogate,
     sample_surrogate,
 )
-from trajmark.trajectory import serialize_trajectory
+from trajmark.trajectory import Action, serialize_trajectory
 
 
 def test_builtin_pool_shapes_match_reference_counts():
@@ -222,8 +228,47 @@ def test_surrogate_json_round_trip(tmp_path, mini_domain):
     model = fit_surrogate(corpus, mini_domain, eta=0.8)
     path = tmp_path / "model.json"
     model.save(str(path))
-    import json
-
     loaded = SurrogateModel.from_json(json.loads(path.read_text()))
     assert loaded.fitted == model.fitted
     assert loaded.skeleton_freqs == model.skeleton_freqs
+
+
+def _domain_with_filler(tool, gen):
+    """The dense domain with one filler, ``tool`` with ``msg`` from ``gen``, first."""
+    base = dense_domain()
+    filler = TemplateItem(kind="action", tool=tool, args=(("msg", gen),))
+    template = Template("dense-filler", (filler,) + base.templates[0].items)
+    return DomainSpec(
+        name="dense", sandbox=base.sandbox, eqsets=base.eqsets, natural=base.natural,
+        targets=base.targets, templates=[template],
+    )
+
+
+BAD_FILLERS = {
+    "tool": ("bad tool!", ("token",)),
+    "lit_list": ("Plain_1.Note", ("lit", [1])),
+    "lit_none": ("Plain_1.Note", ("lit", None)),
+    "lit_nan": ("Plain_1.Note", ("lit", float("nan"))),
+    "lit_without_value": ("Plain_1.Note", ("lit",)),
+    "unknown_generator": ("Plain_1.Note", ("random",)),
+}
+
+
+@pytest.mark.parametrize("tool,gen", BAD_FILLERS.values(), ids=BAD_FILLERS.keys())
+def test_bad_filler_rejected_at_domain_build(tool, gen):
+    # each of these used to build, and failed only when a trajectory was generated
+    with pytest.raises(TrajmarkError, match=r"domain dense: template dense-filler: "):
+        _domain_with_filler(tool, gen)
+
+
+def test_literal_filler_generates_and_bad_one_fails_validate(tmp_path, capsys):
+    domain = _domain_with_filler("Plain_1.Note", ("lit", 2.5))
+    for traj in generate_greybox_corpus(domain, 5, seed=1):
+        assert traj.actions[0] == Action.make("Plain_1.Note", {"msg": 2.5})
+    obj = domain.to_json()
+    obj["templates"][0]["items"][0]["args"]["msg"] = ["lit", [1]]
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", "--domain", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "template dense-filler" in err and "Traceback" not in err
