@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -228,26 +229,48 @@ class Segment:
             object.__setattr__(self, "patterns", tuple(self.patterns))
         if not self.patterns:
             raise ValueError("segment needs at least one pattern")
-        if not self.param_map:
-            object.__setattr__(
-                self,
-                "param_map",
-                tuple(
-                    tuple((arg, SlotRef(slot)) for arg, slot in pat.arg_slots)
-                    for pat in self.patterns
-                ),
-            )
-        if len(self.param_map) != len(self.patterns):
-            raise MappingGap(
-                f"param_map covers {len(self.param_map)} actions, "
-                f"segment has {len(self.patterns)}"
-            )
-        own = frozenset(s for pat in self.patterns for s in pat.slot_names())
+        slots = [slot for pat in self.patterns for _, slot in pat.arg_slots]
+        own = frozenset(slots)
         object.__setattr__(self, "_slots", own)
-        for entry in self.param_map:
-            for _, source in entry:
-                if isinstance(source, SlotRef) and source.slot not in own:
-                    raise MappingGap(f"param_map references unknown slot {source.slot!r}")
+        if not self.param_map:
+            # every argument from its same-named slot: all references resolve
+            object.__setattr__(self, "param_map", tuple([
+                tuple([(arg, SlotRef(slot)) for arg, slot in pat.arg_slots])
+                for pat in self.patterns
+            ]))
+        else:
+            if len(self.param_map) != len(self.patterns):
+                raise MappingGap(
+                    f"param_map covers {len(self.param_map)} actions, "
+                    f"segment has {len(self.patterns)}"
+                )
+            for entry in self.param_map:
+                for _, source in entry:
+                    if isinstance(source, SlotRef) and source.slot not in own:
+                        raise MappingGap(f"param_map references unknown slot {source.slot!r}")
+        # the compiled shape ``count_members`` decides a match from: each
+        # pattern's argument names, the tools after the first, and the pairs
+        # (first, later) of argument positions, numbered across all
+        # patterns, that bind the same slot
+        names = tuple([tuple([arg for arg, _ in pat.arg_slots]) for pat in self.patterns])
+        same_slot = []
+        if len(own) != len(slots):
+            first_position: dict[str, int] = {}
+            for position, slot in enumerate(slots):
+                if slot in first_position:
+                    same_slot.append((first_position[slot], position))
+                else:
+                    first_position[slot] = position
+        object.__setattr__(self, "_shape", (
+            names, tuple([pat.tool for pat in self.patterns[1:]]), tuple(same_slot)
+        ))
+        # one pattern binding distinct slots matches an action of its tool
+        # iff the action has every one of its argument names
+        object.__setattr__(
+            self,
+            "_arg_names",
+            frozenset(names[0]) if len(names) == 1 and not same_slot else None,
+        )
 
     def slots(self) -> frozenset[str]:
         return self._slots
@@ -287,6 +310,34 @@ def match_segment(
     return bindings
 
 
+def _shape_matches(shape: tuple, actions: Sequence[Action], start: int) -> bool:
+    """``match_segment(segment, actions, start) is not None`` from ``segment._shape``.
+
+    The caller has checked that ``actions[start]`` has the first pattern's
+    tool. No bindings are built: the values are collected in argument
+    order and the positions that share a slot are compared pairwise, with
+    the same ``!=`` as ``match_segment``.
+    """
+    names, rest_tools, same_slot = shape
+    if start + len(names) > len(actions):
+        return False
+    for pos, tool in enumerate(rest_tools, start + 1):
+        if actions[pos].tool != tool:
+            return False
+    values = []
+    for pos, arg_names in enumerate(names, start):
+        arg_map = dict(actions[pos].args)
+        for name in arg_names:
+            value = arg_map.get(name, _MISSING)
+            if value is _MISSING:
+                return False
+            values.append(value)
+    for first, later in same_slot:
+        if values[first] != values[later]:
+            return False
+    return True
+
+
 def instantiate_mapping(
     mapping: ParamMapping,
     target: Segment,
@@ -323,14 +374,22 @@ def instantiate_mapping(
 # equivalence sets
 # ---------------------------------------------------------------------------
 
-@dataclass
+# One member in a set's scan table: (member_index, length, argument names,
+# shape). The names are the member's ``Segment._arg_names``, set for a
+# single pattern binding distinct slots and None otherwise; the shape is its
+# ``Segment._shape``, which ``_shape_matches`` reads.
+_ScanEntry = tuple[int, int, Union[frozenset, None], tuple]
+
+
+@dataclass(frozen=True)
 class EquivalenceSet:
     """Two or more interchangeable segments plus their rewrite mappings.
 
     ``cross_overrides`` holds explicit mappings for ordered member pairs
     whose slot namespaces differ; every other pair defaults to the target
-    member's own ``param_map`` resolved against the source bindings.
-    Instances are immutable by convention after construction.
+    member's own ``param_map`` resolved against the source bindings. It is
+    stored as a read-only mapping, and the set is frozen: the checks below
+    and the scan tables built from them hold for the life of the set.
 
     Construction checks every effective mapping the way ``Action`` checks
     an action: valid tool names, distinct string argument names, and
@@ -341,12 +400,15 @@ class EquivalenceSet:
     id: str
     scheme: str
     members: tuple[Segment, ...]
-    cross_overrides: dict[tuple[int, int], ParamMapping] = field(default_factory=dict)
+    cross_overrides: Mapping[tuple[int, int], ParamMapping] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r} for set {self.id}")
-        self.members = tuple(self.members)
+        object.__setattr__(self, "members", tuple(self.members))
+        # a private copy behind a read-only view: nobody else can change it
+        overrides = dict(self.cross_overrides)
+        object.__setattr__(self, "cross_overrides", MappingProxyType(overrides))
         if len(self.members) < 2:
             raise ValueError(f"equivalence set {self.id} needs k >= 2 members")
         # every ordered pair, a member onto itself included, must be
@@ -355,7 +417,7 @@ class EquivalenceSet:
         for src, source in enumerate(self.members):
             src_slots = source.slots()
             for dst, target in enumerate(self.members):
-                mapping = self.cross_overrides.get((src, dst))
+                mapping = overrides.get((src, dst))
                 if mapping is not None:
                     self._check_actions(mapping, dst, src)
                 elif src == dst:
@@ -373,25 +435,28 @@ class EquivalenceSet:
         for dst, member in enumerate(self.members):
             self._check_actions(member.param_map, dst)
         # member 0's slot namespace, in the order bindings are drawn for it
-        self._base_slots = tuple(sorted(self.members[0].slots()))
+        base_slots = tuple(sorted(self.members[0].slots()))
         # longest-member-first scan order, ties by member index
-        self._scan_order = sorted(
+        scan_order = sorted(
             range(len(self.members)), key=lambda i: (-len(self.members[i]), i)
         )
-        # per first tool, the members starting with it as (member_index,
-        # segment, length) in scan order: at an action, only the members
-        # starting with its tool can match
-        by_tool: dict[str, list[tuple[int, Segment, int]]] = {}
-        for m_idx in self._scan_order:
+        # per first tool, the members starting with it in scan order, as
+        # ``_ScanEntry`` rows: at an action, only the members starting with
+        # its tool can match
+        by_tool: dict[str, list[_ScanEntry]] = {}
+        for m_idx in scan_order:
             seg = self.members[m_idx]
             by_tool.setdefault(seg.patterns[0].tool, []).append(
-                (m_idx, seg, len(seg.patterns))
+                (m_idx, len(seg.patterns), seg._arg_names, seg._shape)
             )
-        self._scan_entries = tuple((tool, tuple(row)) for tool, row in by_tool.items())
-        self._first_tools = frozenset(by_tool)
-        self._all_tools = frozenset(
-            pat.tool for seg in self.members for pat in seg.patterns
-        )
+        for name, value in (
+            ("_base_slots", base_slots),
+            ("_scan_order", scan_order),
+            ("_scan_entries", tuple((tool, tuple(row)) for tool, row in by_tool.items())),
+            ("_first_tools", frozenset(by_tool)),
+            ("_all_tools", frozenset(pat.tool for seg in self.members for pat in seg.patterns)),
+        ):
+            object.__setattr__(self, name, value)
 
     def _check_actions(self, mapping: ParamMapping, dst: int, src: int | None = None) -> None:
         """Refuse a mapping onto member ``dst`` that builds actions ``Action`` refuses.
@@ -462,7 +527,7 @@ def scan_equivalence(
 
 
 # tool -> (set index, that set's scan entries for the tool) per set
-_ToolIndex = dict[str, list[tuple[int, tuple[tuple[int, Segment, int], ...]]]]
+_ToolIndex = dict[str, list[tuple[int, tuple[_ScanEntry, ...]]]]
 
 
 def _first_tool_index(eqsets: Sequence[EquivalenceSet]) -> _ToolIndex:
@@ -487,20 +552,31 @@ def _tally(actions: Sequence[Action], index: _ToolIndex, counts: list[list[int]]
     in scan order; a hit moves that set's cursor past the matched span.
     That is ``scan_equivalence``'s leftmost-first, longest-member-first
     greedy scan, run for every set side by side.
+
+    A candidate is decided from the shape its segment compiled when it was
+    built, and no bindings are made. The index guarantees the first tool,
+    so a member of one pattern binding distinct slots matches iff the
+    action has all of its argument names; every other member goes through
+    ``_shape_matches``.
     """
     cursors = [0] * len(counts)
     for pos, action in enumerate(actions):
         candidates = index.get(action.tool)
         if candidates is None:
             continue
+        present = dict(action.args).keys()
         for s_idx, entries in candidates:
             if cursors[s_idx] > pos:
                 continue
-            for m_idx, segment, length in entries:
-                if match_segment(segment, actions, pos) is not None:
-                    counts[s_idx][m_idx] += 1
-                    cursors[s_idx] = pos + length
-                    break
+            for m_idx, length, arg_names, shape in entries:
+                if arg_names is not None:
+                    if not present >= arg_names:
+                        continue
+                elif not _shape_matches(shape, actions, pos):
+                    continue
+                counts[s_idx][m_idx] += 1
+                cursors[s_idx] = pos + length
+                break
 
 
 def count_members(
@@ -510,7 +586,9 @@ def count_members(
 
     Returns one member-indexed count vector per set, in set order: the
     per-set sums of ``scan_equivalence`` results. Each trajectory is walked
-    once for all sets.
+    once for all sets, and each candidate is decided from its member's
+    compiled shape (see ``_tally``) rather than by ``match_segment``, so
+    no bindings are built.
     """
     index = _first_tool_index(eqsets)
     counts = [[0] * len(eqset.members) for eqset in eqsets]

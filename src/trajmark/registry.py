@@ -62,7 +62,12 @@ class UserRecord:
 
 @dataclass
 class Registry:
-    """All assigned watermark pass sets for one domain's pool."""
+    """All assigned watermark pass sets for one domain's pool.
+
+    Add users with ``append`` (or ``register_user``). ``users`` may also be
+    changed directly: the UID index and the scoring table are rebuilt
+    when their size no longer matches it.
+    """
 
     domain: str
     n_bits: int
@@ -77,6 +82,7 @@ class Registry:
                 f"({self.w_min}, {self.w_max}, {self.n_bits})"
             )
         self._uid_index = {u.uid_int() for u in self.users}
+        self._table: tuple[list[str], list[int], list[int]] | None = None
 
     def uid_set(self) -> set[int]:
         # kept in sync by append(); rebuilt if users were mutated directly
@@ -84,9 +90,28 @@ class Registry:
             self._uid_index = {u.uid_int() for u in self.users}
         return self._uid_index
 
+    def scoring_table(self) -> tuple[list[str], list[int], list[int]]:
+        """The users in ranking tie-break order, for scoring every one at once.
+
+        Returns the hex UIDs sorted by ``(created_at, uid_hex)``, with each
+        one's int UID and popcount at the same index. Built on first use,
+        dropped by ``append``, and rebuilt, like ``uid_set``, when its
+        length no longer matches ``users``.
+        """
+        if self._table is None or len(self._table[0]) != len(self.users):
+            ordered = sorted(self.users, key=lambda u: (u.created_at, u.uid_hex))
+            uids = [u.uid_int() for u in ordered]
+            self._table = (
+                [u.uid_hex for u in ordered],
+                uids,
+                [uid.bit_count() for uid in uids],
+            )
+        return self._table
+
     def append(self, record: UserRecord) -> None:
         self.uid_set().add(record.uid_int())
         self.users.append(record)
+        self._table = None
 
     def to_json(self) -> dict:
         return {

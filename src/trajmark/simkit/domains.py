@@ -102,20 +102,27 @@ class Template:
     weight: float = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainSpec:
-    """Everything needed to generate corpora and build a pass pool."""
+    """Everything needed to generate corpora and build a pass pool.
+
+    The spec is frozen and holds its sets and templates as tuples, so the
+    checks made when it is built hold for its life; derive a changed spec
+    with ``dataclasses.replace``, which checks it again.
+    """
 
     name: str
     sandbox: SandboxSpec
-    eqsets: list[EquivalenceSet]
+    eqsets: tuple[EquivalenceSet, ...]
     natural: dict[str, Distribution]
     targets: dict[str, int]
-    templates: list[Template]
+    templates: tuple[Template, ...]
     delta: float = DEFAULT_DELTA
     corpus_sizes: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_CORPUS_SIZES))
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "eqsets", tuple(self.eqsets))
+        object.__setattr__(self, "templates", tuple(self.templates))
         by_id = {e.id: e for e in self.eqsets}
         if len(by_id) != len(self.eqsets):
             raise ManifestError(f"domain {self.name}: duplicate set ids")
@@ -128,7 +135,7 @@ class DomainSpec:
                     raise ManifestError(
                         f"template {template.id} references unknown set {item.set_id}"
                     )
-        self._by_id = by_id
+        object.__setattr__(self, "_by_id", by_id)
 
     def _check_filler(
         self, template: Template, item: TemplateItem, checked: set[TemplateItem]

@@ -203,6 +203,10 @@ def localize_user(
     is scored by popcount. Ties break toward earlier registration, then
     lexicographic UID; the top-1 entry is the accusation, but the full
     ranking is returned so an investigator can work down a shortlist.
+
+    The users come from ``registry.scoring_table()``, already in
+    tie-break order with their int UIDs and popcounts, so one stable sort
+    by score alone gives the ranking.
     """
     if not registry.users:
         raise EmptyRegistry(f"registry for domain {registry.domain!r} has no users")
@@ -212,14 +216,14 @@ def localize_user(
         )
     v = bits_to_uid(detected_vector)
     nv = v.bit_count()
-    scored: list[tuple[float, str, str]] = []
-    for user in registry.users:
-        u = int(user.uid_hex, 16)
+    uid_hexes, uids, popcounts = registry.scoring_table()
+    sims = []
+    for u, pop in zip(uids, popcounts):
         dot = (v & u).bit_count()
-        sim = dot / math.sqrt(nv * u.bit_count()) if dot else 0.0
-        scored.append((-sim, user.created_at, user.uid_hex))
-    scored.sort()
-    return [(uid, -neg_sim) for neg_sim, _, uid in scored]
+        sims.append(dot / math.sqrt(nv * pop) if dot else 0.0)
+    # reverse=True keeps equal scores in table order
+    order = sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
+    return [(uid_hexes[i], sims[i]) for i in order]
 
 
 # ---------------------------------------------------------------------------

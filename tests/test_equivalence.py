@@ -1,5 +1,6 @@
 """Segment matching, scanning discipline, and set estimation."""
 
+import dataclasses
 import json
 import random
 
@@ -210,21 +211,59 @@ def _ghost_set() -> EquivalenceSet:
     ))
 
 
+def _self_copy_set() -> EquivalenceSet:
+    """Members whose one pattern binds both arguments to one slot."""
+    return EquivalenceSet("test.ia.self", "IA", (
+        Segment((ActionPattern("Files.Move", ("src", ("dst", "src"))),)),
+        Segment((ActionPattern("Files.Copy", ("src", ("dst", "src"))),)),
+    ))
+
+
+def _three_step_set() -> EquivalenceSet:
+    """Move vs. stat, copy, delete: three patterns sharing the ``src`` slot."""
+    return EquivalenceSet("test.ce.three", "CE", (
+        Segment((ActionPattern("Files.Move", ("src", "dst")),)),
+        Segment((ActionPattern("Files.Stat", (("path", "src"),)),
+                 ActionPattern("Files.Copy", ("src", "dst")),
+                 ActionPattern("Files.Delete", (("path", "src"),)))),
+    ))
+
+
+# 1, True and "1" make ``!=`` between bound values matter: 1 == True != "1"
+_VALUES = st.sampled_from(["a", "b", 1, True, "1"])
+
 _FILE_ACTIONS = st.one_of(
-    st.builds(lambda s, d: Action.make("Files.Move", {"src": s, "dst": d}),
-              st.sampled_from("ab"), st.sampled_from("ab")),
-    st.builds(lambda s, d: Action.make("Files.Copy", {"src": s, "dst": d}),
-              st.sampled_from("ab"), st.sampled_from("ab")),
-    st.builds(lambda p: Action.make("Files.Delete", {"path": p}), st.sampled_from("ab")),
-    st.builds(lambda p: Action.make("Files.Stat", {"path": p}), st.sampled_from("ab")),
+    st.builds(lambda s, d: Action.make("Files.Move", {"src": s, "dst": d}), _VALUES, _VALUES),
+    st.builds(lambda s, d: Action.make("Files.Copy", {"src": s, "dst": d}), _VALUES, _VALUES),
+    st.builds(lambda p: Action.make("Files.Delete", {"path": p}), _VALUES),
+    st.builds(lambda p: Action.make("Files.Stat", {"path": p}), _VALUES),
+    # a missing argument, and an extra one
+    st.builds(lambda s: Action.make("Files.Move", {"src": s}), _VALUES),
+    st.builds(lambda d: Action.make("Files.Copy", {"dst": d}), _VALUES),
+    st.builds(lambda s, d, m: Action.make("Files.Move", {"src": s, "dst": d, "mode": m}),
+              _VALUES, _VALUES, _VALUES),
+    st.builds(lambda p, m: Action.make("Files.Delete", {"path": p, "mode": m}),
+              _VALUES, _VALUES),
 )
+
+# a tail that stops partway through a multi-action member
+_PARTIAL_TAILS = st.sampled_from([
+    (),
+    (Action.make("Files.Copy", {"src": "a", "dst": "b"}),),
+    (Action.make("Files.Stat", {"path": "a"}),),
+    (Action.make("Files.Stat", {"path": "a"}), Action.make("Files.Copy", {"src": "a", "dst": "b"})),
+])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_FILE_ACTIONS, min_size=1, max_size=8), max_size=6))
+@given(st.lists(
+    st.tuples(st.lists(_FILE_ACTIONS, min_size=1, max_size=8), _PARTIAL_TAILS)
+    .map(lambda parts: parts[0] + list(parts[1])),
+    max_size=6,
+))
 def test_count_members_equals_per_set_scans(action_lists):
     corpus = [traj(actions, f"q{i}") for i, actions in enumerate(action_lists)]
-    eqsets = [move_eqset(), _stat_move_set(), _ghost_set()]
+    eqsets = [move_eqset(), _stat_move_set(), _ghost_set(), _self_copy_set(), _three_step_set()]
     expected = []
     for eqset in eqsets:
         row = [0] * len(eqset.members)
@@ -301,6 +340,20 @@ def test_bad_set_rejected_at_build(build):
     # each of these used to build, and failed only at the first rewrite
     with pytest.raises(TrajmarkError, match=r"set test\.bad\.set: mapping 0->1: "):
         build()
+
+
+def test_built_set_and_domain_are_frozen(data_domain):
+    # the build-time checks and the scan tables hold only while nothing
+    # built can change under them
+    eqset = _pgr_set("test.frozen", Lit("std"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eqset.members = eqset.members[:1]
+    with pytest.raises(TypeError):
+        eqset.cross_overrides[(0, 1)] = ((("dest", Lit([1])),),)
+    assert isinstance(data_domain.eqsets, tuple)
+    assert isinstance(data_domain.templates, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data_domain.templates = ()
 
 
 def test_bad_set_in_pool_file_rejected_at_load(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pool construction, persistence, and the command-line surface."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -32,9 +33,6 @@ def test_action_schemes_rank_before_structure_schemes(data_pool):
 
 
 def test_pool_build_rejects_broken_candidate(data_domain):
-    import copy
-
-    domain = copy.copy(data_domain)
     # the audit decoys share an argument name but have different effects,
     # so they form a well-typed candidate that must fail execution validation
     broken = EquivalenceSet(
@@ -45,10 +43,8 @@ def test_pool_build_rejects_broken_candidate(data_domain):
             Segment((ActionPattern("Audit_d1.LogAll", ("key",)),)),
         ),
     )
-    domain.eqsets = list(data_domain.eqsets) + [broken]
-    domain.natural = dict(data_domain.natural)
-    domain.targets = dict(data_domain.targets)
-    domain.__post_init__()
+    # replace() builds a new spec, so the added set goes through its checks
+    domain = dataclasses.replace(data_domain, eqsets=data_domain.eqsets + (broken,))
     passes, report = build_pool(domain, seed=42)
     assert len(passes) == 39
     rejection = next(r for r in report.rejected if r["set_id"] == "d.broken.1")

@@ -232,6 +232,43 @@ def test_localize_user_matches_brute_force(case):
     assert localize_user(vector, reg) == _brute_force_ranking(vector, reg)
 
 
+def test_localization_follows_registry_changes():
+    # every user has weight 2, so the all-ones probe ties them all and
+    # ranks purely by registration; each ranking below runs on a registry
+    # whose scoring table an earlier ranking already built
+    reg = Registry("tiny", 6, w_min=2, w_max=2)
+    for s in range(6):
+        register_user(reg, rng_seed=s, created_at=f"2026-01-0{s + 2}T00:00:00")
+    probes = ([1] * 6, [1, 1, 0, 1, 0, 0])
+
+    def check(registry):
+        for probe in probes:
+            assert localize_user(probe, registry) == _brute_force_ranking(probe, registry)
+
+    check(reg)
+    early = register_user(reg, rng_seed=99, created_at="2026-01-01T00:00:00")
+    check(reg)
+    assert localize_user(probes[0], reg)[0][0] == early.uid_hex
+
+    uid = next(u for u in range(64) if u.bit_count() == 2 and u not in reg.uid_set())
+    direct = UserRecord(uid_to_hex(uid, 6), tuple(i + 1 for i in range(6) if (uid >> i) & 1),
+                        "2025-12-31T00:00:00")
+    reg.users.append(direct)
+    check(reg)
+    assert localize_user(probes[0], reg)[0][0] == direct.uid_hex
+
+    # a direct removal followed by an append leaves the length as it was
+    removed = reg.users.pop(0)
+    reg.append(UserRecord(removed.uid_hex, removed.active_pass_ids, "2025-12-30T00:00:00"))
+    check(reg)
+    assert localize_user(probes[0], reg)[0][0] == removed.uid_hex
+
+    loaded = Registry.from_json(reg.to_json())
+    check(loaded)
+    for probe in probes:
+        assert localize_user(probe, loaded) == localize_user(probe, reg)
+
+
 def test_localization_exact_and_orthogonal():
     reg = Registry("data", 39)
     users = [register_user(reg, rng_seed=s) for s in range(5)]
