@@ -20,7 +20,6 @@ from .equivalence import (
     WatermarkPass,
     count_members,
     derive_target_distribution,
-    estimate_natural_distribution,
     js_divergence,
     kl_divergence,
     validate_equivalence,
@@ -73,7 +72,6 @@ __all__ = [
     "classify_model",
     "count_members",
     "derive_target_distribution",
-    "estimate_natural_distribution",
     "f1_grid",
     "grey_box_view",
     "js_divergence",

@@ -622,6 +622,9 @@ def estimate_natural_distribution(
     Returns the distribution and the match count. Raises NoObservations
     when the corpus contains no match at all, since a natural distribution
     is undefined for an unobserved set.
+
+    Not exported: nothing in the package calls it. It stays only while the
+    benchmark's span table (``bench/spans.py``) still wraps it by name.
     """
     counts = count_members(corpus, [eqset])[0]
     total = sum(counts)

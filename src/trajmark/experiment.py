@@ -252,8 +252,10 @@ def run_localization(config: ExperimentConfig, pools: PoolAccessor) -> dict:
                     bits[pos] = 0
                 damaged.append(bits)
             for extra in config.localization_extra_users:
-                view = Registry(domain.name, n_bits, registry.w_min, registry.w_max)
-                view.users = registry.users[: config.n_attackers + extra]
+                view = Registry(
+                    domain.name, n_bits, registry.w_min, registry.w_max,
+                    users=registry.users[: config.n_attackers + extra],
+                )
                 for attacker, bits in zip(attackers, damaged):
                     ranking = localize_user(bits, view)
                     tallies[extra][1] += 1

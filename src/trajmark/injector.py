@@ -179,7 +179,7 @@ def watermark_corpus(
 # ---------------------------------------------------------------------------
 
 def _action_json(a: Action) -> dict:
-    return {"tool": a.tool, "args": {k: v for k, v in a.args}}
+    return {"tool": a.tool, "args": dict(a.args)}
 
 
 def edit_to_json(traj_index: int, query_id: str, edit: EditRecord) -> dict:

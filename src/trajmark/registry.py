@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .equivalence import WatermarkPass
 from .errors import CapacityExhausted, InvalidRange, LengthMismatch, SchemaViolation
@@ -60,46 +60,79 @@ class UserRecord:
         return int(self.uid_hex, 16)
 
 
-@dataclass
+class _ReadOnlyList(Sequence):
+    """A live view of a list that can be read but not written.
+
+    Indexing, iteration and ``len`` read the list as it is now; a slice
+    is a new list.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: list) -> None:
+        self._items = items
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, index):
+        return self._items[index]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __repr__(self) -> str:
+        return repr(self._items)
+
+
 class Registry:
     """All assigned watermark pass sets for one domain's pool.
 
-    Add users with ``append`` (or ``register_user``). ``users`` may also be
-    changed directly: the UID index and the scoring table are rebuilt
-    when their size no longer matches it.
+    ``users`` is a read-only view, in registration order. Users are added
+    only through ``append`` (or ``register_user``), which keeps the UID
+    index and the scoring table in step with it. A registry of some other
+    list of users is built from those records.
     """
 
-    domain: str
-    n_bits: int
-    w_min: int = DEFAULT_W_MIN
-    w_max: int = DEFAULT_W_MAX
-    users: list[UserRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.w_min <= self.w_max <= self.n_bits):
+    def __init__(
+        self,
+        domain: str,
+        n_bits: int,
+        w_min: int = DEFAULT_W_MIN,
+        w_max: int = DEFAULT_W_MAX,
+        users: Iterable[UserRecord] = (),
+    ) -> None:
+        if not (0 <= w_min <= w_max <= n_bits):
             raise InvalidRange(
-                f"need 0 <= w_min <= w_max <= N, got "
-                f"({self.w_min}, {self.w_max}, {self.n_bits})"
+                f"need 0 <= w_min <= w_max <= N, got ({w_min}, {w_max}, {n_bits})"
             )
-        self._uid_index = {u.uid_int() for u in self.users}
+        self.domain = domain
+        self.n_bits = n_bits
+        self.w_min = w_min
+        self.w_max = w_max
+        self._users: list[UserRecord] = []
+        self._view = _ReadOnlyList(self._users)
+        self._uid_index: set[int] = set()
         self._table: tuple[list[str], list[int], list[int]] | None = None
+        for record in users:
+            self.append(record)
+
+    @property
+    def users(self) -> Sequence[UserRecord]:
+        return self._view
 
     def uid_set(self) -> set[int]:
-        # kept in sync by append(); rebuilt if users were mutated directly
-        if len(self._uid_index) != len(self.users):
-            self._uid_index = {u.uid_int() for u in self.users}
         return self._uid_index
 
     def scoring_table(self) -> tuple[list[str], list[int], list[int]]:
         """The users in ranking tie-break order, for scoring every one at once.
 
         Returns the hex UIDs sorted by ``(created_at, uid_hex)``, with each
-        one's int UID and popcount at the same index. Built on first use,
-        dropped by ``append``, and rebuilt, like ``uid_set``, when its
-        length no longer matches ``users``.
+        one's int UID and popcount at the same index. Built on first use
+        and dropped by ``append``.
         """
-        if self._table is None or len(self._table[0]) != len(self.users):
-            ordered = sorted(self.users, key=lambda u: (u.created_at, u.uid_hex))
+        if self._table is None:
+            ordered = sorted(self._users, key=lambda u: (u.created_at, u.uid_hex))
             uids = [u.uid_int() for u in ordered]
             self._table = (
                 [u.uid_hex for u in ordered],
@@ -109,8 +142,8 @@ class Registry:
         return self._table
 
     def append(self, record: UserRecord) -> None:
-        self.uid_set().add(record.uid_int())
-        self.users.append(record)
+        self._uid_index.add(record.uid_int())
+        self._users.append(record)
         self._table = None
 
     def to_json(self) -> dict:
@@ -125,7 +158,7 @@ class Registry:
                     "active_pass_ids": list(u.active_pass_ids),
                     "created_at": u.created_at,
                 }
-                for u in self.users
+                for u in self._users
             ],
         }
 

@@ -35,6 +35,32 @@ def _reject_constant(name: str):
 
 # one decoder for every line; NaN and the infinities are not JSON
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+# the string encoder json.dumps(..., ensure_ascii=False) calls
+_encode_str = json.encoder.encode_basestring
+
+_TRAJECTORY_KEYS = frozenset({"query_id", "user_uid", "actions", "response"})
+_ACTION_KEYS = frozenset({"tool", "args"})
+
+
+def _is_scalar(value: object) -> bool:
+    """The one rule for an argument value: a str, an int or bool, or a finite float.
+
+    NaN and the infinities have no JSON form, so an action holding one
+    could be written but never read back.
+    """
+    if isinstance(value, (str, int)):
+        return True
+    return isinstance(value, float) and math.isfinite(value)
+
+
+def _bad_value(tool: str, name: str, value: object) -> SchemaViolation:
+    if isinstance(value, float):
+        return SchemaViolation(
+            f"argument {tool}.{name} must be a finite number, got {value!r}"
+        )
+    return SchemaViolation(
+        f"argument {tool}.{name} must be a scalar, got {type(value).__name__}"
+    )
 
 
 @dataclass(frozen=True)
@@ -55,18 +81,8 @@ class Action:
         for name, value in self.args:
             if not isinstance(name, str):
                 raise SchemaViolation(f"argument name must be a string: {name!r}")
-            if not isinstance(value, (str, int, bool)):
-                # NaN and the infinities have no JSON form, so a corpus
-                # holding one could be written but never read back
-                if not isinstance(value, float):
-                    raise SchemaViolation(
-                        f"argument {self.tool}.{name} must be a scalar, "
-                        f"got {type(value).__name__}"
-                    )
-                if not math.isfinite(value):
-                    raise SchemaViolation(
-                        f"argument {self.tool}.{name} must be a finite number, got {value!r}"
-                    )
+            if not _is_scalar(value):
+                raise _bad_value(self.tool, name, value)
 
     @classmethod
     def make(cls, tool: str, args: Mapping[str, Scalar] | None = None) -> "Action":
@@ -141,21 +157,6 @@ def grey_box_view(t: FullTrajectory) -> GreyBoxTrajectory:
     )
 
 
-def _action_from_obj(obj: object, where: str) -> Action:
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"{where}: action must be an object")
-    extra = set(obj) - {"tool", "args"}
-    if extra:
-        raise SchemaViolation(f"{where}: unknown action keys {sorted(extra)}")
-    tool = obj.get("tool")
-    if not isinstance(tool, str):
-        raise SchemaViolation(f"{where}: 'tool' must be a string")
-    args = obj.get("args", {})
-    if not isinstance(args, dict):
-        raise SchemaViolation(f"{where}: 'args' must be an object")
-    return Action(tool, tuple(args.items()))
-
-
 def decode_json_line(line: str) -> object:
     """Decode one JSON line; every decoding failure raises ``MalformedLine``."""
     try:
@@ -169,14 +170,16 @@ def decode_json_line(line: str) -> object:
 def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
     """Parse one JSONL line into a validated grey-box trajectory.
 
-    Argument order inside ``args`` is preserved exactly as read.
+    Argument order inside ``args`` is preserved exactly as read. Each
+    action is checked once, here, by the rules ``Action`` applies, then
+    built without repeating them: a JSON object's keys are already
+    distinct strings. A refused line raises what ``Action`` would.
     """
     obj = decode_json_line(line)
     if not isinstance(obj, dict):
         raise SchemaViolation("trajectory line must be a JSON object")
-    extra = set(obj) - {"query_id", "user_uid", "actions", "response"}
-    if extra:
-        raise SchemaViolation(f"unknown trajectory keys {sorted(extra)}")
+    if not obj.keys() <= _TRAJECTORY_KEYS:
+        raise SchemaViolation(f"unknown trajectory keys {sorted(obj.keys() - _TRAJECTORY_KEYS)}")
     for key, kind in (("query_id", str), ("response", str)):
         if not isinstance(obj.get(key), kind):
             raise SchemaViolation(f"'{key}' must be a {kind.__name__}")
@@ -188,10 +191,43 @@ def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
         raise SchemaViolation("'actions' must be an array")
     if not raw_actions:
         raise EmptyActions(f"trajectory {obj['query_id']!r} has no actions")
-    actions = tuple(
-        _action_from_obj(a, f"actions[{i}]") for i, a in enumerate(raw_actions)
-    )
-    return GreyBoxTrajectory(obj["query_id"], actions, obj["response"], uid)
+    actions = []
+    for raw in raw_actions:
+        # the label names the action's index, len(actions), and is built
+        # only for a refusal
+        if not isinstance(raw, dict):
+            raise SchemaViolation(f"actions[{len(actions)}]: action must be an object")
+        if not raw.keys() <= _ACTION_KEYS:
+            raise SchemaViolation(
+                f"actions[{len(actions)}]: unknown action keys "
+                f"{sorted(raw.keys() - _ACTION_KEYS)}"
+            )
+        tool = raw.get("tool")
+        if not isinstance(tool, str):
+            raise SchemaViolation(f"actions[{len(actions)}]: 'tool' must be a string")
+        args = raw.get("args", {})
+        if not isinstance(args, dict):
+            raise SchemaViolation(f"actions[{len(actions)}]: 'args' must be an object")
+        if not _TOOL_RE.match(tool):
+            raise SchemaViolation(f"bad tool name: {tool!r}")
+        for name, value in args.items():
+            if not _is_scalar(value):
+                raise _bad_value(tool, name, value)
+        actions.append(Action._trusted(tool, tuple(args.items())))
+    return GreyBoxTrajectory(obj["query_id"], tuple(actions), obj["response"], uid)
+
+
+def _encode_scalar(value: Scalar) -> str:
+    """An argument value as ``json.dumps`` writes it; bool is tested before int."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def serialize_trajectory(t: GreyBoxTrajectory) -> str:
@@ -199,16 +235,20 @@ def serialize_trajectory(t: GreyBoxTrajectory) -> str:
 
     Key order is fixed (query_id, user_uid, actions, response) so that
     equal trajectories serialize byte-identically; ``user_uid`` is omitted
-    when absent.
+    when absent. The line is byte-identical to
+    ``json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`` of the
+    trajectory's dict form, whose string encoder it uses.
     """
-    obj: dict[str, object] = {"query_id": t.query_id}
+    head = '{"query_id":' + _encode_str(t.query_id)
     if t.user_uid is not None:
-        obj["user_uid"] = t.user_uid
-    obj["actions"] = [
-        {"tool": a.tool, "args": {k: v for k, v in a.args}} for a in t.actions
-    ]
-    obj["response"] = t.response
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+        head += ',"user_uid":' + _encode_str(t.user_uid)
+    actions = ",".join([
+        '{"tool":' + _encode_str(a.tool) + ',"args":{'
+        + ",".join([_encode_str(k) + ":" + _encode_scalar(v) for k, v in a.args])
+        + "}}"
+        for a in t.actions
+    ])
+    return head + ',"actions":[' + actions + '],"response":' + _encode_str(t.response) + "}"
 
 
 def read_jsonl(path: str) -> list[GreyBoxTrajectory]:

@@ -22,7 +22,6 @@ from trajmark.equivalence import (
     count_members_by_trajectory,
     eqset_from_json,
     eqset_to_json,
-    estimate_natural_distribution,
     instantiate_mapping,
     match_segment,
     scan_equivalence,
@@ -184,14 +183,15 @@ def test_estimate_natural_distribution(ce_set):
         traj([Action.make("Files.Copy", {"src": "g", "dst": "h"}),
               Action.make("Files.Delete", {"path": "g"})], "q3"),
     ]
-    dist, count = estimate_natural_distribution(corpus, ce_set)
-    assert count == 4
-    assert dist.weights == (0.75, 0.25)
+    (counts,) = count_members(corpus, [ce_set])
+    assert sum(counts) == 4
+    assert Distribution.from_counts(counts).weights == (0.75, 0.25)
 
 
 def test_estimate_raises_without_observations(ce_set):
+    (counts,) = count_members([traj([Action.make("X.Y", {})])], [ce_set])
     with pytest.raises(NoObservations):
-        estimate_natural_distribution([traj([Action.make("X.Y", {})])], ce_set)
+        Distribution.from_counts(counts)
 
 
 def _stat_move_set() -> EquivalenceSet:

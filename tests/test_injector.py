@@ -14,9 +14,10 @@ from conftest import make_pass, move_eqset
 from trajmark.cli import main
 from trajmark.equivalence import (
     ActionPattern,
+    Distribution,
     EquivalenceSet,
     Segment,
-    estimate_natural_distribution,
+    count_members,
 )
 from trajmark.errors import EmptyActions, TrajmarkError
 from trajmark.injector import (
@@ -28,7 +29,9 @@ from trajmark.injector import (
     watermark_trajectory,
     write_edits,
 )
+from trajmark.pool import build_pool
 from trajmark.registry import Registry, passes_for_uid, register_user
+from trajmark.simkit.domains import builtin_domain
 from trajmark.simkit.generator import generate_greybox_corpus
 from trajmark.simkit.sandbox import segments_equivalent
 from trajmark.trajectory import Action, GreyBoxTrajectory, write_jsonl
@@ -266,24 +269,27 @@ def test_skipping_idle_passes_changes_nothing(items, ranks, deltas, targets, see
 
 def test_closed_loop_recovery_small_dense_corpus(mini_domain):
     """1,000 trajectories of the dense domain recover every biased target."""
-    from trajmark.pool import build_pool
-
     passes, _ = build_pool(mini_domain, seed=11, calibration_size=3000)
     corpus = generate_greybox_corpus(mini_domain, 1000, seed=22, id_prefix="m")
     wm, _ = watermark_corpus(corpus, passes, seed=33, uid_hex="ff")
-    for p in passes:
-        estimated, count = estimate_natural_distribution(wm, p.eqset)
-        assert count >= 2000
+    for p, counts in zip(passes, count_members(wm, [p.eqset for p in passes])):
+        assert sum(counts) >= 2000
+        estimated = Distribution.from_counts(counts)
         assert estimated.l1_distance(p.biased) < 0.05, p.eqset.id
 
 
-def test_semantic_preservation_of_edits(data_domain, data_pool):
-    corpus = generate_greybox_corpus(data_domain, 120, seed=55, id_prefix="sp")
-    reg = Registry("data", len(data_pool))
-    user = register_user(reg, rng_seed=8)
-    active = passes_for_uid(user.uid_hex, data_pool)
-    _, edits_by_traj = watermark_corpus(corpus, active, seed=66, uid_hex=user.uid_hex)
-    schemes = {p.pass_id: p.eqset.scheme for p in data_pool}
+def _check_edits_equivalent(domain, pool, corpus_seed, user_seed, inject_seed) -> int:
+    """Assert every changed edit is sandbox-equivalent to its original.
+
+    Watermarks a small generated corpus for one registered user and returns
+    the number of changed edits checked.
+    """
+    corpus = generate_greybox_corpus(domain, 120, seed=corpus_seed, id_prefix="sp")
+    reg = Registry(domain.name, len(pool))
+    user = register_user(reg, rng_seed=user_seed)
+    active = passes_for_uid(user.uid_hex, pool)
+    _, edits_by_traj = watermark_corpus(corpus, active, seed=inject_seed, uid_hex=user.uid_hex)
+    schemes = {p.pass_id: p.eqset.scheme for p in pool}
     checked = 0
     for edits in edits_by_traj:
         for edit in edits:
@@ -297,12 +303,34 @@ def test_semantic_preservation_of_edits(data_domain, data_pool):
             assert segments_equivalent(
                 edit.original_actions,
                 edit.rewritten_actions,
-                data_domain.sandbox,
+                domain.sandbox,
                 env,
                 erase_ancillary=schemes[edit.pass_id] == "AE",
             ), (edit.pass_id, edit.original_actions, edit.rewritten_actions)
             checked += 1
-    assert checked > 30
+    return checked
+
+
+def test_semantic_preservation_of_edits(data_domain, data_pool):
+    assert _check_edits_equivalent(data_domain, data_pool, 55, 8, 66) > 30
+
+
+@pytest.fixture(scope="module")
+def domain_pools(data_domain, data_pool):
+    pools = {"data": (data_domain, data_pool)}
+    for name in ("business", "social"):
+        domain = builtin_domain(name)
+        passes, report = build_pool(domain, seed=42)
+        assert not report.rejected
+        pools[name] = (domain, passes)
+    return pools
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32)))
+def test_changed_edits_are_sandbox_equivalent(domain_pools, seeds):
+    for name, (domain, pool) in domain_pools.items():
+        assert _check_edits_equivalent(domain, pool, *seeds) > 0, name
 
 
 def test_edit_log_round_trip(tmp_path, data_domain, data_pool):

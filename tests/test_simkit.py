@@ -9,7 +9,7 @@ from conftest import dense_domain
 from trajmark.cli import main
 from trajmark.equivalence import (
     Distribution,
-    estimate_natural_distribution,
+    count_members,
     js_divergence,
     validate_equivalence,
 )
@@ -110,18 +110,17 @@ def test_surrogate_sample_is_pinned(data_domain):
 
 def test_slot_frequencies_match_configured_distribution(mini_domain):
     corpus = generate_greybox_corpus(mini_domain, 1000, seed=77)
-    for eqset in mini_domain.eqsets:
-        est, count = estimate_natural_distribution(corpus, eqset)
-        assert count >= 2000
+    for eqset, counts in zip(mini_domain.eqsets, count_members(corpus, mini_domain.eqsets)):
+        assert sum(counts) >= 2000
         configured = mini_domain.natural[eqset.id]
-        assert est.l1_distance(configured) < 0.05
+        assert Distribution.from_counts(counts).l1_distance(configured) < 0.05
 
 
 def test_estimate_recovers_configured_distribution(data_domain):
     corpus = generate_greybox_corpus(data_domain, 4000, seed=13)
-    for eqset in data_domain.eqsets:
-        est, count = estimate_natural_distribution(corpus, eqset)
-        assert count >= 300
+    for eqset, counts in zip(data_domain.eqsets, count_members(corpus, data_domain.eqsets)):
+        assert sum(counts) >= 300
+        est = Distribution.from_counts(counts)
         assert est.l1_distance(data_domain.natural[eqset.id]) < 0.1
 
 
@@ -185,9 +184,9 @@ def test_sample_surrogate_degenerate_distribution(mini_domain):
     target_set = mini_domain.eqsets[0]
     model.fitted[target_set.id] = Distribution((1.0, 0.0))
     corpus = sample_surrogate(model, mini_domain, 200, seed=6)
-    est, count = estimate_natural_distribution(corpus, target_set)
-    assert count > 0
-    assert est.weights == (1.0, 0.0)
+    (counts,) = count_members(corpus, [target_set])
+    assert sum(counts) > 0
+    assert Distribution.from_counts(counts).weights == (1.0, 0.0)
 
 
 def test_template_recovery(data_domain):

@@ -1,10 +1,13 @@
 """Trajectory model: parsing, serialization, and grey-box projection."""
 
 import json
+import math
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajmark.cli import main
 from trajmark.errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
@@ -216,3 +219,175 @@ def test_action_rejects_non_finite_float(value):
     # no JSON form exists, so such an action could be written but not read back
     with pytest.raises(SchemaViolation, match="finite"):
         Action.make("T", {"a": value})
+
+
+class _Str(str):
+    def __repr__(self):
+        return "not-json"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not-json"
+
+    __str__ = __repr__
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not-json"
+
+    __str__ = __repr__
+
+
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "ünï\ud7ff🜁", ""])
+_VALUES = st.one_of(
+    _TEXT,
+    _TEXT.map(_Str),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.integers(-(10**40), 10**40).map(_Int),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e16, 1e-7, 2.0**53 + 1, _Float(-0.0), _Int(-1)]),
+)
+_ACTIONS = st.builds(
+    Action.make,
+    st.from_regex(r"[A-Za-z0-9_.]+", fullmatch=True),
+    st.dictionaries(_TEXT | _TEXT.map(_Str), _VALUES, max_size=4),
+)
+_TRAJECTORIES = st.builds(
+    GreyBoxTrajectory,
+    _TEXT,
+    st.lists(_ACTIONS, min_size=1, max_size=4).map(tuple),
+    _TEXT,
+    st.none() | st.from_regex(r"[0-9a-f]{1,12}", fullmatch=True),
+)
+
+
+def _dict_form(t: GreyBoxTrajectory) -> dict:
+    obj = {"query_id": t.query_id}
+    if t.user_uid is not None:
+        obj["user_uid"] = t.user_uid
+    obj["actions"] = [{"tool": a.tool, "args": dict(a.args)} for a in t.actions]
+    obj["response"] = t.response
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRAJECTORIES)
+def test_serialize_is_json_dumps_of_the_dict_form(t):
+    line = serialize_trajectory(t)
+    assert line == json.dumps(_dict_form(t), ensure_ascii=False, separators=(",", ":"))
+    assert parse_trajectory_line(line) == t
+
+
+# The parser before it checked each action in one pass: every action went
+# through the checked ``Action`` constructor. Kept here, with that
+# constructor's value rule, as the reference for what a line may hold.
+
+def _reference_action(obj: object, where: str) -> Action:
+    if not isinstance(obj, dict):
+        raise SchemaViolation(f"{where}: action must be an object")
+    extra = set(obj) - {"tool", "args"}
+    if extra:
+        raise SchemaViolation(f"{where}: unknown action keys {sorted(extra)}")
+    tool = obj.get("tool")
+    if not isinstance(tool, str):
+        raise SchemaViolation(f"{where}: 'tool' must be a string")
+    args = obj.get("args", {})
+    if not isinstance(args, dict):
+        raise SchemaViolation(f"{where}: 'args' must be an object")
+    if not tool or not re.match(r"[A-Za-z0-9_.]+\Z", tool):
+        raise SchemaViolation(f"bad tool name: {tool!r}")
+    for name, value in args.items():
+        if not isinstance(value, (str, int, bool)):
+            if not isinstance(value, float):
+                raise SchemaViolation(
+                    f"argument {tool}.{name} must be a scalar, got {type(value).__name__}"
+                )
+            if not math.isfinite(value):
+                raise SchemaViolation(
+                    f"argument {tool}.{name} must be a finite number, got {value!r}"
+                )
+    return Action(tool, tuple(args.items()))
+
+
+def _reference_parse(line: str) -> GreyBoxTrajectory:
+    try:
+        obj = json.loads(line, parse_constant=lambda name: _raise_constant(name))
+    except ValueError as exc:
+        raise MalformedLine(f"not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaViolation("trajectory line must be a JSON object")
+    extra = set(obj) - {"query_id", "user_uid", "actions", "response"}
+    if extra:
+        raise SchemaViolation(f"unknown trajectory keys {sorted(extra)}")
+    for key, kind in (("query_id", str), ("response", str)):
+        if not isinstance(obj.get(key), kind):
+            raise SchemaViolation(f"'{key}' must be a {kind.__name__}")
+    uid = obj.get("user_uid")
+    if uid is not None and not isinstance(uid, str):
+        raise SchemaViolation("'user_uid' must be a string when present")
+    raw_actions = obj.get("actions")
+    if not isinstance(raw_actions, list):
+        raise SchemaViolation("'actions' must be an array")
+    if not raw_actions:
+        raise EmptyActions(f"trajectory {obj['query_id']!r} has no actions")
+    actions = tuple(_reference_action(a, f"actions[{i}]") for i, a in enumerate(raw_actions))
+    return GreyBoxTrajectory(obj["query_id"], actions, obj["response"], uid)
+
+
+def _raise_constant(name):
+    raise MalformedLine(f"non-standard JSON constant {name}")
+
+
+_INF = "__inf__"  # written as the bare token 1e999, which decodes to inf
+_MUTATIONS = {
+    "non_dict_action": lambda a: [a],
+    "string_action": lambda a: "T.Op",
+    "null_action": lambda a: None,
+    "extra_action_key": lambda a: {**a, "extra": 1},
+    "missing_tool": lambda a: {k: v for k, v in a.items() if k != "tool"},
+    "missing_args": lambda a: {k: v for k, v in a.items() if k != "args"},
+    "int_tool": lambda a: {**a, "tool": 7},
+    "null_tool": lambda a: {**a, "tool": None},
+    "empty_tool": lambda a: {**a, "tool": ""},
+    "bad_tool": lambda a: {**a, "tool": "bad tool!"},
+    "non_ascii_tool": lambda a: {**a, "tool": "Tööl.Op"},
+    "newline_tool": lambda a: {**a, "tool": "T.Op\n"},
+    "list_args": lambda a: {**a, "args": [1]},
+    "null_args": lambda a: {**a, "args": None},
+    "string_args": lambda a: {**a, "args": "a=1"},
+    "null_value": lambda a: {**a, "args": {**a["args"], "z": None}},
+    "list_value": lambda a: {**a, "args": {**a["args"], "z": [1]}},
+    "object_value": lambda a: {**a, "args": {**a["args"], "z": {"k": 1}}},
+    "overflow_value": lambda a: {**a, "args": {**a["args"], "z": _INF}},
+    "valid_values": lambda a: {**a, "args": {**a["args"], "z": -0.0, "y": True, "x": 10**30}},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=_TRAJECTORIES,
+    mutations=st.lists(
+        st.tuples(st.sampled_from(sorted(_MUTATIONS)), st.integers(0, 3)), max_size=3
+    ),
+)
+def test_parser_refuses_exactly_what_the_reference_refuses(t, mutations):
+    obj = _dict_form(t)
+    for name, pos in mutations:
+        actions = obj["actions"]
+        i = pos % len(actions)
+        if isinstance(actions[i], dict) and isinstance(actions[i].get("args"), dict):
+            actions[i] = _MUTATIONS[name](actions[i])
+    line = json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+    line = line.replace(f'"{_INF}"', "1e999")
+    outcomes = []
+    for parse in (parse_trajectory_line, _reference_parse):
+        try:
+            outcomes.append(("ok", parse(line)))
+        except TrajmarkError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]

@@ -253,12 +253,24 @@ def test_localization_follows_registry_changes():
     uid = next(u for u in range(64) if u.bit_count() == 2 and u not in reg.uid_set())
     direct = UserRecord(uid_to_hex(uid, 6), tuple(i + 1 for i in range(6) if (uid >> i) & 1),
                         "2025-12-31T00:00:00")
-    reg.users.append(direct)
+    reg.append(direct)
     check(reg)
     assert localize_user(probes[0], reg)[0][0] == direct.uid_hex
 
-    # a direct removal followed by an append leaves the length as it was
-    removed = reg.users.pop(0)
+    # users can be read but not written, so no edit can bypass the index
+    # and the table; a registry without a user is built from the rest
+    with pytest.raises(TypeError):
+        reg.users[0] = direct
+    with pytest.raises(TypeError):
+        del reg.users[0]
+    with pytest.raises(AttributeError):
+        reg.users.append(direct)
+    with pytest.raises(AttributeError):
+        reg.users = []
+    removed, *rest = reg.users
+    reg = Registry(reg.domain, reg.n_bits, reg.w_min, reg.w_max, users=rest)
+    assert int(removed.uid_hex, 16) not in reg.uid_set()
+    check(reg)
     reg.append(UserRecord(removed.uid_hex, removed.active_pass_ids, "2025-12-30T00:00:00"))
     check(reg)
     assert localize_user(probes[0], reg)[0][0] == removed.uid_hex
