@@ -314,9 +314,13 @@ def _reference_action(obj: object, where: str) -> Action:
     return Action(tool, tuple(args.items()))
 
 
+def _raise_constant(name):
+    raise MalformedLine(f"non-standard JSON constant {name}")
+
+
 def _reference_parse(line: str) -> GreyBoxTrajectory:
     try:
-        obj = json.loads(line, parse_constant=lambda name: _raise_constant(name))
+        obj = json.loads(line, parse_constant=_raise_constant)
     except ValueError as exc:
         raise MalformedLine(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -337,10 +341,6 @@ def _reference_parse(line: str) -> GreyBoxTrajectory:
         raise EmptyActions(f"trajectory {obj['query_id']!r} has no actions")
     actions = tuple(_reference_action(a, f"actions[{i}]") for i, a in enumerate(raw_actions))
     return GreyBoxTrajectory(obj["query_id"], actions, obj["response"], uid)
-
-
-def _raise_constant(name):
-    raise MalformedLine(f"non-standard JSON constant {name}")
 
 
 _INF = "__inf__"  # written as the bare token 1e999, which decodes to inf
