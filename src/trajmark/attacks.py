@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Sequence
 
-from .equivalence import EquivalenceSet, scan_equivalence
+from .equivalence import EquivalenceSet, _first_tool_index, _walk, match_segment
 from .errors import CorpusMismatch
 from .seeds import derive_rng
 from .trajectory import Action, GreyBoxTrajectory
@@ -206,55 +206,46 @@ def attack_fk_replacement(
     the best available signal without knowing natural distributions.
     """
     corpus = list(corpus)
-    tool_sets = [frozenset(a.tool for a in t.actions) for t in corpus]
-    per_set_counts: dict[str, list[int]] = {}
-    matches_by_traj: dict[int, list[tuple]] = {}
     ordered_sets = list(full_scheme_pool)
-    for set_order, eqset in enumerate(ordered_sets):
-        counts = [0] * len(eqset.members)
-        set_tools = eqset.tools()
-        for idx, (traj, tools) in enumerate(zip(corpus, tool_sets)):
-            if tools.isdisjoint(set_tools):
-                continue
-            for m_idx, start, length, bindings in scan_equivalence(traj.actions, eqset):
-                counts[m_idx] += 1
-                matches_by_traj.setdefault(idx, []).append(
-                    (start, length, set_order, m_idx, bindings)
-                )
-        per_set_counts[eqset.id] = counts
+    index = _first_tool_index(ordered_sets)
+    counts = [[0] * len(eqset.members) for eqset in ordered_sets]
+    spans_by_traj = []
+    for traj in corpus:
+        spans: list[tuple[int, int, int, int]] = []
+        _walk(traj.actions, index, counts, spans)
+        # spans of different sets may overlap: at one start the shortest
+        # wins, then the earliest set, and the spans it overlaps are skipped
+        spans.sort(key=lambda span: (span[2], span[3], span[0]))
+        spans_by_traj.append(spans)
 
-    suspicious: set[str] = set()
-    for eqset in ordered_sets:
-        counts = per_set_counts[eqset.id]
-        total = sum(counts)
-        if total >= min_count and max(counts) / total > suspicion_share:
-            suspicious.add(eqset.id)
+    suspicious = [
+        sum(row) >= min_count and max(row) / sum(row) > suspicion_share for row in counts
+    ]
 
     outcome = AttackOutcome("fk-replace", [], [])
-    for idx, traj in enumerate(corpus):
-        matches = sorted(matches_by_traj.get(idx, []))
+    for idx, (traj, spans) in enumerate(zip(corpus, spans_by_traj)):
+        actions = traj.actions
         rng = derive_rng(rng_seed, "attack", "fk", idx)
         new_actions: list[Action] = []
         flagged: set[int] = set()
         modified: set[int] = set()
         cursor = 0
-        last_end = 0
-        for start, length, set_order, m_idx, bindings in matches:
-            if start < last_end:
-                continue  # overlapping match from another set, already consumed
-            eqset = ordered_sets[set_order]
-            new_actions.extend(traj.actions[cursor:start])
+        for s_idx, m_idx, start, length in spans:
+            if start < cursor:
+                continue
+            eqset = ordered_sets[s_idx]
+            new_actions.extend(actions[cursor:start])
             draw = rng.randrange(len(eqset.members))
-            if eqset.id in suspicious:
+            if suspicious[s_idx]:
                 flagged.update(range(start, start + length))
             if draw != m_idx:
                 modified.update(range(start, start + length))
+                bindings = match_segment(eqset.members[m_idx], actions, start)
                 new_actions.extend(eqset.rewrite(m_idx, draw, bindings))
             else:
-                new_actions.extend(traj.actions[start : start + length])
+                new_actions.extend(actions[start : start + length])
             cursor = start + length
-            last_end = cursor
-        new_actions.extend(traj.actions[cursor:])
+        new_actions.extend(actions[cursor:])
         if flagged:
             outcome.flagged[idx] = flagged
         if modified:

@@ -248,7 +248,7 @@ class Segment:
                 for _, source in entry:
                     if isinstance(source, SlotRef) and source.slot not in own:
                         raise MappingGap(f"param_map references unknown slot {source.slot!r}")
-        # the compiled shape ``count_members`` decides a match from: each
+        # the compiled shape ``_walk`` decides a match from: each
         # pattern's argument names, the tools after the first, and the pairs
         # (first, later) of argument positions, numbered across all
         # patterns, that bind the same slot
@@ -374,7 +374,7 @@ def instantiate_mapping(
 # equivalence sets
 # ---------------------------------------------------------------------------
 
-# One member in a set's scan table: (member_index, length, argument names,
+# One member in a set's ``scan_index``: (member_index, length, argument names,
 # shape). The names are the member's ``Segment._arg_names``, set for a
 # single pattern binding distinct slots and None otherwise; the shape is its
 # ``Segment._shape``, which ``_shape_matches`` reads.
@@ -389,12 +389,16 @@ class EquivalenceSet:
     whose slot namespaces differ; every other pair defaults to the target
     member's own ``param_map`` resolved against the source bindings. It is
     stored as a read-only mapping, and the set is frozen: the checks below
-    and the scan tables built from them hold for the life of the set.
+    and the tables built from them hold for the life of the set.
 
     Construction checks every effective mapping the way ``Action`` checks
     an action: valid tool names, distinct string argument names, and
     literals that are finite scalars. ``rewrite`` then builds actions
     without re-checking them.
+
+    It also builds ``base_slots``, member 0's slots sorted, and
+    ``scan_index``, a read-only map from each first tool to the
+    ``_ScanEntry`` rows of the members starting with it, in scan order.
     """
 
     id: str
@@ -434,26 +438,19 @@ class EquivalenceSet:
         # the actions each member's own param_map builds
         for dst, member in enumerate(self.members):
             self._check_actions(member.param_map, dst)
-        # member 0's slot namespace, in the order bindings are drawn for it
-        base_slots = tuple(sorted(self.members[0].slots()))
-        # longest-member-first scan order, ties by member index
-        scan_order = sorted(
-            range(len(self.members)), key=lambda i: (-len(self.members[i]), i)
-        )
-        # per first tool, the members starting with it in scan order, as
-        # ``_ScanEntry`` rows: at an action, only the members starting with
-        # its tool can match
+        # per first tool, the members starting with it as ``_ScanEntry``
+        # rows in scan order (longest member first, ties by member index):
+        # at an action, only the members starting with its tool can match
         by_tool: dict[str, list[_ScanEntry]] = {}
-        for m_idx in scan_order:
+        for m_idx in sorted(range(len(self.members)), key=lambda i: (-len(self.members[i]), i)):
             seg = self.members[m_idx]
             by_tool.setdefault(seg.patterns[0].tool, []).append(
                 (m_idx, len(seg.patterns), seg._arg_names, seg._shape)
             )
         for name, value in (
-            ("_base_slots", base_slots),
-            ("_scan_order", scan_order),
-            ("_scan_entries", tuple((tool, tuple(row)) for tool, row in by_tool.items())),
-            ("_first_tools", frozenset(by_tool)),
+            # member 0's slot namespace, in the order bindings are drawn for it
+            ("base_slots", tuple(sorted(self.members[0].slots()))),
+            ("scan_index", MappingProxyType({t: tuple(row) for t, row in by_tool.items()})),
             ("_all_tools", frozenset(pat.tool for seg in self.members for pat in seg.patterns)),
         ):
             object.__setattr__(self, name, value)
@@ -496,6 +493,22 @@ class EquivalenceSet:
     def tools(self) -> frozenset[str]:
         return self._all_tools
 
+    def match_at(
+        self, actions: Sequence[Action], pos: int
+    ) -> tuple[int, dict[str, Scalar]] | None:
+        """The first member, in scan order, matching at ``actions[pos:]``.
+
+        Returns ``(member_index, bindings)``, or None when no member
+        matches or ``pos`` is at or past the end.
+        """
+        if pos >= len(actions):
+            return None
+        for m_idx, _, _, _ in self.scan_index.get(actions[pos].tool, ()):
+            bindings = match_segment(self.members[m_idx], actions, pos)
+            if bindings is not None:
+                return m_idx, bindings
+        return None
+
 
 def scan_equivalence(
     actions: Sequence[Action], eqset: EquivalenceSet
@@ -504,26 +517,13 @@ def scan_equivalence(
 
     Returns ``(member_index, start, length, bindings)`` tuples. Overlaps are
     resolved leftmost-first, then longest-member-first; matched regions are
-    consumed, so the spans are pairwise disjoint.
+    consumed, so the spans are pairwise disjoint. This is ``_walk`` for one
+    set; bindings are built for the reported spans only.
     """
-    out = []
-    n = len(actions)
-    pos = 0
-    while pos < n:
-        hit = None
-        if actions[pos].tool in eqset._first_tools:
-            for m_idx in eqset._scan_order:
-                member = eqset.members[m_idx]
-                bindings = match_segment(member, actions, pos)
-                if bindings is not None:
-                    hit = (m_idx, pos, len(member), bindings)
-                    break
-        if hit is None:
-            pos += 1
-        else:
-            out.append(hit)
-            pos += hit[2]
-    return out
+    spans: list[tuple[int, int, int, int]] = []
+    _walk(actions, _first_tool_index((eqset,)), [[0] * len(eqset.members)], spans)
+    return [(m_idx, start, length, match_segment(eqset.members[m_idx], actions, start))
+            for _, m_idx, start, length in spans]
 
 
 # tool -> (set index, that set's scan entries for the tool) per set
@@ -531,10 +531,10 @@ _ToolIndex = dict[str, list[tuple[int, tuple[_ScanEntry, ...]]]]
 
 
 def _first_tool_index(eqsets: Sequence[EquivalenceSet]) -> _ToolIndex:
-    """Index the sets of a ``count_members`` call by their members' first tools."""
+    """Merge the ``scan_index`` of the sets of one walk, in set order."""
     index: _ToolIndex = {}
     for s_idx, eqset in enumerate(eqsets):
-        for tool, entries in eqset._scan_entries:
+        for tool, entries in eqset.scan_index.items():
             candidates = index.get(tool)
             if candidates is None:
                 index[tool] = [(s_idx, entries)]
@@ -543,15 +543,23 @@ def _first_tool_index(eqsets: Sequence[EquivalenceSet]) -> _ToolIndex:
     return index
 
 
-def _tally(actions: Sequence[Action], index: _ToolIndex, counts: list[list[int]]) -> None:
-    """Add one trajectory's member matches to ``counts``, in one walk.
+def _walk(
+    actions: Sequence[Action],
+    index: _ToolIndex,
+    counts: list[list[int]],
+    spans: list[tuple[int, int, int, int]] | None = None,
+) -> None:
+    """The greedy scan of one trajectory for every set of ``index`` at once.
 
     Every set keeps a cursor, the first position its scan has not
     consumed. At each position only the sets with a member starting with
     that action's tool, and whose cursor has reached it, are tried, members
     in scan order; a hit moves that set's cursor past the matched span.
-    That is ``scan_equivalence``'s leftmost-first, longest-member-first
-    greedy scan, run for every set side by side.
+    That is a leftmost-first, longest-member-first greedy scan, run for
+    every set side by side.
+
+    Each hit is added to ``counts[set][member]`` and, when ``spans`` is a
+    list, appended to it as ``(set, member, start, length)``.
 
     A candidate is decided from the shape its segment compiled when it was
     built, and no bindings are made. The index guarantees the first tool,
@@ -576,6 +584,8 @@ def _tally(actions: Sequence[Action], index: _ToolIndex, counts: list[list[int]]
                     continue
                 counts[s_idx][m_idx] += 1
                 cursors[s_idx] = pos + length
+                if spans is not None:
+                    spans.append((s_idx, m_idx, pos, length))
                 break
 
 
@@ -586,14 +596,12 @@ def count_members(
 
     Returns one member-indexed count vector per set, in set order: the
     per-set sums of ``scan_equivalence`` results. Each trajectory is walked
-    once for all sets, and each candidate is decided from its member's
-    compiled shape (see ``_tally``) rather than by ``match_segment``, so
-    no bindings are built.
+    once for all sets (see ``_walk``), and no bindings are built.
     """
     index = _first_tool_index(eqsets)
     counts = [[0] * len(eqset.members) for eqset in eqsets]
     for traj in corpus:
-        _tally(traj.actions, index, counts)
+        _walk(traj.actions, index, counts)
     return counts
 
 
@@ -609,7 +617,7 @@ def count_members_by_trajectory(
     out = []
     for traj in corpus:
         counts = [[0] * len(eqset.members) for eqset in eqsets]
-        _tally(traj.actions, index, counts)
+        _walk(traj.actions, index, counts)
         out.append(counts)
     return out
 
@@ -792,7 +800,7 @@ def validate_equivalence(
 
     for case in range(n_cases):
         bindings = {
-            slot: f"k{case}_{slot}_{rng.randrange(16**6):06x}" for slot in eqset._base_slots
+            slot: f"k{case}_{slot}_{rng.randrange(16**6):06x}" for slot in eqset.base_slots
         }
         env0 = {str(v): f"data:{v}" for v in bindings.values()}
         env0["const"] = "anchor"

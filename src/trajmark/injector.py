@@ -130,7 +130,7 @@ def watermark_trajectory(
     # Action object may sit at several indices of a trajectory
     positions: list[list[int]] = []
     for wm_pass in sorted(passes, key=lambda p: p.order_rank):
-        if present.isdisjoint(wm_pass.eqset._first_tools):
+        if present.isdisjoint(wm_pass.eqset.scan_index):
             continue
         actions, new_edits = apply_pass(actions, wm_pass, rng)
         if not new_edits:

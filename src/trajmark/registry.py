@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from .equivalence import WatermarkPass
 from .errors import CapacityExhausted, InvalidRange, LengthMismatch, SchemaViolation
@@ -112,7 +112,7 @@ class Registry:
         self.w_max = w_max
         self._users: list[UserRecord] = []
         self._view = _ReadOnlyList(self._users)
-        self._uid_index: set[int] = set()
+        self._uid_index: dict[int, None] = {}
         self._table: tuple[list[str], list[int], list[int]] | None = None
         for record in users:
             self.append(record)
@@ -121,8 +121,9 @@ class Registry:
     def users(self) -> Sequence[UserRecord]:
         return self._view
 
-    def uid_set(self) -> set[int]:
-        return self._uid_index
+    def uid_set(self) -> KeysView[int]:
+        """The registered int UIDs: a live, read-only view."""
+        return self._uid_index.keys()
 
     def scoring_table(self) -> tuple[list[str], list[int], list[int]]:
         """The users in ranking tie-break order, for scoring every one at once.
@@ -142,7 +143,7 @@ class Registry:
         return self._table
 
     def append(self, record: UserRecord) -> None:
-        self._uid_index.add(record.uid_int())
+        self._uid_index[record.uid_int()] = None
         self._users.append(record)
         self._table = None
 

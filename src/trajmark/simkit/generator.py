@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from ..equivalence import Distribution, EquivalenceSet, match_segment
+from ..equivalence import Distribution, EquivalenceSet
 from ..seeds import derive_rng
 from ..trajectory import Action, GreyBoxTrajectory
 from .domains import DomainSpec, Template
@@ -36,7 +36,7 @@ def instantiate_member(
     set's cross mapping, so every generated occurrence is rewritable by the
     injector no matter which member it instantiates.
     """
-    bindings = {slot: _token(rng) for slot in eqset._base_slots}
+    bindings = {slot: _token(rng) for slot in eqset.base_slots}
     return eqset.rewrite(0, member_index, bindings)
 
 
@@ -130,16 +130,11 @@ def template_for_trajectory(
                 pos += 1
             else:
                 eqset = domain.eqset(item.set_id)
-                hit = None
-                for m_idx in eqset._scan_order:
-                    member = eqset.members[m_idx]
-                    if match_segment(member, actions, pos) is not None:
-                        hit = len(member)
-                        break
+                hit = eqset.match_at(actions, pos)
                 if hit is None:
                     ok = False
                     break
-                pos += hit
+                pos += len(eqset.members[hit[0]])
         if ok and pos == len(actions):
             return template.id
     return None

@@ -1,8 +1,12 @@
 """attack strategies: conventions, determinism, and metric identities."""
 
 import pytest
+from hypothesis import example, given, settings
 
+from test_equivalence import FILE_ACTION_LISTS, file_sets, reference_scan
 from trajmark.attacks import (
+    FK_MIN_COUNT,
+    FK_SUSPICION_SHARE,
     attack_fk_replacement,
     attack_metrics,
     attack_pk_replacement,
@@ -12,6 +16,7 @@ from trajmark.attacks import (
     AttackOutcome,
 )
 from trajmark.errors import CorpusMismatch
+from trajmark.seeds import derive_rng
 from trajmark.trajectory import Action, GreyBoxTrajectory
 
 
@@ -134,13 +139,96 @@ def test_metrics_corpus_mismatch():
 
 
 def test_fk_rewrites_stay_in_member_space(data_domain):
-    from trajmark.equivalence import scan_equivalence
     from trajmark.simkit.generator import generate_greybox_corpus
 
     corpus = generate_greybox_corpus(data_domain, 40, seed=44)
     out = attack_fk_replacement(corpus, data_domain.eqsets, rng_seed=45)
     # every candidate occurrence still matches its set after the attack
     for eqset in data_domain.eqsets:
-        before = sum(len(scan_equivalence(t.actions, eqset)) for t in corpus)
-        after = sum(len(scan_equivalence(t.actions, eqset)) for t in out.attacked)
+        before = sum(len(reference_scan(t.actions, eqset)) for t in corpus)
+        after = sum(len(reference_scan(t.actions, eqset)) for t in out.attacked)
         assert after == before
+
+
+def _reference_fk(corpus, eqsets, rng_seed, suspicion_share, min_count):
+    """The FK attack as one ``reference_scan`` per set and trajectory.
+
+    Returns the attacked actions, flagged and modified positions. Spans of
+    all sets are taken in ``(start, length, set)`` order; a span that
+    overlaps one already taken is skipped.
+    """
+    matches = [[] for _ in corpus]
+    suspicious = []
+    for s_idx, eqset in enumerate(eqsets):
+        counts = [0] * len(eqset.members)
+        for idx, t in enumerate(corpus):
+            for m_idx, start, length, bindings in reference_scan(t.actions, eqset):
+                counts[m_idx] += 1
+                matches[idx].append((start, length, s_idx, m_idx, bindings))
+        total = sum(counts)
+        suspicious.append(total >= min_count and max(counts) / total > suspicion_share)
+    attacked, flagged, modified = [], {}, {}
+    for idx, t in enumerate(corpus):
+        rng = derive_rng(rng_seed, "attack", "fk", idx)
+        out, flags, mods, cursor = [], set(), set(), 0
+        for start, length, s_idx, m_idx, bindings in sorted(matches[idx], key=lambda m: m[:3]):
+            if start < cursor:
+                continue
+            eqset = eqsets[s_idx]
+            out.extend(t.actions[cursor:start])
+            draw = rng.randrange(len(eqset.members))
+            if suspicious[s_idx]:
+                flags.update(range(start, start + length))
+            if draw == m_idx:
+                out.extend(t.actions[start : start + length])
+            else:
+                mods.update(range(start, start + length))
+                out.extend(eqset.rewrite(m_idx, draw, bindings))
+            cursor = start + length
+        out.extend(t.actions[cursor:])
+        attacked.append(tuple(out))
+        if flags:
+            flagged[idx] = flags
+        if mods:
+            modified[idx] = mods
+    return attacked, flagged, modified
+
+
+@pytest.mark.parametrize("name", ["data", "business", "social"])
+@pytest.mark.parametrize("thresholds", [(FK_SUSPICION_SHARE, FK_MIN_COUNT), (0.5, 1)])
+def test_fk_equals_per_set_reference(name, thresholds):
+    from trajmark.simkit.domains import builtin_domain
+    from trajmark.simkit.generator import generate_greybox_corpus
+
+    domain = builtin_domain(name)
+    corpus = generate_greybox_corpus(domain, 150, seed=46)
+    # reversed, the sets break ties between equal spans the other way round
+    for eqsets in (list(domain.eqsets), list(reversed(domain.eqsets))):
+        out = attack_fk_replacement(corpus, eqsets, 47, *thresholds)
+        attacked, flagged, modified = _reference_fk(corpus, eqsets, 47, *thresholds)
+        assert [t.actions for t in out.attacked] == attacked
+        assert out.flagged == flagged
+        assert out.modified == modified
+
+
+@settings(max_examples=100, deadline=None)
+@given(FILE_ACTION_LISTS)
+@example([
+    # at 0 a 1-action span (copy onto itself) ties with two 2-action spans
+    [Action.make("Files.Copy", {"src": "a", "dst": "a"}),
+     Action.make("Files.Delete", {"path": "a"}),
+     Action.make("Files.Move", {"src": "a", "dst": "b"})],
+    [Action.make("Files.Stat", {"path": "a"}),
+     Action.make("Files.Move", {"src": "a", "dst": "b"})],
+])
+def test_fk_equals_per_set_reference_on_overlapping_sets(action_lists):
+    # the Files.* sets share tools, so spans of different sets overlap and
+    # tie at one start, which generated domain corpora never show
+    corpus = [GreyBoxTrajectory(f"q{i}", tuple(a), "r") for i, a in enumerate(action_lists)]
+    eqsets = file_sets()
+    for eqsets in (eqsets, eqsets[::-1]):
+        out = attack_fk_replacement(corpus, eqsets, 48, 0.5, 1)
+        attacked, flagged, modified = _reference_fk(corpus, eqsets, 48, 0.5, 1)
+        assert [t.actions for t in out.attacked] == attacked
+        assert out.flagged == flagged
+        assert out.modified == modified

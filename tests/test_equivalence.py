@@ -39,6 +39,41 @@ def traj(actions, qid="q"):
     return GreyBoxTrajectory(qid, tuple(actions), "r")
 
 
+def reference_scan(actions, eqset):
+    """The greedy scan, kept apart from the package's walk as its oracle.
+
+    At each position, ``match_segment`` tries the members sorted by
+    ``(-len, index)``; the first hit is reported with its bindings and its
+    span is consumed.
+    """
+    members = eqset.members
+    order = sorted(range(len(members)), key=lambda i: (-len(members[i]), i))
+    out = []
+    pos = 0
+    while pos < len(actions):
+        for m_idx in order:
+            bindings = match_segment(members[m_idx], actions, pos)
+            if bindings is not None:
+                out.append((m_idx, pos, len(members[m_idx]), bindings))
+                pos += len(members[m_idx])
+                break
+        else:
+            pos += 1
+    return out
+
+
+def reference_counts(corpus, eqsets):
+    """Per-set member counts summed from ``reference_scan``."""
+    counts = []
+    for eqset in eqsets:
+        row = [0] * len(eqset.members)
+        for t in corpus:
+            for m_idx, _, _, _ in reference_scan(t.actions, eqset):
+                row[m_idx] += 1
+        counts.append(row)
+    return counts
+
+
 def test_match_binds_slots():
     seg = Segment((ActionPattern("T.Op", ("x", "y")),))
     actions = [Action.make("T.Op", {"x": "a", "y": 2})]
@@ -229,6 +264,15 @@ def _three_step_set() -> EquivalenceSet:
     ))
 
 
+def _copy_delete_set() -> EquivalenceSet:
+    """Copy vs. copy then delete the source: two members start with Files.Copy."""
+    return EquivalenceSet("test.ce.copy", "CE", (
+        Segment((ActionPattern("Files.Copy", ("src", "dst")),)),
+        Segment((ActionPattern("Files.Copy", ("src", "dst")),
+                 ActionPattern("Files.Delete", (("path", "src"),)))),
+    ))
+
+
 # 1, True and "1" make ``!=`` between bound values matter: 1 == True != "1"
 _VALUES = st.sampled_from(["a", "b", 1, True, "1"])
 
@@ -255,22 +299,28 @@ _PARTIAL_TAILS = st.sampled_from([
 ])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
+FILE_ACTION_LISTS = st.lists(
     st.tuples(st.lists(_FILE_ACTIONS, min_size=1, max_size=8), _PARTIAL_TAILS)
     .map(lambda parts: parts[0] + list(parts[1])),
     max_size=6,
-))
+)
+
+
+def file_sets():
+    """Sets over the Files.* tools; several share tools and overlap in a corpus."""
+    return [move_eqset(), _stat_move_set(), _ghost_set(), _self_copy_set(), _three_step_set(),
+            _copy_delete_set()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(FILE_ACTION_LISTS)
 def test_count_members_equals_per_set_scans(action_lists):
     corpus = [traj(actions, f"q{i}") for i, actions in enumerate(action_lists)]
-    eqsets = [move_eqset(), _stat_move_set(), _ghost_set(), _self_copy_set(), _three_step_set()]
-    expected = []
-    for eqset in eqsets:
-        row = [0] * len(eqset.members)
-        for t in corpus:
-            for m_idx, _, _, _ in scan_equivalence(t.actions, eqset):
-                row[m_idx] += 1
-        expected.append(row)
+    eqsets = file_sets()
+    for t in corpus:
+        for eqset in eqsets:
+            assert scan_equivalence(t.actions, eqset) == reference_scan(t.actions, eqset)
+    expected = reference_counts(corpus, eqsets)
     counts = count_members(corpus, eqsets)
     assert counts == expected
     assert count_members_by_trajectory(corpus, eqsets) == [
@@ -282,6 +332,25 @@ def test_count_members_equals_per_set_scans(action_lists):
     assert evaluations[2].empirical is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(FILE_ACTION_LISTS)
+def test_match_at_is_first_member_in_scan_order(action_lists):
+    for actions in action_lists:
+        for eqset in file_sets():
+            members = eqset.members
+            order = sorted(range(len(members)), key=lambda i: (-len(members[i]), i))
+            for pos in range(len(actions)):
+                expected = None
+                for m_idx in order:
+                    bindings = match_segment(members[m_idx], actions, pos)
+                    if bindings is not None:
+                        expected = (m_idx, bindings)
+                        break
+                assert eqset.match_at(actions, pos) == expected
+            assert eqset.match_at(actions, len(actions)) is None
+            assert eqset.match_at(actions, len(actions) + 1) is None
+
+
 @pytest.mark.parametrize("name", ["data", "business", "social"])
 def test_count_members_equals_per_set_scans_on_builtin_domains(name):
     # in real sets several members often start with the same tool (a base
@@ -291,13 +360,10 @@ def test_count_members_equals_per_set_scans_on_builtin_domains(name):
     corpus = generate_greybox_corpus(domain, 300, seed=5, id_prefix="d")
     watermarked, _ = watermark_corpus(corpus, passes, seed=6, uid_hex="1")
     for dump in (corpus, watermarked):
-        expected = []
-        for eqset in domain.eqsets:
-            row = [0] * len(eqset.members)
-            for t in dump:
-                for m_idx, _, _, _ in scan_equivalence(t.actions, eqset):
-                    row[m_idx] += 1
-            expected.append(row)
+        for t in dump:
+            for eqset in domain.eqsets:
+                assert scan_equivalence(t.actions, eqset) == reference_scan(t.actions, eqset)
+        expected = reference_counts(dump, domain.eqsets)
         assert count_members(dump, domain.eqsets) == expected
         by_trajectory = count_members_by_trajectory(dump, domain.eqsets)
         assert [[sum(col) for col in zip(*rows)] for rows in zip(*by_trajectory)] == expected

@@ -18,6 +18,7 @@ from trajmark.equivalence import (
     EquivalenceSet,
     Segment,
     count_members,
+    scan_equivalence,
 )
 from trajmark.errors import EmptyActions, TrajmarkError
 from trajmark.injector import (
@@ -331,6 +332,26 @@ def domain_pools(data_domain, data_pool):
 def test_changed_edits_are_sandbox_equivalent(domain_pools, seeds):
     for name, (domain, pool) in domain_pools.items():
         assert _check_edits_equivalent(domain, pool, *seeds) > 0, name
+
+
+@settings(max_examples=20, deadline=None)
+@given(seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)), data=st.data())
+def test_single_pass_rescan_recovers_the_draws(domain_pools, seeds, data):
+    # in the built-in domains, a rewrite never creates or hides a match of
+    # its own set; over arbitrary sets it can: rewriting Y(a) into X(a) in
+    # front of an existing Z(a) creates a longer X,Z member
+    corpus_seed, inject_seed = seeds
+    for name, (domain, pool) in domain_pools.items():
+        wm_pass = pool[data.draw(st.integers(0, len(pool) - 1), label=name)]
+        corpus = generate_greybox_corpus(domain, 100, seed=corpus_seed, id_prefix="rs")
+        out, edits_by_traj = watermark_corpus(corpus, [wm_pass], seed=inject_seed)
+        for t, edits in zip(out, edits_by_traj):
+            expected, shift = [], 0
+            for edit in edits:
+                expected.append((edit.start + shift, edit.replacement_index))
+                shift += len(edit.rewritten_actions) - edit.length
+            found = scan_equivalence(t.actions, wm_pass.eqset)
+            assert [(start, m_idx) for m_idx, start, _, _ in found] == expected, name
 
 
 def test_edit_log_round_trip(tmp_path, data_domain, data_pool):

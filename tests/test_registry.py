@@ -8,6 +8,7 @@ from conftest import make_pass, move_eqset
 from trajmark.errors import CapacityExhausted, InvalidRange, LengthMismatch
 from trajmark.registry import (
     Registry,
+    UserRecord,
     bits_to_uid,
     capacity,
     hex_to_uid,
@@ -113,6 +114,29 @@ def test_uid_length_checks(ce_set):
         passes_for_uid("ff", pool[:1])  # 0xff needs 8 bits, pool has 1
     with pytest.raises(LengthMismatch):
         hex_to_uid("ff", 5)
+
+
+def test_uid_set_is_a_read_only_live_view():
+    # a caller that could drop a UID from the index made register_user hand
+    # the same UID out twice
+    reg = Registry("tiny", 4, w_min=1, w_max=1)
+    first = register_user(reg, rng_seed=9)
+    view = reg.uid_set()
+    assert not hasattr(view, "discard") and not hasattr(view, "add")
+    with pytest.raises(AttributeError):
+        view.discard(first.uid_int())
+    for _ in range(3):
+        register_user(reg, rng_seed=9)
+    assert len(view) == 4
+    assert set(view) == {u.uid_int() for u in reg.users}
+    assert len({u.uid_hex for u in reg.users}) == 4
+    with pytest.raises(CapacityExhausted):
+        register_user(reg, rng_seed=9)
+
+    other = Registry("tiny", 4, w_min=1, w_max=1)
+    view = other.uid_set()
+    other.append(UserRecord(first.uid_hex, first.active_pass_ids, first.created_at))
+    assert list(view) == [first.uid_int()]
 
 
 def test_registry_json_round_trip(tmp_path):
