@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Sequence
 
-from .equivalence import EquivalenceSet, _first_tool_index, _walk, match_segment
+from .equivalence import EquivalenceSet, _bindings, _first_tool_index, _walk
 from .errors import CorpusMismatch
 from .seeds import derive_rng
 from .trajectory import Action, GreyBoxTrajectory
@@ -240,7 +240,7 @@ def attack_fk_replacement(
                 flagged.update(range(start, start + length))
             if draw != m_idx:
                 modified.update(range(start, start + length))
-                bindings = match_segment(eqset.members[m_idx], actions, start)
+                bindings = _bindings(eqset.members[m_idx], actions, start)
                 new_actions.extend(eqset.rewrite(m_idx, draw, bindings))
             else:
                 new_actions.extend(actions[start : start + length])

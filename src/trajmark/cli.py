@@ -413,7 +413,9 @@ def main(argv=None) -> int:
     except TrajmarkError as exc:
         print(f"trajmark: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (
+        OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, IndexError
+    ) as exc:
         print(f"trajmark: {type(exc).__name__}: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -203,9 +203,6 @@ class ActionPattern:
         if len(set(arg_names)) != len(arg_names):
             raise ValueError(f"duplicate arguments in pattern {self.tool}: {arg_names}")
 
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(slot for _, slot in self.arg_slots)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -248,7 +245,7 @@ class Segment:
                 for _, source in entry:
                     if isinstance(source, SlotRef) and source.slot not in own:
                         raise MappingGap(f"param_map references unknown slot {source.slot!r}")
-        # the compiled shape ``_walk`` decides a match from: each
+        # the compiled shape every match is decided from: each
         # pattern's argument names, the tools after the first, and the pairs
         # (first, later) of argument positions, numbered across all
         # patterns, that bind the same slot
@@ -282,41 +279,15 @@ class Segment:
 _MISSING = object()
 
 
-def match_segment(
-    segment: Segment, actions: Sequence[Action], start: int
-) -> dict[str, Scalar] | None:
-    """Try to match ``segment`` at ``actions[start:]``; return slot bindings.
-
-    Tools must match in order, every slot must bind, and repeated slot
-    names must bind consistent values. Returns None on any failure.
-    """
-    if start + len(segment) > len(actions):
-        return None
-    bindings: dict[str, Scalar] = {}
-    for offset, pattern in enumerate(segment.patterns):
-        action = actions[start + offset]
-        if action.tool != pattern.tool:
-            return None
-        arg_map = action.arg_map()
-        for arg_name, slot in pattern.arg_slots:
-            value = arg_map.get(arg_name, _MISSING)
-            if value is _MISSING:
-                return None
-            bound = bindings.get(slot, _MISSING)
-            if bound is _MISSING:
-                bindings[slot] = value
-            elif bound != value:
-                return None
-    return bindings
-
-
 def _shape_matches(shape: tuple, actions: Sequence[Action], start: int) -> bool:
-    """``match_segment(segment, actions, start) is not None`` from ``segment._shape``.
+    """Whether the segment compiled to ``shape`` matches at ``actions[start:]``.
 
     The caller has checked that ``actions[start]`` has the first pattern's
-    tool. No bindings are built: the values are collected in argument
-    order and the positions that share a slot are compared pairwise, with
-    the same ``!=`` as ``match_segment``.
+    tool. The later tools must follow in order, every argument a pattern
+    binds must be present, and the arguments that bind one slot must hold
+    equal (``==``) values. No bindings are built: the values are collected
+    in argument order and the positions that share a slot are compared
+    pairwise.
     """
     names, rest_tools, same_slot = shape
     if start + len(names) > len(actions):
@@ -336,6 +307,22 @@ def _shape_matches(shape: tuple, actions: Sequence[Action], start: int) -> bool:
         if values[first] != values[later]:
             return False
     return True
+
+
+def _bindings(segment: Segment, actions: Sequence[Action], start: int) -> dict[str, Scalar]:
+    """The slot values of ``segment``'s match at ``actions[start:]``.
+
+    Call it only on a span that ``_walk`` or ``_shape_matches`` has decided:
+    nothing is checked again. A slot bound by several arguments takes the
+    value of its first occurrence, which keeps its type where equal values
+    differ in type (``1 == True``).
+    """
+    bindings: dict[str, Scalar] = {}
+    for offset, pattern in enumerate(segment.patterns):
+        arg_map = dict(actions[start + offset].args)
+        for arg_name, slot in pattern.arg_slots:
+            bindings.setdefault(slot, arg_map[arg_name])
+    return bindings
 
 
 def instantiate_mapping(
@@ -503,10 +490,9 @@ class EquivalenceSet:
         """
         if pos >= len(actions):
             return None
-        for m_idx, _, _, _ in self.scan_index.get(actions[pos].tool, ()):
-            bindings = match_segment(self.members[m_idx], actions, pos)
-            if bindings is not None:
-                return m_idx, bindings
+        for m_idx, _, _, shape in self.scan_index.get(actions[pos].tool, ()):
+            if _shape_matches(shape, actions, pos):
+                return m_idx, _bindings(self.members[m_idx], actions, pos)
         return None
 
 
@@ -518,11 +504,11 @@ def scan_equivalence(
     Returns ``(member_index, start, length, bindings)`` tuples. Overlaps are
     resolved leftmost-first, then longest-member-first; matched regions are
     consumed, so the spans are pairwise disjoint. This is ``_walk`` for one
-    set; bindings are built for the reported spans only.
+    set; ``_bindings`` reads the bindings off each reported span.
     """
     spans: list[tuple[int, int, int, int]] = []
     _walk(actions, _first_tool_index((eqset,)), [[0] * len(eqset.members)], spans)
-    return [(m_idx, start, length, match_segment(eqset.members[m_idx], actions, start))
+    return [(m_idx, start, length, _bindings(eqset.members[m_idx], actions, start))
             for _, m_idx, start, length in spans]
 
 
@@ -563,9 +549,9 @@ def _walk(
 
     A candidate is decided from the shape its segment compiled when it was
     built, and no bindings are made. The index guarantees the first tool,
-    so a member of one pattern binding distinct slots matches iff the
-    action has all of its argument names; every other member goes through
-    ``_shape_matches``.
+    so for a member of one pattern binding distinct slots ``_shape_matches``
+    reduces to the action having all of its argument names, which is tested
+    directly; every other member goes through ``_shape_matches``.
     """
     cursors = [0] * len(counts)
     for pos, action in enumerate(actions):

@@ -161,12 +161,11 @@ def watermark_corpus(
     The stream for each trajectory depends only on (seed, uid, query_id),
     so results are independent of processing order and safe to parallelize.
     """
-    ordered = sorted(passes, key=lambda p: p.order_rank)
     out_trajs: list[GreyBoxTrajectory] = []
     out_edits: list[list[EditRecord]] = []
     for t in corpus:
         rng = derive_rng(seed, "inject", uid_hex or "", t.query_id)
-        wm, edits = watermark_trajectory(t, ordered, rng)
+        wm, edits = watermark_trajectory(t, passes, rng)
         if stamp_uid and uid_hex is not None:
             wm = replace(wm, user_uid=uid_hex)
         out_trajs.append(wm)

@@ -171,16 +171,14 @@ class Registry:
             w_min=obj.get("w_min", DEFAULT_W_MIN),
             w_max=obj.get("w_max", DEFAULT_W_MAX),
         )
-        seen: set[str] = set()
         for raw in obj.get("users", []):
             record = UserRecord(
                 uid_hex=raw["uid_hex"],
                 active_pass_ids=tuple(raw["active_pass_ids"]),
                 created_at=raw["created_at"],
             )
-            if record.uid_hex in seen:
+            if record.uid_int() in reg.uid_set():
                 raise SchemaViolation(f"duplicate uid {record.uid_hex} in registry")
-            seen.add(record.uid_hex)
             _check_consistency(record, reg.n_bits)
             reg.append(record)
         return reg

@@ -23,7 +23,6 @@ from trajmark.equivalence import (
     eqset_from_json,
     eqset_to_json,
     instantiate_mapping,
-    match_segment,
     scan_equivalence,
 )
 from trajmark.errors import InvalidDistribution, MappingGap, NoObservations, TrajmarkError
@@ -39,10 +38,51 @@ def traj(actions, qid="q"):
     return GreyBoxTrajectory(qid, tuple(actions), "r")
 
 
+_MISSING = object()
+
+
+def reference_match(segment, actions, start):
+    """Match ``segment`` at ``actions[start:]`` and bind its slots in one pass.
+
+    The package decides a match from a compiled shape and binds it
+    afterwards; this oracle does both at once, from the patterns alone.
+    Tools must match in order, every slot must bind, and repeated slot
+    names must bind equal values; the first occurrence of a slot gives its
+    value. Returns the bindings, or None on any failure.
+    """
+    if start + len(segment) > len(actions):
+        return None
+    bindings = {}
+    for offset, pattern in enumerate(segment.patterns):
+        action = actions[start + offset]
+        if action.tool != pattern.tool:
+            return None
+        arg_map = action.arg_map()
+        for arg_name, slot in pattern.arg_slots:
+            value = arg_map.get(arg_name, _MISSING)
+            if value is _MISSING:
+                return None
+            bound = bindings.get(slot, _MISSING)
+            if bound is _MISSING:
+                bindings[slot] = value
+            elif bound != value:
+                return None
+    return bindings
+
+
+def typed(bindings):
+    """Bindings with each value's type: ``{"s": 1} == {"s": True}``, these differ."""
+    return [(k, type(v), v) for k, v in bindings.items()]
+
+
+def typed_spans(spans):
+    return [(m_idx, start, length, typed(b)) for m_idx, start, length, b in spans]
+
+
 def reference_scan(actions, eqset):
     """The greedy scan, kept apart from the package's walk as its oracle.
 
-    At each position, ``match_segment`` tries the members sorted by
+    At each position, ``reference_match`` tries the members sorted by
     ``(-len, index)``; the first hit is reported with its bindings and its
     span is consumed.
     """
@@ -52,7 +92,7 @@ def reference_scan(actions, eqset):
     pos = 0
     while pos < len(actions):
         for m_idx in order:
-            bindings = match_segment(members[m_idx], actions, pos)
+            bindings = reference_match(members[m_idx], actions, pos)
             if bindings is not None:
                 out.append((m_idx, pos, len(members[m_idx]), bindings))
                 pos += len(members[m_idx])
@@ -75,15 +115,18 @@ def reference_counts(corpus, eqsets):
 
 
 def test_match_binds_slots():
-    seg = Segment((ActionPattern("T.Op", ("x", "y")),))
+    eqset = EquivalenceSet("test.vr.op", "VR", (
+        Segment((ActionPattern("T.Op", ("x", "y")),)),
+        Segment((ActionPattern("U.Op", ("x", "y")),)),
+    ))
     actions = [Action.make("T.Op", {"x": "a", "y": 2})]
-    assert match_segment(seg, actions, 0) == {"x": "a", "y": 2}
-    assert match_segment(seg, [Action.make("T.Op", {"x": "a"})], 0) is None
-    assert match_segment(seg, [Action.make("U.Op", {"x": "a", "y": 2})], 0) is None
+    assert eqset.match_at(actions, 0) == (0, {"x": "a", "y": 2})
+    assert scan_equivalence(actions, eqset) == [(0, 0, 1, {"x": "a", "y": 2})]
+    assert eqset.match_at([Action.make("T.Op", {"x": "a"})], 0) is None
+    assert eqset.match_at([Action.make("V.Op", {"x": "a", "y": 2})], 0) is None
 
 
 def test_match_requires_consistent_repeated_slots(ce_set):
-    pair = ce_set.members[1]
     good = [
         Action.make("Files.Copy", {"src": "a", "dst": "b"}),
         Action.make("Files.Delete", {"path": "a"}),
@@ -92,8 +135,17 @@ def test_match_requires_consistent_repeated_slots(ce_set):
         Action.make("Files.Copy", {"src": "a", "dst": "b"}),
         Action.make("Files.Delete", {"path": "c"}),
     ]
-    assert match_segment(pair, good, 0) == {"src": "a", "dst": "b"}
-    assert match_segment(pair, bad, 0) is None
+    assert ce_set.match_at(good, 0) == (1, {"src": "a", "dst": "b"})
+    assert scan_equivalence(good, ce_set) == [(1, 0, 2, {"src": "a", "dst": "b"})]
+    assert ce_set.match_at(bad, 0) is None
+    assert scan_equivalence(bad, ce_set) == []
+    # 1 == True, so the pair matches; the slot keeps its first value, the int
+    mixed = [
+        Action.make("Files.Copy", {"src": 1, "dst": "b"}),
+        Action.make("Files.Delete", {"path": True}),
+    ]
+    m_idx, bindings = ce_set.match_at(mixed, 0)
+    assert (m_idx, typed(bindings)) == (1, [("src", int, 1), ("dst", str, "b")])
 
 
 def test_scan_finds_compositional_span(ce_set):
@@ -124,7 +176,7 @@ def test_scan_two_disjoint_spans_vs_brute_force(ce_set):
     brute = []
     for start in range(len(actions)):
         for m_idx, member in enumerate(ce_set.members):
-            if match_segment(member, actions, start) is not None:
+            if reference_match(member, actions, start) is not None:
                 brute.append((m_idx, start, len(member)))
     assert brute == [(0, 0, 1), (0, 1, 1)]
 
@@ -319,7 +371,9 @@ def test_count_members_equals_per_set_scans(action_lists):
     eqsets = file_sets()
     for t in corpus:
         for eqset in eqsets:
-            assert scan_equivalence(t.actions, eqset) == reference_scan(t.actions, eqset)
+            assert typed_spans(scan_equivalence(t.actions, eqset)) == typed_spans(
+                reference_scan(t.actions, eqset)
+            )
     expected = reference_counts(corpus, eqsets)
     counts = count_members(corpus, eqsets)
     assert counts == expected
@@ -342,11 +396,12 @@ def test_match_at_is_first_member_in_scan_order(action_lists):
             for pos in range(len(actions)):
                 expected = None
                 for m_idx in order:
-                    bindings = match_segment(members[m_idx], actions, pos)
+                    bindings = reference_match(members[m_idx], actions, pos)
                     if bindings is not None:
-                        expected = (m_idx, bindings)
+                        expected = (m_idx, typed(bindings))
                         break
-                assert eqset.match_at(actions, pos) == expected
+                hit = eqset.match_at(actions, pos)
+                assert (None if hit is None else (hit[0], typed(hit[1]))) == expected
             assert eqset.match_at(actions, len(actions)) is None
             assert eqset.match_at(actions, len(actions) + 1) is None
 
@@ -362,7 +417,9 @@ def test_count_members_equals_per_set_scans_on_builtin_domains(name):
     for dump in (corpus, watermarked):
         for t in dump:
             for eqset in domain.eqsets:
-                assert scan_equivalence(t.actions, eqset) == reference_scan(t.actions, eqset)
+                assert typed_spans(scan_equivalence(t.actions, eqset)) == typed_spans(
+                    reference_scan(t.actions, eqset)
+                )
         expected = reference_counts(dump, domain.eqsets)
         assert count_members(dump, domain.eqsets) == expected
         by_trajectory = count_members_by_trajectory(dump, domain.eqsets)

@@ -119,6 +119,47 @@ def test_cli_unknown_file_exit_code(tmp_path):
     assert main(["validate", "--pool", str(tmp_path / "missing.json")]) == 2
 
 
+def _pool_doc(data_pool):
+    # a fresh copy of a valid pool document, for one malformed edit
+    return json.loads(json.dumps(pool_to_json(data_pool, "data")))
+
+
+def _passes_of_ints(data_pool):
+    return {"format_version": 1, "passes": [1]}
+
+
+def _biased_null(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["biased"] = None
+    return doc
+
+
+def _empty_source(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["set"]["members"][0]["param_map"][0][0][1] = []
+    return doc
+
+
+def _active_ids_int(data_pool):
+    user = {"uid_hex": "03", "active_pass_ids": 5, "created_at": "t"}
+    return {"domain": "d", "N": 8, "w_min": 1, "w_max": 8, "users": [user]}
+
+
+@pytest.mark.parametrize("flag, build, error", [
+    ("--pool", _passes_of_ints, "TypeError"),
+    ("--pool", _biased_null, "TypeError"),
+    ("--pool", _empty_source, "IndexError"),
+    ("--registry", _active_ids_int, "TypeError"),
+])
+def test_cli_malformed_document_is_a_data_error(tmp_path, capsys, data_pool, flag, build, error):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(build(data_pool)))
+    assert main(["validate", flag, str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trajmark: {error}: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_genpool_prints_scheme_summary(tmp_path, capsys):
     pool = tmp_path / "pool.json"
     assert main(["genpool", "--domain", "data", "--out", str(pool), "--seed", "42"]) == 0

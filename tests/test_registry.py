@@ -5,7 +5,7 @@ import math
 import pytest
 
 from conftest import make_pass, move_eqset
-from trajmark.errors import CapacityExhausted, InvalidRange, LengthMismatch
+from trajmark.errors import CapacityExhausted, InvalidRange, LengthMismatch, SchemaViolation
 from trajmark.registry import (
     Registry,
     UserRecord,
@@ -147,3 +147,16 @@ def test_registry_json_round_trip(tmp_path):
     reg.save(str(path))
     loaded = Registry.load(str(path))
     assert loaded.to_json() == reg.to_json()
+
+
+@pytest.mark.parametrize("second", ["3", "03", "003"])
+def test_registry_load_rejects_one_uid_spelled_twice(second):
+    # "3" and "03" are one UID: two users with one fingerprint would be
+    # ranked twice by localize_user
+    user = {"active_pass_ids": [1, 2], "created_at": "t"}
+    obj = {"domain": "d", "N": 8, "w_min": 0, "w_max": 8,
+           "users": [{"uid_hex": "3", **user}, {"uid_hex": second, **user}]}
+    with pytest.raises(SchemaViolation, match="duplicate uid"):
+        Registry.from_json(obj)
+    obj["users"].pop()
+    assert list(Registry.from_json(obj).uid_set()) == [3]
