@@ -31,13 +31,13 @@ from .experiment import (
     _write_csv,
 )
 from .injector import read_edit_positions, watermark_corpus, write_edits
-from .pool import POOL_FORMAT_VERSION, build_pool, load_pool, save_pool
+from .pool import POOL_FORMAT_VERSION, build_pool, load_pool, pool_from_json, save_pool
 from .registry import Registry, passes_for_uid, register_user
 from .seeds import derive_seed
 from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
-from .trajectory import read_jsonl, write_jsonl
+from .trajectory import read_json, read_jsonl, write_json, write_jsonl
 from .verifier import localize_user, verify_corpus
 
 USAGE_ERROR = 1
@@ -71,11 +71,9 @@ def _candidate_sets(ref: str):
     if ref in POOL_SHAPES:
         domain = load_domain(ref)
         return domain.eqsets, list(domain.sandbox.tools), domain.sandbox
-    with open(ref, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
+    obj = read_json(ref)
     if "passes" in obj:
-        passes = load_pool(ref)
-        sets = [p.eqset for p in passes]
+        sets = [p.eqset for p in pool_from_json(obj)]
         tools = sorted({t for s in sets for t in s.tools()})
         return sets, tools, None
     domain = DomainSpec.from_json(obj)
@@ -171,8 +169,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_localize(args) -> int:
-    with open(args.verdict, "r", encoding="utf-8") as handle:
-        verdict_obj = json.load(handle)
+    verdict_obj = read_json(args.verdict)
     registry = Registry.load(args.registry)
     vector = verdict_obj["detected_vector"]
     ranking = localize_user(vector, registry)
@@ -182,9 +179,7 @@ def _cmd_localize(args) -> int:
         verdict_obj["localization"] = [
             {"uid_hex": uid, "similarity": sim} for uid, sim in ranking[: args.top]
         ]
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(verdict_obj, handle, indent=1)
-            handle.write("\n")
+        write_json(args.report, verdict_obj)
     return 0
 
 

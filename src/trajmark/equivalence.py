@@ -34,7 +34,7 @@ from .errors import (
     UnknownTool,
 )
 from .seeds import derive_rng
-from .trajectory import Action, GreyBoxTrajectory, Scalar
+from .trajectory import Action, GreyBoxTrajectory, Scalar, json_object
 
 SCHEMES = ("VR", "PGR", "IA", "AE", "CE")
 ACTION_SCHEMES = ("VR", "PGR", "IA")
@@ -325,36 +325,24 @@ def _bindings(segment: Segment, actions: Sequence[Action], start: int) -> dict[s
     return bindings
 
 
-def instantiate_mapping(
-    mapping: ParamMapping,
-    target: Segment,
-    bindings: dict[str, Scalar],
-) -> tuple[Action, ...]:
-    """Build the target segment's concrete actions from source bindings.
+def _compile(mapping: ParamMapping, target: Segment) -> tuple[tuple, list[str]]:
+    """The plan that builds ``target``'s actions, and the slots it reads in order.
 
-    ``mapping`` must be one of an ``EquivalenceSet``'s effective mappings
-    onto ``target``, whose tool names, argument names and literals the set
-    checked when it was built, and every bound value must come from a
-    validated action or a generated token: the actions are built without
-    re-validation.
+    The plan has one ``(tool, ((arg_name, slot, literal), ...))`` row per
+    target action, ``slot`` None for a literal. ``mapping`` has been
+    checked to cover every action of ``target``.
     """
-    if len(mapping) != len(target.patterns):
-        raise MappingGap("mapping arity does not match target segment")
-    actions = []
+    plan, reads = [], []
     for pattern, entry in zip(target.patterns, mapping):
         args = []
         for arg_name, source in entry:
             if isinstance(source, Lit):
-                args.append((arg_name, source.value))
+                args.append((arg_name, None, source.value))
             else:
-                if source.slot not in bindings:
-                    raise MappingGap(
-                        f"no binding for slot {source.slot!r} needed by "
-                        f"{pattern.tool}.{arg_name}"
-                    )
-                args.append((arg_name, bindings[source.slot]))
-        actions.append(Action._trusted(pattern.tool, tuple(args)))
-    return tuple(actions)
+                args.append((arg_name, source.slot, None))
+                reads.append(source.slot)
+        plan.append((pattern.tool, tuple(args)))
+    return tuple(plan), reads
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +368,9 @@ class EquivalenceSet:
 
     Construction checks every effective mapping the way ``Action`` checks
     an action: valid tool names, distinct string argument names, and
-    literals that are finite scalars. ``rewrite`` then builds actions
-    without re-checking them.
+    literals that are finite scalars. Every slot it reads must be bound by
+    the source member. Each effective mapping is then compiled once into a
+    plan (see ``_compile``), and ``rewrite`` only reads the plan.
 
     It also builds ``base_slots``, member 0's slots sorted, and
     ``scan_index``, a read-only map from each first tool to the
@@ -403,25 +392,29 @@ class EquivalenceSet:
         if len(self.members) < 2:
             raise ValueError(f"equivalence set {self.id} needs k >= 2 members")
         # every ordered pair, a member onto itself included, must be
-        # rewritable: all slot refs of the effective mapping resolve against
-        # the source member's slots (``Segment`` checks its own param_map)
+        # rewritable: each slot its effective mapping reads is bound by the
+        # source member. A pair without an override shares the plan of its
+        # target's own param_map, compiled once.
+        own = [_compile(member.param_map, member) for member in self.members]
+        plans = []
         for src, source in enumerate(self.members):
             src_slots = source.slots()
+            row = []
             for dst, target in enumerate(self.members):
                 mapping = overrides.get((src, dst))
-                if mapping is not None:
-                    self._check_actions(mapping, dst, src)
-                elif src == dst:
-                    continue
+                if mapping is None:
+                    plan, reads = own[dst]
                 else:
-                    mapping = target.param_map
-                for entry in mapping:
-                    for _, arg_source in entry:
-                        if isinstance(arg_source, SlotRef) and arg_source.slot not in src_slots:
-                            raise MappingGap(
-                                f"set {self.id}: mapping {src}->{dst} needs slot "
-                                f"{arg_source.slot!r} not bound by member {src}"
-                            )
+                    self._check_actions(mapping, dst, src)
+                    plan, reads = _compile(mapping, target)
+                if not src_slots.issuperset(reads):
+                    slot = next(slot for slot in reads if slot not in src_slots)
+                    raise MappingGap(
+                        f"set {self.id}: mapping {src}->{dst} needs slot "
+                        f"{slot!r} not bound by member {src}"
+                    )
+                row.append(plan)
+            plans.append(tuple(row))
         # the actions each member's own param_map builds
         for dst, member in enumerate(self.members):
             self._check_actions(member.param_map, dst)
@@ -439,6 +432,7 @@ class EquivalenceSet:
             ("base_slots", tuple(sorted(self.members[0].slots()))),
             ("scan_index", MappingProxyType({t: tuple(row) for t, row in by_tool.items()})),
             ("_all_tools", frozenset(pat.tool for seg in self.members for pat in seg.patterns)),
+            ("_plans", tuple(plans)),
         ):
             object.__setattr__(self, name, value)
 
@@ -467,15 +461,22 @@ class EquivalenceSet:
                 where = f"member {dst}" if src is None else f"mapping {src}->{dst}"
                 raise ManifestError(f"set {self.id}: {where}: {exc}") from exc
 
-    def cross_map(self, src: int, dst: int) -> ParamMapping:
-        explicit = self.cross_overrides.get((src, dst))
-        if explicit is not None:
-            return explicit
-        return self.members[dst].param_map
-
     def rewrite(self, src: int, dst: int, bindings: dict[str, Scalar]) -> tuple[Action, ...]:
-        """Produce member ``dst``'s actions from a match of member ``src``."""
-        return instantiate_mapping(self.cross_map(src, dst), self.members[dst], bindings)
+        """Produce member ``dst``'s actions from a match of member ``src``.
+
+        ``bindings`` must bind every slot of member ``src``, as the bindings
+        of a decided match or a draw over ``base_slots`` for member 0 do;
+        a missing slot raises ``KeyError``. The actions are read off the
+        plan compiled at build, from checked parts, and nothing is checked
+        again.
+        """
+        return tuple([
+            Action._trusted(tool, tuple([
+                (arg_name, literal if slot is None else bindings[slot])
+                for arg_name, slot, literal in args
+            ]))
+            for tool, args in self._plans[src][dst]
+        ])
 
     def tools(self) -> frozenset[str]:
         return self._all_tools
@@ -712,7 +713,9 @@ def segment_to_json(segment: Segment) -> dict:
 
 def segment_from_json(obj: dict) -> Segment:
     patterns = tuple(
-        ActionPattern(p["tool"], tuple(p.get("slots", []))) for p in obj["patterns"]
+        # the pattern is checked before ``p.get`` reads it
+        ActionPattern(json_object(p, "pattern")["tool"], tuple(p.get("slots", [])))
+        for p in json_object(obj, "segment")["patterns"]
     )
     raw_map = obj.get("param_map")
     return Segment(patterns, mapping_from_json(raw_map) if raw_map else ())
@@ -731,8 +734,9 @@ def eqset_to_json(eqset: EquivalenceSet) -> dict:
 
 
 def eqset_from_json(obj: dict) -> EquivalenceSet:
+    raw_maps = json_object(obj, "set").get("cross_maps", {})
     overrides = {}
-    for key, raw in obj.get("cross_maps", {}).items():
+    for key, raw in json_object(raw_maps, f"set {obj.get('id')}: cross_maps").items():
         src, dst = key.split("->")
         overrides[(int(src), int(dst))] = mapping_from_json(raw)
     return EquivalenceSet(

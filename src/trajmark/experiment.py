@@ -22,7 +22,6 @@ a summary JSON with pass/fail against the acceptance thresholds, and
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -51,6 +50,7 @@ from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
+from .trajectory import read_json, write_json
 from .verifier import f1_grid, localize_user, verify_corpus
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
@@ -84,8 +84,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = read_json(path)
         raw.update({k: v for k, v in overrides.items() if v is not None})
         cfg = cls()
         for key, value in raw.items():
@@ -642,9 +641,7 @@ def run_stage(name: str, config: ExperimentConfig, pools: PoolAccessor) -> tuple
 
 
 def _write_summary(config: ExperimentConfig, summary: dict) -> None:
-    with open(os.path.join(config.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    write_json(os.path.join(config.out_dir, "summary.json"), summary)
 
 
 def run_all(config: ExperimentConfig) -> dict:

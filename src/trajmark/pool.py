@@ -16,7 +16,6 @@ other command.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,6 +35,7 @@ from .errors import NoValidCandidates, SchemaViolation
 from .seeds import derive_rng
 from .simkit.domains import DomainSpec
 from .simkit.generator import generate_greybox_corpus
+from .trajectory import json_object, read_json, write_json
 
 POOL_FORMAT_VERSION = 1
 
@@ -159,7 +159,7 @@ def pool_to_json(passes: Sequence[WatermarkPass], domain_name: str = "") -> dict
 
 
 def pool_from_json(obj: dict) -> list[WatermarkPass]:
-    version = obj.get("format_version")
+    version = json_object(obj, "pool").get("format_version")
     if version != POOL_FORMAT_VERSION:
         raise SchemaViolation(
             f"pool format {version!r} unsupported (expected {POOL_FORMAT_VERSION})"
@@ -187,14 +187,11 @@ def pool_from_json(obj: dict) -> list[WatermarkPass]:
 
 
 def save_pool(path: str, passes: Sequence[WatermarkPass], domain_name: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(pool_to_json(passes, domain_name), handle, indent=1, sort_keys=False)
-        handle.write("\n")
+    write_json(path, pool_to_json(passes, domain_name))
 
 
 def load_pool(path: str) -> list[WatermarkPass]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return pool_from_json(json.load(handle))
+    return pool_from_json(read_json(path))
 
 
 def rebias_pool(passes: Sequence[WatermarkPass], delta: float) -> list[WatermarkPass]:

@@ -10,7 +10,6 @@ vector of that weight, rejecting collisions with existing UIDs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -19,6 +18,7 @@ from typing import Iterable, KeysView, Sequence
 from .equivalence import WatermarkPass
 from .errors import CapacityExhausted, InvalidRange, LengthMismatch, SchemaViolation
 from .seeds import derive_rng
+from .trajectory import read_json, write_json
 
 DEFAULT_W_MIN = 5
 DEFAULT_W_MAX = 20
@@ -184,14 +184,11 @@ class Registry:
         return reg
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=1)
-            handle.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "Registry":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+        return cls.from_json(read_json(path))
 
 
 def _check_consistency(record: UserRecord, n_bits: int) -> None:

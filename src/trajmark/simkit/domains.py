@@ -29,7 +29,6 @@ Design rules baked into the factories:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,7 +44,7 @@ from ..equivalence import (
 )
 from ..errors import ManifestError, SchemaViolation
 from ..seeds import derive_rng
-from ..trajectory import Action
+from ..trajectory import Action, read_json, write_json
 from .sandbox import SandboxSpec, ToolSpec
 
 # Table of per-scheme pass counts for the builtin domains.
@@ -253,14 +252,11 @@ class DomainSpec:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=1)
-            handle.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "DomainSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+        return cls.from_json(read_json(path))
 
 
 # ---------------------------------------------------------------------------

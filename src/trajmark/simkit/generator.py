@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from ..equivalence import Distribution, EquivalenceSet
+from ..equivalence import Distribution
 from ..seeds import derive_rng
 from ..trajectory import Action, GreyBoxTrajectory
 from .domains import DomainSpec, Template
@@ -25,19 +25,6 @@ def _token(rng: random.Random) -> str:
 def _gen_value(gen: tuple, rng: random.Random):
     # ``DomainSpec`` admits only ("token",) and ("lit", value) generators
     return _token(rng) if gen[0] == "token" else gen[1]
-
-
-def instantiate_member(
-    eqset: EquivalenceSet, member_index: int, rng: random.Random
-) -> tuple[Action, ...]:
-    """Concrete actions for one member, from fresh canonical bindings.
-
-    Bindings are drawn for member 0's slot namespace and routed through the
-    set's cross mapping, so every generated occurrence is rewritable by the
-    injector no matter which member it instantiates.
-    """
-    bindings = {slot: _token(rng) for slot in eqset.base_slots}
-    return eqset.rewrite(0, member_index, bindings)
 
 
 def generate_trajectory(
@@ -63,7 +50,9 @@ def generate_trajectory(
             eqset = domain.eqset(item.set_id)
             dist = slot_dist(item.set_id) if slot_dist else domain.natural[item.set_id]
             member = dist.sample(rng)
-            emitted = instantiate_member(eqset, member, rng)
+            # bindings are drawn for member 0's slots and routed through the
+            # set's mapping, so the injector can rewrite any member it emits
+            emitted = eqset.rewrite(0, member, {slot: _token(rng) for slot in eqset.base_slots})
         for action in emitted:
             # one discarded draw per action keeps the per-trajectory RNG
             # stream, and so every seeded corpus, unchanged

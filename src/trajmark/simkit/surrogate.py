@@ -10,12 +10,11 @@ back to natural and are recorded rather than raised.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..equivalence import Distribution, count_members
-from ..trajectory import GreyBoxTrajectory
+from ..trajectory import GreyBoxTrajectory, write_json
 from .domains import DomainSpec
 from .generator import generate_greybox_corpus, template_for_trajectory
 
@@ -50,9 +49,7 @@ class SurrogateModel:
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=1)
-            handle.write("\n")
+        write_json(path, self.to_json())
 
 
 def _mix(empirical: Distribution, natural: Distribution, eta: float) -> Distribution:

@@ -1,4 +1,4 @@
-"""Canonical data model for actions and trajectories, plus JSONL ingestion.
+"""Canonical data model for actions and trajectories, plus JSON file I/O.
 
 An action is a tool invocation with an ordered map of scalar arguments.
 A grey-box trajectory is what a deployed agent service reveals to users:
@@ -9,7 +9,9 @@ projection ``grey_box_view`` state the grey-box contract: projection keeps
 actions and the response verbatim and drops every hidden step.
 
 Wire format: one JSON object per line (JSONL), UTF-8, ``\\n`` line endings,
-stable key order ``query_id, user_uid, actions, response``.
+stable key order ``query_id, user_uid, actions, response``. The JSON
+documents (pools, registries, domains, surrogates, verdicts, configs and
+summaries) are read by ``read_json`` and written by ``write_json``.
 """
 
 from __future__ import annotations
@@ -291,3 +293,23 @@ def write_jsonl(path: str, trajectories: Iterable[GreyBoxTrajectory]) -> int:
             handle.write("\n")
             count += 1
     return count
+
+
+def json_object(value: object, where: str) -> dict:
+    """``value`` if it is a JSON object, else a ``SchemaViolation`` naming ``where``."""
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def read_json(path: str) -> object:
+    """Decode the JSON document in a UTF-8 file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def write_json(path: str, obj: object) -> None:
+    """Write ``obj`` to a UTF-8 file as JSON indented by one space, plus a newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, indent=1)
+        handle.write("\n")

@@ -13,7 +13,6 @@ whose fingerprint it carries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,7 +20,7 @@ from typing import Sequence
 from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
 from .errors import EmptyRegistry
 from .registry import Registry, bits_to_uid
-from .trajectory import GreyBoxTrajectory
+from .trajectory import GreyBoxTrajectory, write_json
 
 DEFAULT_THETA_J = 0.015
 DEFAULT_THETA_N = 3
@@ -88,9 +87,7 @@ class Verdict:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json(), handle, indent=1)
-            handle.write("\n")
+        write_json(path, self.to_json())
 
 
 def evaluate_passes(

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +21,14 @@ from trajmark.equivalence import (
     count_members_by_trajectory,
     eqset_from_json,
     eqset_to_json,
-    instantiate_mapping,
     scan_equivalence,
 )
 from trajmark.errors import InvalidDistribution, MappingGap, NoObservations, TrajmarkError
 from trajmark.injector import watermark_corpus
 from trajmark.pool import build_pool, pool_from_json, pool_to_json
-from trajmark.simkit.domains import builtin_domain
-from trajmark.simkit.generator import generate_greybox_corpus, instantiate_member
+from trajmark.simkit.domains import DomainSpec, Template, TemplateItem, builtin_domain
+from trajmark.simkit.generator import generate_greybox_corpus
+from trajmark.simkit.sandbox import SandboxSpec
 from trajmark.trajectory import Action, GreyBoxTrajectory
 from trajmark.verifier import evaluate_passes
 
@@ -70,6 +69,33 @@ def reference_match(segment, actions, start):
     return bindings
 
 
+def reference_rewrite(mapping, target, bindings):
+    """Build ``target``'s actions by reading ``mapping`` against ``bindings``.
+
+    The package compiles each effective mapping into a plan when its set
+    is built and ``rewrite`` reads the plan; this oracle interprets the
+    mapping on every call, through the checked ``Action`` constructor,
+    and refuses a mapping of the wrong arity or a slot with no binding.
+    """
+    if len(mapping) != len(target.patterns):
+        raise MappingGap("mapping arity does not match target segment")
+    actions = []
+    for pattern, entry in zip(target.patterns, mapping):
+        args = []
+        for arg_name, source in entry:
+            if isinstance(source, Lit):
+                args.append((arg_name, source.value))
+            else:
+                if source.slot not in bindings:
+                    raise MappingGap(
+                        f"no binding for slot {source.slot!r} needed by "
+                        f"{pattern.tool}.{arg_name}"
+                    )
+                args.append((arg_name, bindings[source.slot]))
+        actions.append(Action(pattern.tool, tuple(args)))
+    return tuple(actions)
+
+
 def typed(bindings):
     """Bindings with each value's type: ``{"s": 1} == {"s": True}``, these differ."""
     return [(k, type(v), v) for k, v in bindings.items()]
@@ -77,6 +103,10 @@ def typed(bindings):
 
 def typed_spans(spans):
     return [(m_idx, start, length, typed(b)) for m_idx, start, length, b in spans]
+
+
+def typed_actions(actions):
+    return [(a.tool, typed(dict(a.args))) for a in actions]
 
 
 def reference_scan(actions, eqset):
@@ -549,9 +579,25 @@ def _assert_validated(actions):
        seed=st.integers(0, 2**16))
 def test_trusted_actions_equal_validated_ones(eqset, values, seed):
     bindings = dict(zip(_SLOTS, values))
-    for src in range(len(eqset.members)):
-        for dst in range(len(eqset.members)):
-            mapping = eqset.cross_map(src, dst)
-            _assert_validated(instantiate_mapping(mapping, eqset.members[dst], bindings))
-            _assert_validated(eqset.rewrite(src, dst, bindings))
-        _assert_validated(instantiate_member(eqset, src, random.Random(seed)))
+    k = len(eqset.members)
+    for src in range(k):
+        for dst in range(k):
+            actions = eqset.rewrite(src, dst, bindings)
+            _assert_validated(actions)
+            # the effective mapping: the pair's override, else the target's own
+            mapping = eqset.cross_overrides.get((src, dst), eqset.members[dst].param_map)
+            expected = reference_rewrite(mapping, eqset.members[dst], bindings)
+            assert typed_actions(actions) == typed_actions(expected)
+    # the generator draws tokens for member 0's slots and rewrites them onto
+    # the member it drew; one trajectory per member, each forced by its draw
+    domain = DomainSpec(
+        "small", SandboxSpec(), (eqset,), {eqset.id: Distribution((1.0 / k,) * k)},
+        {eqset.id: 0}, (Template("t", (TemplateItem("slot", set_id=eqset.id),)),),
+    )
+    for member in range(k):
+        only = Distribution(tuple(float(m == member) for m in range(k)))
+        (generated,) = generate_greybox_corpus(domain, 1, seed, slot_dist=lambda _: only)
+        _assert_validated(generated.actions)
+        assert [a.tool for a in generated.actions] == [
+            p.tool for p in eqset.members[member].patterns
+        ]

@@ -140,6 +140,22 @@ def _empty_source(data_pool):
     return doc
 
 
+def _pool_array(data_pool):
+    return []
+
+
+def _set_string(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["set"] = "d.vr.1"
+    return doc
+
+
+def _cross_maps_array(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["set"]["cross_maps"] = []
+    return doc
+
+
 def _active_ids_int(data_pool):
     user = {"uid_hex": "03", "active_pass_ids": 5, "created_at": "t"}
     return {"domain": "d", "N": 8, "w_min": 1, "w_max": 8, "users": [user]}
@@ -149,6 +165,10 @@ def _active_ids_int(data_pool):
     ("--pool", _passes_of_ints, "TypeError"),
     ("--pool", _biased_null, "TypeError"),
     ("--pool", _empty_source, "IndexError"),
+    # a node of the wrong container type is refused before it is used
+    ("--pool", _pool_array, "pool"),
+    ("--pool", _set_string, "set"),
+    ("--pool", _cross_maps_array, "set d.vr.1: cross_maps"),
     ("--registry", _active_ids_int, "TypeError"),
 ])
 def test_cli_malformed_document_is_a_data_error(tmp_path, capsys, data_pool, flag, build, error):
