@@ -38,7 +38,7 @@ from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
 from .trajectory import read_json, read_jsonl, write_json, write_jsonl
-from .verifier import localize_user, verify_corpus
+from .verifier import DEFAULT_M_MIN, DEFAULT_THETA_J, DEFAULT_THETA_N, localize_user, verify_corpus
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -115,7 +115,7 @@ def _cmd_register(args) -> int:
 
 def _cmd_simulate(args) -> int:
     domain = load_domain(args.domain)
-    n = args.n or domain.corpus_sizes.get("fit", 2500)
+    n = args.n or domain.corpus_sizes["fit"]
     if args.mode == "victim":
         corpus = generate_greybox_corpus(domain, n, _seed(args), id_prefix="q")
     elif args.mode == "benign":
@@ -353,9 +353,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="test a suspect dump against the full pool")
     p.add_argument("--pool", required=True)
     p.add_argument("--suspect", required=True)
-    p.add_argument("--theta-j", type=float, default=0.015)
-    p.add_argument("--theta-n", type=int, default=3)
-    p.add_argument("--m-min", type=int, default=30)
+    p.add_argument("--theta-j", type=float, default=DEFAULT_THETA_J)
+    p.add_argument("--theta-n", type=int, default=DEFAULT_THETA_N)
+    p.add_argument("--m-min", type=int, default=DEFAULT_M_MIN)
     p.add_argument("--report", default=None)
     common(p)
     p.set_defaults(fn=_cmd_verify)

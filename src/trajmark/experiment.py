@@ -50,8 +50,15 @@ from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
-from .trajectory import read_json, write_json
-from .verifier import f1_grid, localize_user, verify_corpus
+from .trajectory import json_object, read_json, write_json
+from .verifier import (
+    DEFAULT_M_MIN,
+    DEFAULT_THETA_J,
+    DEFAULT_THETA_N,
+    f1_grid,
+    localize_user,
+    verify_corpus,
+)
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
 DEFAULT_THETA_N_GRID = (1, 2, 3, 4, 5)
@@ -67,9 +74,9 @@ class ExperimentConfig:
     out_dir: str = "reports"
     theta_j_list: tuple[float, ...] = DEFAULT_THETA_J_GRID
     theta_n_list: tuple[int, ...] = DEFAULT_THETA_N_GRID
-    theta_j_default: float = 0.015
-    theta_n_default: int = 3
-    m_min: int = 30
+    theta_j_default: float = DEFAULT_THETA_J
+    theta_n_default: int = DEFAULT_THETA_N
+    m_min: int = DEFAULT_M_MIN
     n_attackers: int = 12
     n_benign: int = 12
     eta: float = 1.0
@@ -84,7 +91,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        raw = read_json(path)
+        raw = json_object(read_json(path), "config")
         raw.update({k: v for k, v in overrides.items() if v is not None})
         cfg = cls()
         for key, value in raw.items():

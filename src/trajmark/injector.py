@@ -1,12 +1,12 @@
 """Watermark insertion: scan visible action sequences and rewrite matches.
 
-Passes are applied sequentially in ascending ``order_rank``; each pass
-scans the action sequence as left by its predecessors, so a rewrite made
-by an earlier pass can create or destroy matches for a later one. Every
-matched span triggers an independent draw from the pass's biased
-distribution; draws that select the already-present member are recorded
-but rewrite nothing. Actions outside matched spans and the response string
-are never touched.
+Passes are applied sequentially in ascending ``order_rank``, whatever
+order they are listed in; each pass scans the action sequence as left by
+its predecessors, so a rewrite made by an earlier pass can create or
+destroy matches for a later one. Every matched span triggers an
+independent draw from the pass's biased distribution; draws that select
+the already-present member are recorded but rewrite nothing. Actions
+outside matched spans and the response string are never touched.
 """
 
 from __future__ import annotations
@@ -111,15 +111,15 @@ def watermark_trajectory(
     passes: Sequence[WatermarkPass],
     rng: random.Random,
 ) -> tuple[GreyBoxTrajectory, list[EditRecord]]:
-    """Apply a user's passes in fixed order to one trajectory.
+    """Apply a user's passes, in ascending ``order_rank``, to one trajectory.
 
-    Each pass scans the possibly already-rewritten sequence of its
-    predecessors. Edit records come back with ``final_positions`` resolved
-    against the returned trajectory.
+    ``passes`` may be in any order. Each pass scans the possibly
+    already-rewritten sequence of its predecessors. Edit records come back
+    with ``final_positions`` resolved against the returned trajectory.
 
-    A pass none of whose members' first tools occurs in the current
-    actions has no span, so it draws nothing and is skipped; the tools
-    present change only when a draw changes a span.
+    A pass none of whose set's tools occurs in the current actions has no
+    span, so it draws nothing and is skipped; the tools present change
+    only when a draw changes a span.
     """
     if not t.actions:
         raise EmptyActions(f"trajectory {t.query_id!r} has no actions")
@@ -130,7 +130,7 @@ def watermark_trajectory(
     # Action object may sit at several indices of a trajectory
     positions: list[list[int]] = []
     for wm_pass in sorted(passes, key=lambda p: p.order_rank):
-        if present.isdisjoint(wm_pass.eqset.scan_index):
+        if present.isdisjoint(wm_pass.eqset.tools()):
             continue
         actions, new_edits = apply_pass(actions, wm_pass, rng)
         if not new_edits:

@@ -26,7 +26,6 @@ from .equivalence import (
     WatermarkPass,
     ValidationReport,
     count_members,
-    derive_target_distribution,
     eqset_from_json,
     eqset_to_json,
     validate_equivalence,
@@ -84,7 +83,7 @@ def build_pool(
 ) -> tuple[list[WatermarkPass], PoolBuildReport]:
     """Validate candidates, calibrate naturals, and derive biased targets."""
     delta = domain.delta if delta is None else delta
-    calibration_size = calibration_size or domain.corpus_sizes.get("calibration", 6000)
+    calibration_size = calibration_size or domain.corpus_sizes["calibration"]
     calibration = generate_greybox_corpus(
         domain, calibration_size, derive_rng(seed, "calibration").randrange(2**63),
         id_prefix="cal",
@@ -164,24 +163,23 @@ def pool_from_json(obj: dict) -> list[WatermarkPass]:
         raise SchemaViolation(
             f"pool format {version!r} unsupported (expected {POOL_FORMAT_VERSION})"
         )
-    passes = []
-    for raw in obj.get("passes", []):
-        passes.append(
-            WatermarkPass(
-                pass_id=raw["pass_id"],
-                eqset=eqset_from_json(raw["set"]),
-                natural=Distribution(tuple(raw["natural"])),
-                target_index=raw["target_index"],
-                delta=raw["delta"],
-                order_rank=raw["order_rank"],
-                biased=Distribution(tuple(raw["biased"])),
-            )
+    passes = [
+        WatermarkPass(
+            pass_id=raw["pass_id"],
+            eqset=eqset_from_json(raw["set"]),
+            natural=Distribution(tuple(raw["natural"])),
+            target_index=raw["target_index"],
+            delta=raw["delta"],
+            order_rank=raw["order_rank"],
+            biased=Distribution(tuple(raw["biased"])),
         )
-    ids = sorted(p.pass_id for p in passes)
-    if ids != list(range(1, len(passes) + 1)):
+        for raw in obj.get("passes", [])
+    ]
+    # pass i+1 sits at index i, whatever order the file lists them in
+    passes.sort(key=lambda p: p.pass_id)
+    if [p.pass_id for p in passes] != list(range(1, len(passes) + 1)):
         raise SchemaViolation("pass_ids must be exactly 1..N")
-    ranks = sorted(p.order_rank for p in passes)
-    if len(set(ranks)) != len(ranks):
+    if len({p.order_rank for p in passes}) != len(passes):
         raise SchemaViolation("order_ranks must be unique")
     return passes
 
@@ -195,7 +193,7 @@ def load_pool(path: str) -> list[WatermarkPass]:
 
 
 def rebias_pool(passes: Sequence[WatermarkPass], delta: float) -> list[WatermarkPass]:
-    """The same pool at a different watermark strength."""
+    """The same pool, in the same order, at a different watermark strength."""
     return [
         WatermarkPass(
             pass_id=p.pass_id,
@@ -204,7 +202,6 @@ def rebias_pool(passes: Sequence[WatermarkPass], delta: float) -> list[Watermark
             target_index=p.target_index,
             delta=delta,
             order_rank=p.order_rank,
-            biased=derive_target_distribution(p.natural, p.target_index, delta),
         )
         for p in passes
     ]

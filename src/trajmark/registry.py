@@ -102,10 +102,7 @@ class Registry:
         w_max: int = DEFAULT_W_MAX,
         users: Iterable[UserRecord] = (),
     ) -> None:
-        if not (0 <= w_min <= w_max <= n_bits):
-            raise InvalidRange(
-                f"need 0 <= w_min <= w_max <= N, got ({w_min}, {w_max}, {n_bits})"
-            )
+        self.capacity = capacity(n_bits, w_min, w_max)
         self.domain = domain
         self.n_bits = n_bits
         self.w_min = w_min
@@ -211,10 +208,8 @@ def register_user(
     combinatorial capacity.
     """
     existing = reg.uid_set()
-    if len(existing) >= capacity(reg.n_bits, reg.w_min, reg.w_max):
-        raise CapacityExhausted(
-            f"all {capacity(reg.n_bits, reg.w_min, reg.w_max)} UIDs assigned"
-        )
+    if len(existing) >= reg.capacity:
+        raise CapacityExhausted(f"all {reg.capacity} UIDs assigned")
     attempt = 0
     while True:
         rng = derive_rng(rng_seed, "register", len(reg.users), attempt)
@@ -237,22 +232,23 @@ def register_user(
 def passes_for_uid(
     uid_hex: str, pool: Sequence[WatermarkPass]
 ) -> list[WatermarkPass]:
-    """Decode a UID into its activated passes, sorted by application order.
+    """Decode a UID into its activated passes, in pass-id order.
 
-    Pass ``i+1`` is active iff bit ``i`` (LSB first) of the UID is set; the
-    pool must therefore be exactly as long as the UID is wide.
+    Pass ``i+1`` is active iff bit ``i`` (LSB first) of the UID is set, and
+    it sits at ``pool[i]``, as in every pool ``build_pool``, ``load_pool``
+    and ``rebias_pool`` return; the pool must be exactly as long as the
+    UID is wide. The injector applies the passes in ``order_rank`` order.
     """
     n_bits = len(pool)
     uid = hex_to_uid(uid_hex, n_bits)
-    by_id = {p.pass_id: p for p in pool}
     active = []
     for i in range(n_bits):
         if (uid >> i) & 1:
-            pass_id = i + 1
-            if pass_id not in by_id:
-                raise LengthMismatch(f"pool has no pass {pass_id}")
-            active.append(by_id[pass_id])
-    return sorted(active, key=lambda p: p.order_rank)
+            wm_pass = pool[i]
+            if wm_pass.pass_id != i + 1:
+                raise LengthMismatch(f"pool[{i}] holds pass {wm_pass.pass_id}, not {i + 1}")
+            active.append(wm_pass)
+    return active
 
 
 def capacity(n_bits: int, w_min: int, w_max: int) -> int:

@@ -44,7 +44,7 @@ from ..equivalence import (
 )
 from ..errors import ManifestError, SchemaViolation
 from ..seeds import derive_rng
-from ..trajectory import Action, read_json, write_json
+from ..trajectory import Action, json_object, read_json, write_json
 from .sandbox import SandboxSpec, ToolSpec
 
 # Table of per-scheme pass counts for the builtin domains.
@@ -107,7 +107,8 @@ class DomainSpec:
 
     The spec is frozen and holds its sets and templates as tuples, so the
     checks made when it is built hold for its life; derive a changed spec
-    with ``dataclasses.replace``, which checks it again.
+    with ``dataclasses.replace``, which checks it again. Each corpus size
+    that ``corpus_sizes`` does not give is read from ``DEFAULT_CORPUS_SIZES``.
     """
 
     name: str
@@ -117,9 +118,10 @@ class DomainSpec:
     targets: dict[str, int]
     templates: tuple[Template, ...]
     delta: float = DEFAULT_DELTA
-    corpus_sizes: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_CORPUS_SIZES))
+    corpus_sizes: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "corpus_sizes", {**DEFAULT_CORPUS_SIZES, **self.corpus_sizes})
         object.__setattr__(self, "eqsets", tuple(self.eqsets))
         object.__setattr__(self, "templates", tuple(self.templates))
         by_id = {e.id: e for e in self.eqsets}
@@ -225,18 +227,15 @@ class DomainSpec:
         for raw in obj["templates"]:
             items = []
             for item in raw["items"]:
-                if item["kind"] == "slot":
+                if json_object(item, f"template {raw['id']}: item")["kind"] == "slot":
                     items.append(TemplateItem(kind="slot", set_id=item["set"]))
                 else:
-                    items.append(
-                        TemplateItem(
-                            kind="action",
-                            tool=item["tool"],
-                            args=tuple(
-                                (name, tuple(gen)) for name, gen in item["args"].items()
-                            ),
-                        )
-                    )
+                    args = json_object(item["args"], f"template {raw['id']}: args")
+                    items.append(TemplateItem(
+                        kind="action",
+                        tool=item["tool"],
+                        args=tuple((name, tuple(gen)) for name, gen in args.items()),
+                    ))
             templates.append(
                 Template(raw["id"], tuple(items), raw.get("weight", 1.0))
             )
@@ -248,7 +247,7 @@ class DomainSpec:
             targets=targets,
             templates=templates,
             delta=obj.get("delta", DEFAULT_DELTA),
-            corpus_sizes=obj.get("corpus_sizes", dict(DEFAULT_CORPUS_SIZES)),
+            corpus_sizes=obj.get("corpus_sizes", {}),
         )
 
     def save(self, path: str) -> None:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from trajmark.cli import main
 from trajmark.equivalence import ActionPattern, EquivalenceSet, Segment
 from trajmark.errors import NoValidCandidates
 from trajmark.pool import build_pool, load_pool, pool_from_json, pool_to_json, save_pool
+from trajmark.registry import Registry, passes_for_uid, register_user
 from trajmark.simkit.domains import builtin_domain
 
 
@@ -56,6 +58,20 @@ def test_pool_file_round_trip(tmp_path, data_pool):
     save_pool(str(path), data_pool, "data")
     loaded = load_pool(str(path))
     assert pool_to_json(loaded, "data") == pool_to_json(data_pool, "data")
+
+
+def test_pool_file_out_of_pass_id_order_loads_in_pass_id_order(tmp_path, data_pool):
+    doc = _pool_doc(data_pool)
+    random.Random(5).shuffle(doc["passes"])
+    assert [p["pass_id"] for p in doc["passes"]] != list(range(1, 40))
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_pool(str(path))
+    assert pool_to_json(loaded, "data") == pool_to_json(data_pool, "data")
+    reg = Registry("data", len(data_pool))
+    for seed in range(5):
+        uid = register_user(reg, rng_seed=seed).uid_hex
+        assert passes_for_uid(uid, loaded) == passes_for_uid(uid, data_pool)
 
 
 def test_pool_build_reproducible_byte_identical(tmp_path, data_domain):
@@ -156,6 +172,18 @@ def _cross_maps_array(data_pool):
     return doc
 
 
+def _config_array(data_pool):
+    return []
+
+
+def _filler_args_array(data_pool):
+    doc = builtin_domain("data").to_json()
+    # the first filler action, in template data-t01
+    item = next(i for t in doc["templates"] for i in t["items"] if i["kind"] == "action")
+    item["args"] = []
+    return doc
+
+
 def _active_ids_int(data_pool):
     user = {"uid_hex": "03", "active_pass_ids": 5, "created_at": "t"}
     return {"domain": "d", "N": 8, "w_min": 1, "w_max": 8, "users": [user]}
@@ -170,6 +198,8 @@ def _active_ids_int(data_pool):
     ("--pool", _set_string, "set"),
     ("--pool", _cross_maps_array, "set d.vr.1: cross_maps"),
     ("--registry", _active_ids_int, "TypeError"),
+    ("--config", _config_array, "config"),
+    ("--domain", _filler_args_array, "template data-t01: args"),
 ])
 def test_cli_malformed_document_is_a_data_error(tmp_path, capsys, data_pool, flag, build, error):
     path = tmp_path / "doc.json"

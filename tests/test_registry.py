@@ -91,9 +91,10 @@ def test_capacity_exhaustion():
 
 def test_passes_for_uid_bit_semantics(ce_set):
     pool = [make_pass(ce_set, (0.6, 0.4), pass_id=i, order_rank=6 - i) for i in range(1, 6)]
-    # uid 0b00101 activates passes 1 and 3; order_rank sorts 3 before 1
+    # uid 0b00101 activates passes 1 and 3, in pass-id order; order_rank
+    # is the injector's to apply
     active = passes_for_uid(uid_to_hex(0b00101, 5), pool)
-    assert [p.pass_id for p in active] == [3, 1]
+    assert [p.pass_id for p in active] == [1, 3]
     assert passes_for_uid(uid_to_hex(0, 5), pool) == []
 
 
@@ -106,6 +107,24 @@ def test_passes_for_uid_popcount_property(ce_set):
         assert len(active) == bin(record.uid_int()).count("1")
         ranks = [p.order_rank for p in active]
         assert ranks == sorted(ranks)
+
+
+def test_passes_for_uid_refuses_a_pool_out_of_pass_id_order(ce_set):
+    pool = [make_pass(ce_set, (0.6, 0.4), pass_id=i) for i in (2, 1, 3)]
+    # bit 2 reads pool[2], which is pass 3: that bit alone decodes
+    assert [p.pass_id for p in passes_for_uid(uid_to_hex(0b100, 3), pool)] == [3]
+    with pytest.raises(LengthMismatch, match=r"pool\[0\] holds pass 2, not 1"):
+        passes_for_uid(uid_to_hex(0b101, 3), pool)
+
+
+def test_registry_refuses_a_bad_weight_band():
+    with pytest.raises(InvalidRange) as built:
+        Registry("data", 10, w_min=5, w_max=3)
+    with pytest.raises(InvalidRange) as counted:
+        capacity(10, 5, 3)
+    assert str(built.value) == str(counted.value)
+    with pytest.raises(InvalidRange):
+        Registry("data", 10, w_min=0, w_max=11)
 
 
 def test_uid_length_checks(ce_set):

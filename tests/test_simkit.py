@@ -15,6 +15,7 @@ from trajmark.equivalence import (
 )
 from trajmark.errors import TrajmarkError
 from trajmark.simkit.domains import (
+    DEFAULT_CORPUS_SIZES,
     POOL_SHAPES,
     DomainSpec,
     Template,
@@ -220,6 +221,14 @@ def test_domain_json_round_trip(tmp_path, mini_domain):
     a = generate_greybox_corpus(mini_domain, 10, seed=1)
     b = generate_greybox_corpus(loaded, 10, seed=1)
     assert a == b
+
+
+def test_domain_file_fills_missing_corpus_sizes_from_the_defaults(mini_domain):
+    obj = mini_domain.to_json()
+    obj["corpus_sizes"] = {"fit": 10}
+    assert DomainSpec.from_json(obj).corpus_sizes == {**DEFAULT_CORPUS_SIZES, "fit": 10}
+    del obj["corpus_sizes"]
+    assert DomainSpec.from_json(obj).corpus_sizes == DEFAULT_CORPUS_SIZES
 
 
 def test_surrogate_json_round_trip(tmp_path, mini_domain):
