@@ -28,6 +28,7 @@ from .trajectory import Action, GreyBoxTrajectory
 from .verifier import precision_recall_f1
 
 PK_NAME_SIMILARITY = 0.84
+REPHRASE_RATE = 0.1
 FK_SUSPICION_SHARE = 0.95
 FK_MIN_COUNT = 20
 
@@ -104,14 +105,12 @@ def attack_random_deletion(
 _SYNONYMS = {"std": "default", "hit": "match", "ok": "fine", "all": "every"}
 
 
-def attack_rephrase_stub(
-    corpus: Sequence[GreyBoxTrajectory], rng_seed: int, q: float = 0.1
-) -> AttackOutcome:
+def attack_rephrase_stub(corpus: Sequence[GreyBoxTrajectory], rng_seed: int) -> AttackOutcome:
     """Synonym-table rephrase over tool argument strings.
 
     Stand-in for an LLM paraphrase attack; it perturbs argument surface
-    forms (with probability ``q`` per action) but cannot reach the
-    tool-choice level where the watermark lives. Not semantics-preserving.
+    forms (with probability ``REPHRASE_RATE`` per action) but cannot reach
+    the tool-choice level where the watermark lives. Not semantics-preserving.
     """
     outcome = AttackOutcome("rephrase-stub", [], [])
     for idx, traj in enumerate(corpus):
@@ -119,7 +118,7 @@ def attack_rephrase_stub(
         new_actions = []
         touched = set()
         for pos, action in enumerate(traj.actions):
-            if rng.random() < q and action.args:
+            if rng.random() < REPHRASE_RATE and action.args:
                 name, value = action.args[rng.randrange(len(action.args))]
                 if isinstance(value, str):
                     new_value = _SYNONYMS.get(value, f"{value}bis")
@@ -138,25 +137,20 @@ def attack_rephrase_stub(
     return outcome
 
 
-def near_duplicate_map(
-    tool_names: Sequence[str], threshold: float = PK_NAME_SIMILARITY
-) -> dict[str, list[str]]:
-    """Tools whose names are close string neighbours of each other."""
+def near_duplicate_map(tool_names: Sequence[str]) -> dict[str, list[str]]:
+    """Tools whose names are at least ``PK_NAME_SIMILARITY`` alike, by difflib ratio."""
     names = sorted(set(tool_names))
     neighbours: dict[str, list[str]] = {n: [] for n in names}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            if difflib.SequenceMatcher(None, a, b).ratio() >= threshold:
+            if difflib.SequenceMatcher(None, a, b).ratio() >= PK_NAME_SIMILARITY:
                 neighbours[a].append(b)
                 neighbours[b].append(a)
     return neighbours
 
 
 def attack_pk_replacement(
-    corpus: Sequence[GreyBoxTrajectory],
-    tool_library: Sequence[str],
-    rng_seed: int,
-    threshold: float = PK_NAME_SIMILARITY,
+    corpus: Sequence[GreyBoxTrajectory], tool_library: Sequence[str], rng_seed: int
 ) -> AttackOutcome:
     """Partially knowledgeable replacement via tool-name similarity.
 
@@ -165,7 +159,7 @@ def attack_pk_replacement(
     arguments - no scheme structure, no param maps. Blind swaps routinely
     land on non-equivalent tools or wrong arities.
     """
-    neighbours = near_duplicate_map(tool_library, threshold)
+    neighbours = near_duplicate_map(tool_library)
     outcome = AttackOutcome("pk-replace", [], [])
     for idx, traj in enumerate(corpus):
         rng = derive_rng(rng_seed, "attack", "pk", idx)

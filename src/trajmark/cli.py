@@ -25,6 +25,7 @@ from .errors import TrajmarkError
 from .experiment import (
     STAGES,
     ExperimentConfig,
+    all_pass,
     pool_accessor,
     run_all,
     run_stage,
@@ -261,8 +262,7 @@ def _cmd_experiment(args) -> int:
     for key, value in acceptance.items():
         _say(args, f"{key}: {value}")
     _say(args, f"reports in {config.out_dir}")
-    passed = all(v for v in acceptance.values() if isinstance(v, bool))
-    return 0 if passed else ACCEPTANCE_FAILURE
+    return 0 if all_pass(acceptance) else ACCEPTANCE_FAILURE
 
 
 def _cmd_validate(args) -> int:

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Sequence
 
 from .attacks import (
     attack_fk_replacement,
@@ -42,7 +42,7 @@ from .equivalence import (
     js_divergence,
     kl_divergence,
 )
-from .errors import NoObservations
+from .errors import NoObservations, SchemaViolation
 from .injector import changed_positions, watermark_corpus
 from .pool import build_pool, rebias_pool
 from .registry import Registry, register_user, passes_for_uid, uid_bits
@@ -51,57 +51,66 @@ from .simkit.domains import DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
 from .trajectory import json_object, read_json, write_json
-from .verifier import (
-    DEFAULT_M_MIN,
-    DEFAULT_THETA_J,
-    DEFAULT_THETA_N,
-    f1_grid,
-    localize_user,
-    verify_corpus,
-)
+from .verifier import DEFAULT_THETA_J, DEFAULT_THETA_N, f1_grid, localize_user, verify_corpus
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
 DEFAULT_THETA_N_GRID = (1, 2, 3, 4, 5)
+LOCALIZATION_MAX_DROPS = 2
+DELTA_SWEEP = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+STEALTH_DELTAS = (1.0, 2.0, 3.0)
 STEALTH_CORPUS_SIZE = 4000
+BOOTSTRAP_DRAWS = 10000
+ATTACK_USER_SEED = 31  # registers the calibrated bench adversary
 
 
 @dataclass
 class ExperimentConfig:
-    """Knobs for the harness; flags override file values, file overrides defaults."""
+    """What a run may vary; flags override file values, file overrides defaults.
+
+    The thresholds, sweeps and seeds that the acceptance gates are defined
+    at are module constants.
+    """
 
     domains: tuple[str, ...] = ("data", "business", "social")
     seed: int = 7
     out_dir: str = "reports"
-    theta_j_list: tuple[float, ...] = DEFAULT_THETA_J_GRID
-    theta_n_list: tuple[int, ...] = DEFAULT_THETA_N_GRID
-    theta_j_default: float = DEFAULT_THETA_J
-    theta_n_default: int = DEFAULT_THETA_N
-    m_min: int = DEFAULT_M_MIN
     n_attackers: int = 12
     n_benign: int = 12
-    eta: float = 1.0
     localization_extra_users: tuple[int, ...] = (0, 1000, 2000, 5000)
     localization_seeds: int = 10
-    localization_max_drops: int = 2
-    delta_list: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
-    stealth_deltas: tuple[float, ...] = (1.0, 2.0, 3.0)
     closed_loop_corpus: int = 30000
-    attack_user_seed: int = 31  # registers the calibrated bench adversary
-    pool_seed: int = 42
+    pool_seed: ClassVar[int] = 42
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        raw = json_object(read_json(path), "config")
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-        cfg = cls()
-        for key, value in raw.items():
-            if not hasattr(cfg, key):
-                raise KeyError(f"unknown config key {key!r}")
-            current = getattr(cfg, key)
-            if isinstance(current, tuple) and not isinstance(value, tuple):
-                value = tuple(value)
-            setattr(cfg, key, value)
-        return cfg
+        """Load a JSON object whose keys name fields and match their defaults' types."""
+        where = f"config: {path}"
+        defaults = {f.name: f.default for f in fields(cls)}
+        values = {}
+        for key, value in json_object(read_json(path), where).items():
+            if key not in defaults:
+                raise SchemaViolation(f"{where}: unknown key {key!r}")
+            values[key] = _checked_value(value, defaults[key], f"{where}: {key}")
+        values.update({k: v for k, v in overrides.items() if v is not None})
+        return cls(**values)
+
+
+def _checked_value(value: object, default: object, where: str) -> object:
+    """``value`` if its type is exactly ``default``'s, so no bool passes for an int.
+
+    A tuple default takes a non-empty list of its items' type, as a tuple.
+    """
+    if isinstance(default, tuple):
+        if type(value) is not list or not value:
+            raise SchemaViolation(f"{where}: expected a non-empty list, got {value!r}")
+        return tuple(
+            _checked_value(item, default[0], f"{where}[{i}]") for i, item in enumerate(value)
+        )
+    if type(value) is not type(default):
+        raise SchemaViolation(
+            f"{where}: expected {type(default).__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 def _write_csv(path: str, header: Sequence[str], rows: list[list]) -> None:
@@ -133,6 +142,25 @@ def pool_accessor(config: ExperimentConfig) -> PoolAccessor:
     return pools
 
 
+def _watermarked_victim(config, domain, passes, tag, size, id_prefix, user_seed=None):
+    """``(active passes, watermarked corpus, edit log)`` of one fresh user.
+
+    Every seed derives from ``config.seed`` and ``tag``; ``user_seed``, when
+    given, registers the user in place of the derived one.
+    """
+    if user_seed is None:
+        user_seed = derive_seed(config.seed, tag, "user")
+    user = register_user(Registry(domain.name, len(passes)), user_seed)
+    active = passes_for_uid(user.uid_hex, passes)
+    victim = generate_greybox_corpus(
+        domain, size, derive_seed(config.seed, tag, "victim"), id_prefix=id_prefix
+    )
+    wm, edits = watermark_corpus(
+        victim, active, seed=derive_seed(config.seed, tag, "inject"), uid_hex=user.uid_hex
+    )
+    return active, wm, edits
+
+
 # ---------------------------------------------------------------------------
 # detection grid
 # ---------------------------------------------------------------------------
@@ -157,7 +185,7 @@ def _grid_suspects(config: ExperimentConfig, domain: DomainSpec, passes):
             seed=derive_seed(config.seed, "grid", domain.name, "inject", i),
             uid_hex=attacker.uid_hex,
         )
-        surrogate = fit_surrogate(harvested, domain, eta=config.eta)
+        surrogate = fit_surrogate(harvested, domain, eta=1.0)
         positives.append(
             sample_surrogate(
                 surrogate, domain, sizes["verify"],
@@ -188,8 +216,7 @@ def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
         domain, passes = pools(name)
         positives, positives_low, negatives, _ = _grid_suspects(config, domain, passes)
         cells = f1_grid(
-            positives, negatives, passes,
-            config.theta_j_list, config.theta_n_list, config.m_min,
+            positives, negatives, passes, DEFAULT_THETA_J_GRID, DEFAULT_THETA_N_GRID
         )
         for cell in cells:
             rows.append(
@@ -197,15 +224,13 @@ def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
                  round(cell.precision, 6), round(cell.recall, 6), round(cell.f1, 6)]
             )
         by_key = {(c.theta_j, c.theta_n): c for c in cells}
-        default_cell = by_key[(config.theta_j_default, config.theta_n_default)]
-        loose_j = max(config.theta_j_list)
+        default_cell = by_key[(DEFAULT_THETA_J, DEFAULT_THETA_N)]
+        loose_j = max(DEFAULT_THETA_J_GRID)
         # low-volume suspects at the strictest pass-count threshold
-        high_n = max(config.theta_n_list)
+        high_n = max(DEFAULT_THETA_N_GRID)
         missed = 0
         for corpus in positives_low:
-            verdict = verify_corpus(
-                corpus, passes, config.theta_j_default, high_n, config.m_min
-            )
+            verdict = verify_corpus(corpus, passes, theta_n=high_n)
             if not verdict.classified_as_imitation:
                 missed += 1
         recall_low = 1.0 - missed / len(positives_low)
@@ -225,7 +250,7 @@ def run_localization(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Top-1 attribution accuracy across user-pool sizes.
 
     Attackers register first; each seed then adds a fresh benign pool.
-    Per attacker, up to ``localization_max_drops`` detected bits are
+    Per attacker, up to ``LOCALIZATION_MAX_DROPS`` detected bits are
     dropped (uniformly chosen count) to model imitation signal loss, and
     the damaged vector is matched against the registry.
     """
@@ -253,7 +278,7 @@ def run_localization(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             for attacker in attackers:
                 bits = list(uid_bits(attacker.uid_int(), n_bits))
                 set_positions = [i for i, b in enumerate(bits) if b]
-                n_drop = drop_rng.randint(0, config.localization_max_drops)
+                n_drop = drop_rng.randint(0, LOCALIZATION_MAX_DROPS)
                 for pos in drop_rng.sample(set_positions, min(n_drop, len(set_positions))):
                     bits[pos] = 0
                 damaged.append(bits)
@@ -286,7 +311,7 @@ def run_delta_kld(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     domain, passes = pools(name)
     rows = []
     per_pass_series = {p.pass_id: [] for p in passes}
-    for delta in config.delta_list:
+    for delta in DELTA_SWEEP:
         shifted = rebias_pool(passes, delta)
         klds = [kl_divergence(p.biased, p.natural) for p in shifted]
         for p, v in zip(shifted, klds):
@@ -298,12 +323,8 @@ def run_delta_kld(config: ExperimentConfig, pools: PoolAccessor) -> dict:
         all(a < b for a, b in zip(series, series[1:]))
         for series in per_pass_series.values()
     )
-    zero_at_zero = all(
-        series[i] == 0.0
-        for series in per_pass_series.values()
-        for i, d in enumerate(config.delta_list)
-        if d == 0.0
-    )
+    # DELTA_SWEEP starts at 0.0
+    zero_at_zero = all(series[0] == 0.0 for series in per_pass_series.values())
     return {
         "rows": rows,
         "strictly_increasing": strictly_increasing,
@@ -320,16 +341,8 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     name = config.domains[0]
     domain, passes = pools(name)
     sizes = domain.corpus_sizes
-    registry = Registry(domain.name, len(passes))
-    attacker = register_user(registry, config.attack_user_seed)
-    active = passes_for_uid(attacker.uid_hex, passes)
-    victim = generate_greybox_corpus(
-        domain, sizes["attack"], derive_seed(config.seed, "attack", "victim"),
-        id_prefix="a",
-    )
-    wm, edits = watermark_corpus(
-        victim, active, seed=derive_seed(config.seed, "attack", "inject"),
-        uid_hex=attacker.uid_hex,
+    _, wm, edits = _watermarked_victim(
+        config, domain, passes, "attack", sizes["attack"], "a", ATTACK_USER_SEED
     )
     truth = changed_positions(edits)
 
@@ -338,7 +351,7 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             fit_surrogate(wm, domain, eta=1.0), domain, sizes["verify"],
             derive_seed(config.seed, "attack", "baseline"),
         ),
-        passes, config.theta_j_default, config.theta_n_default, config.m_min,
+        passes,
     )
 
     outcomes = [
@@ -362,7 +375,7 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
                 domain, sizes["verify"],
                 derive_seed(config.seed, "attack", "post", outcome.strategy),
             ),
-            passes, config.theta_j_default, config.theta_n_default, config.m_min,
+            passes,
         )
         metrics[outcome.strategy] = {
             "precision": m.precision,
@@ -386,7 +399,7 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
 # stealth: per-trajectory divergence vs. bootstrap noise
 # ---------------------------------------------------------------------------
 
-def _bootstrap_q99(natural, m: int, rng, draws: int = 10000) -> float:
+def _bootstrap_q99(natural, m: int, rng) -> float:
     """99th percentile of JSD(empirical of m natural draws, natural).
 
     Only C(m+k-1, k-1) count vectors exist for m draws over k members, so
@@ -395,7 +408,7 @@ def _bootstrap_q99(natural, m: int, rng, draws: int = 10000) -> float:
     values = []
     jsd_of: dict[tuple[int, ...], float] = {}
     k = len(natural)
-    for _ in range(draws):
+    for _ in range(BOOTSTRAP_DRAWS):
         counts = [0] * k
         for _ in range(m):
             counts[natural.sample(rng)] += 1
@@ -406,7 +419,7 @@ def _bootstrap_q99(natural, m: int, rng, draws: int = 10000) -> float:
             jsd = jsd_of[key] = js_divergence(emp, natural)
         values.append(jsd)
     values.sort()
-    return values[min(draws - 1, int(0.99 * draws))]
+    return values[int(0.99 * BOOTSTRAP_DRAWS)]
 
 
 def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
@@ -429,7 +442,7 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     worst = {}
     boot_cache: dict[tuple, float] = {}
     boot_rng = derive_rng(config.seed, "stealth", "bootstrap")
-    for delta in config.stealth_deltas:
+    for delta in STEALTH_DELTAS:
         passes = rebias_pool(base_passes, delta)
         active = passes_for_uid(user.uid_hex, passes)
         wm, _ = watermark_corpus(
@@ -470,16 +483,8 @@ def run_closed_loop(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Inject at corpus scale, re-estimate, and measure recovery error."""
     name = config.domains[0]
     domain, passes = pools(name)
-    registry = Registry(domain.name, len(passes))
-    user = register_user(registry, derive_seed(config.seed, "loop", "user"))
-    active = passes_for_uid(user.uid_hex, passes)
-    victim = generate_greybox_corpus(
-        domain, config.closed_loop_corpus,
-        derive_seed(config.seed, "loop", "victim"), id_prefix="cl",
-    )
-    wm, _ = watermark_corpus(
-        victim, active, seed=derive_seed(config.seed, "loop", "inject"),
-        uid_hex=user.uid_hex,
+    active, wm, _ = _watermarked_victim(
+        config, domain, passes, "loop", config.closed_loop_corpus, "cl"
     )
     per_set = {}
     counts = count_members(wm, [p.eqset for p in active])
@@ -505,16 +510,7 @@ def run_eta_sweep(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     name = config.domains[0]
     domain, passes = pools(name)
     sizes = domain.corpus_sizes
-    registry = Registry(domain.name, len(passes))
-    attacker = register_user(registry, derive_seed(config.seed, "eta", "user"))
-    active = passes_for_uid(attacker.uid_hex, passes)
-    victim = generate_greybox_corpus(
-        domain, sizes["fit"], derive_seed(config.seed, "eta", "victim"), id_prefix="e"
-    )
-    harvested, _ = watermark_corpus(
-        victim, active, seed=derive_seed(config.seed, "eta", "inject"),
-        uid_hex=attacker.uid_hex,
-    )
+    active, harvested, _ = _watermarked_victim(config, domain, passes, "eta", sizes["fit"], "e")
     rows = []
     for eta in (0.7, 0.85, 1.0):
         surrogate = fit_surrogate(harvested, domain, eta=eta)
@@ -522,10 +518,7 @@ def run_eta_sweep(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             surrogate, domain, sizes["verify"],
             derive_seed(config.seed, "eta", "sample", eta),
         )
-        verdict = verify_corpus(
-            suspect, passes, config.theta_j_default, config.theta_n_default,
-            config.m_min,
-        )
+        verdict = verify_corpus(suspect, passes)
         rows.append(
             [eta, len(active), verdict.n_det, verdict.classified_as_imitation]
         )
@@ -634,6 +627,11 @@ STAGES: dict[str, Stage] = {
 }
 
 
+def all_pass(acceptance: dict) -> bool:
+    """True when every boolean entry of an acceptance block holds."""
+    return all(v for v in acceptance.values() if isinstance(v, bool))
+
+
 def run_stage(name: str, config: ExperimentConfig, pools: PoolAccessor) -> tuple[dict, dict]:
     """Run one stage, write its report, and return (result, acceptance entries).
 
@@ -681,7 +679,7 @@ def run_all(config: ExperimentConfig) -> dict:
             name: c["f1_at_default"] for name, c in results["f1-grid"]["checks"].items()
         },
         "acceptance": acceptance,
-        "all_pass": all(v for v in acceptance.values() if isinstance(v, bool)),
+        "all_pass": all_pass(acceptance),
     }
     _write_summary(config, summary)
     return summary

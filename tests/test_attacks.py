@@ -84,7 +84,7 @@ def test_pk_zero_flags_without_near_duplicates():
 
 
 def test_near_duplicate_map_thresholds():
-    nd = near_duplicate_map(["Audit_d1.Log", "Audit_d1.LogAll", "Plainly.Other"], 0.84)
+    nd = near_duplicate_map(["Audit_d1.Log", "Audit_d1.LogAll", "Plainly.Other"])
     assert nd["Audit_d1.Log"] == ["Audit_d1.LogAll"]
     assert nd["Plainly.Other"] == []
 

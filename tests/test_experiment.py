@@ -1,16 +1,23 @@
 """The harness's stage table, its per-run pool accessor and the CLI over it."""
 
+import json
+import re
+
 import pytest
 
 import trajmark.experiment as experiment
 from trajmark.cli import build_parser, main
+from trajmark.errors import SchemaViolation
 from trajmark.experiment import (
+    DEFAULT_THETA_J_GRID,
+    DEFAULT_THETA_N_GRID,
     STAGES,
     ExperimentConfig,
     pool_accessor,
     run_closed_loop,
     run_delta_kld,
 )
+from trajmark.verifier import DEFAULT_THETA_J, DEFAULT_THETA_N
 
 
 def test_stages_share_one_pool_build(monkeypatch, tmp_path):
@@ -32,6 +39,38 @@ def test_stages_share_one_pool_build(monkeypatch, tmp_path):
     # a new accessor is a new run: nothing is kept between runs
     pool_accessor(config)("data")
     assert built == ["data", "data"]
+
+
+def test_grid_holds_the_cells_the_gates_read():
+    # f1-grid reads the cell at the default thresholds and the theta_n = 1 column
+    assert DEFAULT_THETA_J in DEFAULT_THETA_J_GRID
+    assert DEFAULT_THETA_N in DEFAULT_THETA_N_GRID
+    assert 1 in DEFAULT_THETA_N_GRID
+
+
+def test_config_file_sets_fields_and_flags_win(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"domains": ["data"], "seed": 3, "localization_extra_users": [0, 50]}
+    ))
+    config = ExperimentConfig.from_file(str(path), seed=9, out_dir=None)
+    assert config == ExperimentConfig(
+        domains=("data",), seed=9, localization_extra_users=(0, 50)
+    )
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"n_benign": True}, "n_benign"),
+    ({"localization_extra_users": []}, "localization_extra_users"),
+    ({"localization_extra_users": [0, "5"]}, "localization_extra_users[1]"),
+    ({"pool_seed": 1}, "'pool_seed'"),
+])
+def test_config_error_names_file_and_key(tmp_path, doc, where):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaViolation, match=re.escape(f"config: {path}: ")) as info:
+        ExperimentConfig.from_file(str(path))
+    assert where in str(info.value)
 
 
 @pytest.mark.parametrize("stage", list(STAGES))

@@ -176,6 +176,28 @@ def _config_array(data_pool):
     return []
 
 
+def _config_seed_string(data_pool):
+    return {"seed": "x"}
+
+
+def _config_domains_int(data_pool):
+    return {"domains": 5}
+
+
+def _config_domains_string(data_pool):
+    # a bare string is not a one-domain list
+    return {"domains": "data"}
+
+
+def _config_unknown_key(data_pool):
+    return {"bogus": 1}
+
+
+def _config_removed_key(data_pool):
+    # the thresholds are constants, not config fields
+    return {"theta_j_default": 0.02}
+
+
 def _filler_args_array(data_pool):
     doc = builtin_domain("data").to_json()
     # the first filler action, in template data-t01
@@ -199,6 +221,11 @@ def _active_ids_int(data_pool):
     ("--pool", _cross_maps_array, "set d.vr.1: cross_maps"),
     ("--registry", _active_ids_int, "TypeError"),
     ("--config", _config_array, "config"),
+    ("--config", _config_seed_string, "config"),
+    ("--config", _config_domains_int, "config"),
+    ("--config", _config_domains_string, "config"),
+    ("--config", _config_unknown_key, "config"),
+    ("--config", _config_removed_key, "config"),
     ("--domain", _filler_args_array, "template data-t01: args"),
 ])
 def test_cli_malformed_document_is_a_data_error(tmp_path, capsys, data_pool, flag, build, error):
