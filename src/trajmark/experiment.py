@@ -50,7 +50,7 @@ from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
-from .trajectory import json_object, read_json, write_json
+from .trajectory import _gc_paused, json_object, read_json, write_json
 from .verifier import DEFAULT_THETA_J, DEFAULT_THETA_N, f1_grid, localize_user, verify_corpus
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
@@ -61,6 +61,15 @@ STEALTH_DELTAS = (1.0, 2.0, 3.0)
 STEALTH_CORPUS_SIZE = 4000
 BOOTSTRAP_DRAWS = 10000
 ATTACK_USER_SEED = 31  # registers the calibrated bench adversary
+
+# the least value of each count; a tuple's minimum holds for every item
+_MINIMUMS = {
+    "n_attackers": 1,
+    "n_benign": 1,
+    "localization_extra_users": 0,
+    "localization_seeds": 1,
+    "closed_loop_corpus": 1,
+}
 
 
 @dataclass
@@ -83,33 +92,42 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        """Load a JSON object whose keys name fields and match their defaults' types."""
+        """Load a JSON object whose keys name fields and match their defaults' types.
+
+        A count below its minimum in ``_MINIMUMS`` is refused too.
+        """
         where = f"config: {path}"
         defaults = {f.name: f.default for f in fields(cls)}
         values = {}
         for key, value in json_object(read_json(path), where).items():
             if key not in defaults:
                 raise SchemaViolation(f"{where}: unknown key {key!r}")
-            values[key] = _checked_value(value, defaults[key], f"{where}: {key}")
+            values[key] = _checked_value(
+                value, defaults[key], f"{where}: {key}", _MINIMUMS.get(key)
+            )
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
 
-def _checked_value(value: object, default: object, where: str) -> object:
+def _checked_value(value: object, default: object, where: str, minimum: int | None) -> object:
     """``value`` if its type is exactly ``default``'s, so no bool passes for an int.
 
     A tuple default takes a non-empty list of its items' type, as a tuple.
+    A number below ``minimum``, when one is given, is refused.
     """
     if isinstance(default, tuple):
         if type(value) is not list or not value:
             raise SchemaViolation(f"{where}: expected a non-empty list, got {value!r}")
         return tuple(
-            _checked_value(item, default[0], f"{where}[{i}]") for i, item in enumerate(value)
+            _checked_value(item, default[0], f"{where}[{i}]", minimum)
+            for i, item in enumerate(value)
         )
     if type(value) is not type(default):
         raise SchemaViolation(
             f"{where}: expected {type(default).__name__}, got {type(value).__name__}"
         )
+    if minimum is not None and value < minimum:
+        raise SchemaViolation(f"{where}: expected at least {minimum}, got {value!r}")
     return value
 
 
@@ -632,6 +650,7 @@ def all_pass(acceptance: dict) -> bool:
     return all(v for v in acceptance.values() if isinstance(v, bool))
 
 
+@_gc_paused
 def run_stage(name: str, config: ExperimentConfig, pools: PoolAccessor) -> tuple[dict, dict]:
     """Run one stage, write its report, and return (result, acceptance entries).
 

@@ -19,7 +19,9 @@ from typing import Iterable, Sequence
 from .equivalence import WatermarkPass, scan_equivalence
 from .errors import EmptyActions, SchemaViolation
 from .seeds import derive_rng
-from .trajectory import Action, GreyBoxTrajectory, decode_json_line, iter_parsed_lines
+from .trajectory import (
+    Action, GreyBoxTrajectory, _gc_paused, decode_json_line, iter_parsed_lines,
+)
 
 
 @dataclass
@@ -149,6 +151,7 @@ def watermark_trajectory(
     return replace(t, actions=actions), edits
 
 
+@_gc_paused
 def watermark_corpus(
     corpus: Iterable[GreyBoxTrajectory],
     passes: Sequence[WatermarkPass],

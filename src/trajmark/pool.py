@@ -34,7 +34,7 @@ from .errors import NoValidCandidates, SchemaViolation
 from .seeds import derive_rng
 from .simkit.domains import DomainSpec
 from .simkit.generator import generate_greybox_corpus
-from .trajectory import json_object, read_json, write_json
+from .trajectory import _gc_paused, json_object, read_json, write_json
 
 POOL_FORMAT_VERSION = 1
 
@@ -74,6 +74,7 @@ def _order_ranks(schemes: Sequence[str]) -> list[int]:
     return ranks
 
 
+@_gc_paused
 def build_pool(
     domain: DomainSpec,
     seed: int,

@@ -18,7 +18,7 @@ from typing import Iterable, KeysView, Sequence
 from .equivalence import WatermarkPass
 from .errors import CapacityExhausted, InvalidRange, LengthMismatch, SchemaViolation
 from .seeds import derive_rng
-from .trajectory import read_json, write_json
+from .trajectory import json_object, read_json, write_json
 
 DEFAULT_W_MIN = 5
 DEFAULT_W_MAX = 20
@@ -161,14 +161,17 @@ class Registry:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Registry":
+    def from_json(cls, obj: dict, where: str = "registry") -> "Registry":
+        """The registry a document describes; a node that is no object names ``where``."""
+        obj = json_object(obj, where)
         reg = cls(
             domain=obj["domain"],
             n_bits=obj["N"],
             w_min=obj.get("w_min", DEFAULT_W_MIN),
             w_max=obj.get("w_max", DEFAULT_W_MAX),
         )
-        for raw in obj.get("users", []):
+        for i, raw in enumerate(obj.get("users", [])):
+            raw = json_object(raw, f"{where}: users[{i}]")
             record = UserRecord(
                 uid_hex=raw["uid_hex"],
                 active_pass_ids=tuple(raw["active_pass_ids"]),
@@ -185,7 +188,7 @@ class Registry:
 
     @classmethod
     def load(cls, path: str) -> "Registry":
-        return cls.from_json(read_json(path))
+        return cls.from_json(read_json(path), f"registry: {path}")
 
 
 def _check_consistency(record: UserRecord, n_bits: int) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..equivalence import Distribution, count_members
-from ..trajectory import GreyBoxTrajectory, write_json
+from ..trajectory import GreyBoxTrajectory, _gc_paused, write_json
 from .domains import DomainSpec
 from .generator import generate_greybox_corpus, template_for_trajectory
 
@@ -117,6 +117,7 @@ def benign_surrogate(domain: DomainSpec) -> SurrogateModel:
     )
 
 
+@_gc_paused
 def sample_surrogate(
     model: SurrogateModel,
     domain: DomainSpec,

@@ -16,6 +16,8 @@ summaries) are read by ``read_json`` and written by ``write_json``.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import math
 import re
@@ -26,6 +28,7 @@ from .errors import EmptyActions, MalformedLine, SchemaViolation
 
 Scalar = Union[str, int, float, bool]
 T = TypeVar("T")
+F = TypeVar("F", bound=Callable)
 
 _TOOL_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 _UID_RE = re.compile(r"[0-9a-f]+\Z")
@@ -112,6 +115,31 @@ class Action:
             if key == name:
                 return value
         return None
+
+
+def _gc_paused(fn: F) -> F:
+    """Run ``fn`` with the cyclic garbage collector off; for whole-corpus entry points.
+
+    ``build_pool``, ``watermark_corpus``, ``sample_surrogate`` and
+    ``run_stage`` build corpora of frozen, acyclic actions, tuples and
+    strings that reference counting alone frees; the full collections
+    their allocations set off freed 0 objects. The pause is process-wide
+    while it lasts, so other threads get no cycle collection either. If
+    the collector is already off, the call leaves it off: only the
+    outermost paused call turns it back on.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)

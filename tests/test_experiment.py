@@ -64,6 +64,11 @@ def test_config_file_sets_fields_and_flags_win(tmp_path):
     ({"localization_extra_users": []}, "localization_extra_users"),
     ({"localization_extra_users": [0, "5"]}, "localization_extra_users[1]"),
     ({"pool_seed": 1}, "'pool_seed'"),
+    ({"n_attackers": 0}, "n_attackers"),
+    ({"n_benign": 0}, "n_benign"),
+    ({"localization_seeds": 0}, "localization_seeds"),
+    ({"closed_loop_corpus": 0}, "closed_loop_corpus"),
+    ({"localization_extra_users": [0, -1]}, "localization_extra_users[1]"),
 ])
 def test_config_error_names_file_and_key(tmp_path, doc, where):
     path = tmp_path / "config.json"

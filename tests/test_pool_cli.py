@@ -198,6 +198,30 @@ def _config_removed_key(data_pool):
     return {"theta_j_default": 0.02}
 
 
+def _config_zero_seeds(data_pool):
+    return {"localization_seeds": 0}
+
+
+def _config_zero_corpus(data_pool):
+    return {"closed_loop_corpus": 0}
+
+
+def _config_zero_attackers(data_pool):
+    return {"n_attackers": 0}
+
+
+def _config_zero_benign(data_pool):
+    return {"n_benign": 0}
+
+
+def _registry_array(data_pool):
+    return []
+
+
+def _registry_user_array(data_pool):
+    return {"domain": "data", "N": 39, "users": [[]]}
+
+
 def _filler_args_array(data_pool):
     doc = builtin_domain("data").to_json()
     # the first filler action, in template data-t01
@@ -226,6 +250,13 @@ def _active_ids_int(data_pool):
     ("--config", _config_domains_string, "config"),
     ("--config", _config_unknown_key, "config"),
     ("--config", _config_removed_key, "config"),
+    # a count below its minimum is refused by name, before a stage divides by it
+    ("--config", _config_zero_seeds, "config"),
+    ("--config", _config_zero_corpus, "config"),
+    ("--config", _config_zero_attackers, "config"),
+    ("--config", _config_zero_benign, "config"),
+    ("--registry", _registry_array, "registry"),
+    ("--registry", _registry_user_array, "registry"),
     ("--domain", _filler_args_array, "template data-t01: args"),
 ])
 def test_cli_malformed_document_is_a_data_error(tmp_path, capsys, data_pool, flag, build, error):

@@ -1,5 +1,7 @@
 """Trajectory model: parsing, serialization, and grey-box projection."""
 
+import gc
+import inspect
 import json
 import math
 import random
@@ -11,15 +13,22 @@ from hypothesis import strategies as st
 
 from trajmark.cli import main
 from trajmark.errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
+from trajmark.experiment import run_stage
+from trajmark.injector import watermark_corpus, watermark_trajectory
+from trajmark.pool import build_pool
+from trajmark.registry import register_user
+from trajmark.simkit.surrogate import sample_surrogate
 from trajmark.trajectory import (
     Action,
     FullTrajectory,
     GreyBoxTrajectory,
+    _gc_paused,
     grey_box_view,
     parse_trajectory_line,
     read_jsonl,
     serialize_trajectory,
 )
+from trajmark.verifier import localize_user
 
 
 def random_trajectory(rng: random.Random, idx: int) -> GreyBoxTrajectory:
@@ -391,3 +400,82 @@ def test_parser_refuses_exactly_what_the_reference_refuses(t, mutations):
         except TrajmarkError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
+# the collector pause around whole-corpus entry points
+# ---------------------------------------------------------------------------
+
+@_gc_paused
+def _collector_state():
+    return gc.isenabled()
+
+
+@_gc_paused
+def _raise_paused():
+    raise ValueError("inside")
+
+
+@_gc_paused
+def _nested_paused():
+    inner = _collector_state()
+    return inner, gc.isenabled()
+
+
+def test_gc_pause_reenables_after_return_and_after_raise():
+    assert gc.isenabled()
+    assert _collector_state() is False
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="inside"):
+        _raise_paused()
+    assert gc.isenabled()
+
+
+def test_gc_pause_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        assert _collector_state() is False
+        with pytest.raises(ValueError):
+            _raise_paused()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_nested_gc_pause_reenables_only_at_the_outermost_exit():
+    # the inner call returns inside the outer pause and must not end it
+    assert _nested_paused() == (False, False)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("fn, name, params", [
+    (build_pool, "build_pool",
+     ["domain", "seed", "delta", "n_validation_cases", "calibration_size"]),
+    (watermark_corpus, "watermark_corpus", ["corpus", "passes", "seed", "uid_hex", "stamp_uid"]),
+    (sample_surrogate, "sample_surrogate", ["model", "domain", "n", "seed", "id_prefix"]),
+    (run_stage, "run_stage", ["name", "config", "pools"]),
+])
+def test_paused_entry_points_keep_name_doc_and_signature(fn, name, params):
+    # the bench and run_stage find these functions by name
+    assert fn.__wrapped__.__name__ == fn.__name__ == name
+    assert fn.__doc__ and fn.__doc__ == fn.__wrapped__.__doc__
+    assert list(inspect.signature(fn).parameters) == params
+
+
+@pytest.mark.parametrize("fn", [
+    watermark_trajectory, parse_trajectory_line, register_user, localize_user,
+])
+def test_per_trajectory_functions_are_not_paused(fn):
+    assert not hasattr(fn, "__wrapped__")
+
+
+def test_watermark_corpus_reads_its_corpus_with_the_collector_paused():
+    seen = []
+
+    def corpus():
+        seen.append(gc.isenabled())
+        yield from ()
+
+    assert watermark_corpus(corpus(), [], seed=1) == ([], [])
+    assert seen == [False]
+    assert gc.isenabled()
