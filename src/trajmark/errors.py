@@ -81,7 +81,7 @@ class CapacityExhausted(TrajmarkError):
 
 
 class LengthMismatch(TrajmarkError):
-    """UID bit-length does not equal the pass-pool size."""
+    """A UID or detected-pass vector's bit-length does not equal the pool size."""
 
 
 class InvalidRange(TrajmarkError):

@@ -270,7 +270,8 @@ def run_localization(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     Attackers register first; each seed then adds a fresh benign pool.
     Per attacker, up to ``LOCALIZATION_MAX_DROPS`` detected bits are
     dropped (uniformly chosen count) to model imitation signal loss, and
-    the damaged vector is matched against the registry.
+    the damaged vector is ranked once; a pool of the first ``n`` users
+    accuses the first entry of that ranking registered among them.
     """
     rows = []
     accuracy: dict[str, dict[int, float]] = {}
@@ -300,15 +301,13 @@ def run_localization(config: ExperimentConfig, pools: PoolAccessor) -> dict:
                 for pos in drop_rng.sample(set_positions, min(n_drop, len(set_positions))):
                     bits[pos] = 0
                 damaged.append(bits)
-            for extra in config.localization_extra_users:
-                view = Registry(
-                    domain.name, n_bits, registry.w_min, registry.w_max,
-                    users=registry.users[: config.n_attackers + extra],
-                )
-                for attacker, bits in zip(attackers, damaged):
-                    ranking = localize_user(bits, view)
+            index = {user.uid_hex: i for i, user in enumerate(registry.users)}
+            for attacker, bits in zip(attackers, damaged):
+                ranking = localize_user(bits, registry)
+                for extra in config.localization_extra_users:
+                    top = next(uid for uid, _ in ranking if index[uid] < config.n_attackers + extra)
                     tallies[extra][1] += 1
-                    if ranking[0][0] == attacker.uid_hex:
+                    if top == attacker.uid_hex:
                         tallies[extra][0] += 1
         accuracy[name] = {}
         for extra in config.localization_extra_users:

@@ -11,9 +11,10 @@ vector of that weight, rejecting collisions with existing UIDs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, KeysView, Sequence
+from typing import KeysView, Sequence
 
 from .equivalence import WatermarkPass
 from .errors import CapacityExhausted, InvalidRange, LengthMismatch, SchemaViolation
@@ -88,10 +89,11 @@ class _ReadOnlyList(Sequence):
 class Registry:
     """All assigned watermark pass sets for one domain's pool.
 
-    ``users`` is a read-only view, in registration order. Users are added
-    only through ``append`` (or ``register_user``), which keeps the UID
-    index and the scoring table in step with it. A registry of some other
-    list of users is built from those records.
+    ``users`` is a read-only view, in registration order. That is the
+    registry's only order: ``localize_user`` breaks score ties toward the
+    earlier registration, and ``created_at`` is information only. Users
+    are added only through ``append`` (or ``register_user``), which keeps
+    the UID index and the scoring table in step with them.
     """
 
     def __init__(
@@ -100,7 +102,6 @@ class Registry:
         n_bits: int,
         w_min: int = DEFAULT_W_MIN,
         w_max: int = DEFAULT_W_MAX,
-        users: Iterable[UserRecord] = (),
     ) -> None:
         self.capacity = capacity(n_bits, w_min, w_max)
         self.domain = domain
@@ -110,9 +111,7 @@ class Registry:
         self._users: list[UserRecord] = []
         self._view = _ReadOnlyList(self._users)
         self._uid_index: dict[int, None] = {}
-        self._table: tuple[list[str], list[int], list[int]] | None = None
-        for record in users:
-            self.append(record)
+        self._table: tuple[list[str], list[int], list[int]] = ([], [], [])
 
     @property
     def users(self) -> Sequence[UserRecord]:
@@ -123,26 +122,22 @@ class Registry:
         return self._uid_index.keys()
 
     def scoring_table(self) -> tuple[list[str], list[int], list[int]]:
-        """The users in ranking tie-break order, for scoring every one at once.
+        """The users in registration order, for scoring every one at once.
 
-        Returns the hex UIDs sorted by ``(created_at, uid_hex)``, with each
-        one's int UID and popcount at the same index. Built on first use
-        and dropped by ``append``.
+        Returns the hex UIDs, with each one's int UID and popcount at the
+        same index. ``append`` extends the three lists; callers only read
+        them.
         """
-        if self._table is None:
-            ordered = sorted(self._users, key=lambda u: (u.created_at, u.uid_hex))
-            uids = [u.uid_int() for u in ordered]
-            self._table = (
-                [u.uid_hex for u in ordered],
-                uids,
-                [uid.bit_count() for uid in uids],
-            )
         return self._table
 
     def append(self, record: UserRecord) -> None:
-        self._uid_index[record.uid_int()] = None
+        uid = record.uid_int()
+        self._uid_index[uid] = None
         self._users.append(record)
-        self._table = None
+        uid_hexes, uids, popcounts = self._table
+        uid_hexes.append(record.uid_hex)
+        uids.append(uid)
+        popcounts.append(uid.bit_count())
 
     def to_json(self) -> dict:
         return {
@@ -162,7 +157,7 @@ class Registry:
 
     @classmethod
     def from_json(cls, obj: dict, where: str = "registry") -> "Registry":
-        """The registry a document describes; a node that is no object names ``where``."""
+        """The registry a document describes; a mistyped node names ``where`` and its key."""
         obj = json_object(obj, where)
         reg = cls(
             domain=obj["domain"],
@@ -171,16 +166,27 @@ class Registry:
             w_max=obj.get("w_max", DEFAULT_W_MAX),
         )
         for i, raw in enumerate(obj.get("users", [])):
-            raw = json_object(raw, f"{where}: users[{i}]")
-            record = UserRecord(
-                uid_hex=raw["uid_hex"],
-                active_pass_ids=tuple(raw["active_pass_ids"]),
-                created_at=raw["created_at"],
-            )
-            if record.uid_int() in reg.uid_set():
-                raise SchemaViolation(f"duplicate uid {record.uid_hex} in registry")
-            _check_consistency(record, reg.n_bits)
-            reg.append(record)
+            at = f"{where}: users[{i}]"
+            raw = json_object(raw, at)
+            uid_hex, pass_ids, created_at = raw["uid_hex"], raw["active_pass_ids"], raw["created_at"]
+            if not (isinstance(uid_hex, str) and re.fullmatch("[0-9a-f]+", uid_hex)):
+                raise SchemaViolation(
+                    f"{at}.uid_hex: expected a lowercase hex string, got {uid_hex!r}"
+                )
+            if not isinstance(pass_ids, list) or any(type(p) is not int for p in pass_ids):
+                raise SchemaViolation(
+                    f"{at}.active_pass_ids: expected an array of ints, got {pass_ids!r}"
+                )
+            if not isinstance(created_at, str):
+                raise SchemaViolation(
+                    f"{at}.created_at: expected a string, got {type(created_at).__name__}"
+                )
+            uid = hex_to_uid(uid_hex, reg.n_bits)
+            if uid in reg.uid_set():
+                raise SchemaViolation(f"{at}: duplicate uid {uid_hex}")
+            if tuple(k + 1 for k in range(reg.n_bits) if (uid >> k) & 1) != tuple(sorted(pass_ids)):
+                raise SchemaViolation(f"{at}: active_pass_ids inconsistent with uid {uid_hex}")
+            reg.append(UserRecord(uid_hex, tuple(pass_ids), created_at))
         return reg
 
     def save(self, path: str) -> None:
@@ -189,15 +195,6 @@ class Registry:
     @classmethod
     def load(cls, path: str) -> "Registry":
         return cls.from_json(read_json(path), f"registry: {path}")
-
-
-def _check_consistency(record: UserRecord, n_bits: int) -> None:
-    uid = hex_to_uid(record.uid_hex, n_bits)
-    derived = tuple(i + 1 for i in range(n_bits) if (uid >> i) & 1)
-    if derived != tuple(sorted(record.active_pass_ids)):
-        raise SchemaViolation(
-            f"uid {record.uid_hex}: active_pass_ids inconsistent with bits"
-        )
 
 
 def register_user(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
-from .errors import EmptyRegistry
+from .errors import EmptyRegistry, LengthMismatch
 from .registry import Registry, bits_to_uid
 from .trajectory import GreyBoxTrajectory, write_json
 
@@ -197,18 +197,18 @@ def localize_user(
     The score is the cosine similarity of the two bit vectors,
     ``|v & u| / sqrt(|v| |u|)``, or 0.0 when they share no bit; the
     vector folds into an int (a nonzero entry is a set bit) and each UID
-    is scored by popcount. Ties break toward earlier registration, then
-    lexicographic UID; the top-1 entry is the accusation, but the full
-    ranking is returned so an investigator can work down a shortlist.
+    is scored by popcount. Ties break toward the earlier registration;
+    the top-1 entry is the accusation, but the full ranking is returned
+    so an investigator can work down a shortlist.
 
-    The users come from ``registry.scoring_table()``, already in
-    tie-break order with their int UIDs and popcounts, so one stable sort
-    by score alone gives the ranking.
+    ``registry.scoring_table()`` lists the users in registration order, so
+    one stable sort by score alone gives the ranking, and the ranking of
+    the first ``n`` users is this one with the later users left out.
     """
     if not registry.users:
         raise EmptyRegistry(f"registry for domain {registry.domain!r} has no users")
     if len(detected_vector) != registry.n_bits:
-        raise ValueError(
+        raise LengthMismatch(
             f"vector length {len(detected_vector)} != registry N {registry.n_bits}"
         )
     v = bits_to_uid(detected_vector)

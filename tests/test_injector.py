@@ -18,6 +18,7 @@ from trajmark.equivalence import (
     EquivalenceSet,
     Segment,
     count_members,
+    count_members_by_trajectory,
     scan_equivalence,
 )
 from trajmark.errors import EmptyActions, TrajmarkError
@@ -352,6 +353,41 @@ def test_single_pass_rescan_recovers_the_draws(domain_pools, seeds, data):
                 shift += len(edit.rewritten_actions) - edit.length
             found = scan_equivalence(t.actions, wm_pass.eqset)
             assert [(start, m_idx) for m_idx, start, _, _ in found] == expected, name
+
+
+@settings(max_examples=10, deadline=None)
+@given(seeds=st.tuples(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32)))
+def test_edit_log_predicts_the_verifier_counts(domain_pools, seeds):
+    # What the injector logs is what the verifier counts: per trajectory and
+    # set, the count after watermarking is the count before, minus each
+    # edit's original member, plus its replacement. It holds for a user's
+    # whole pass subset in the built-in pools because no two of their
+    # passes share a tool, so one pass's rewrite never touches another
+    # pass's matches, and a rewrite never creates or hides a match of its
+    # own set. Over arbitrary sets it can fail (see the comment above), so
+    # this pins the built-in pools, not the scanner in general.
+    user_seed, corpus_seed, inject_seed = seeds
+    for name, (domain, pool) in domain_pools.items():
+        user = register_user(Registry(name, len(pool)), rng_seed=user_seed)
+        active = passes_for_uid(user.uid_hex, pool)
+        corpus = generate_greybox_corpus(domain, 100, seed=corpus_seed, id_prefix="id")
+        out, edits_by_traj = watermark_corpus(
+            corpus, active, seed=inject_seed, uid_hex=user.uid_hex
+        )
+        eqsets = [p.eqset for p in pool]
+        before = count_members_by_trajectory(corpus, eqsets)
+        after = count_members_by_trajectory(out, eqsets)
+        active_ids = {p.pass_id for p in active}
+        for counts_before, counts_after, edits in zip(before, after, edits_by_traj):
+            expected = [list(row) for row in counts_before]
+            for edit in edits:
+                assert edit.pass_id in active_ids, name
+                expected[edit.pass_id - 1][edit.original_index] -= 1
+                expected[edit.pass_id - 1][edit.replacement_index] += 1
+            assert counts_after == expected, name
+            # so the sets of passes the user does not hold keep their counts
+            assert all(counts_after[i] == counts_before[i]
+                       for i in range(len(pool)) if i + 1 not in active_ids), name
 
 
 def test_edit_log_round_trip(tmp_path, data_domain, data_pool):

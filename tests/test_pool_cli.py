@@ -235,6 +235,11 @@ def _active_ids_int(data_pool):
     return {"domain": "d", "N": 8, "w_min": 1, "w_max": 8, "users": [user]}
 
 
+def _uid_hex_not_hex(data_pool):
+    user = {"uid_hex": "ZZ", "active_pass_ids": [], "created_at": "t"}
+    return {"domain": "d", "N": 8, "w_min": 0, "w_max": 8, "users": [user]}
+
+
 @pytest.mark.parametrize("flag, build, error", [
     ("--pool", _passes_of_ints, "TypeError"),
     ("--pool", _biased_null, "TypeError"),
@@ -243,7 +248,6 @@ def _active_ids_int(data_pool):
     ("--pool", _pool_array, "pool"),
     ("--pool", _set_string, "set"),
     ("--pool", _cross_maps_array, "set d.vr.1: cross_maps"),
-    ("--registry", _active_ids_int, "TypeError"),
     ("--config", _config_array, "config"),
     ("--config", _config_seed_string, "config"),
     ("--config", _config_domains_int, "config"),
@@ -257,6 +261,9 @@ def _active_ids_int(data_pool):
     ("--config", _config_zero_benign, "config"),
     ("--registry", _registry_array, "registry"),
     ("--registry", _registry_user_array, "registry"),
+    # a user record's fields are type-checked by name
+    ("--registry", _active_ids_int, "registry"),
+    ("--registry", _uid_hex_not_hex, "registry"),
     ("--domain", _filler_args_array, "template data-t01: args"),
 ])
 def test_cli_malformed_document_is_a_data_error(tmp_path, capsys, data_pool, flag, build, error):
@@ -347,6 +354,17 @@ def test_cli_attack_writes_metrics(workdir, capsys):
     assert len(rows) == 5
     for strategy in ("random-deletion", "rephrase-stub", "pk-replace", "fk-replace"):
         assert (workdir / f"attacked.{strategy}.jsonl").exists()
+
+
+def test_cli_localize_rejects_a_vector_of_another_length(tmp_path, capsys):
+    registry = tmp_path / "reg.json"
+    reg = Registry("data", 39)
+    register_user(reg, rng_seed=1)
+    reg.save(str(registry))
+    verdict = tmp_path / "verdict.json"
+    verdict.write_text(json.dumps({"detected_vector": [1, 0]}))
+    assert main(["localize", "--verdict", str(verdict), "--registry", str(registry)]) == 2
+    assert capsys.readouterr().err == "trajmark: vector length 2 != registry N 39\n"
 
 
 def test_cli_validate_happy_path(workdir):

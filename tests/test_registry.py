@@ -1,5 +1,6 @@
 """UID registration, bit decoding, and capacity combinatorics."""
 
+import json
 import math
 
 import pytest
@@ -179,3 +180,26 @@ def test_registry_load_rejects_one_uid_spelled_twice(second):
         Registry.from_json(obj)
     obj["users"].pop()
     assert list(Registry.from_json(obj).uid_set()) == [3]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("uid_hex", "ZZ", "uid_hex: expected a lowercase hex string, got 'ZZ'"),
+    ("uid_hex", "0C", "uid_hex: expected a lowercase hex string, got '0C'"),
+    ("uid_hex", "", "uid_hex: expected a lowercase hex string, got ''"),
+    ("uid_hex", 12, "uid_hex: expected a lowercase hex string, got 12"),
+    ("active_pass_ids", 5, "active_pass_ids: expected an array of ints, got 5"),
+    ("active_pass_ids", [3, True], "active_pass_ids: expected an array of ints, got [3, True]"),
+    ("active_pass_ids", [3.0, 4.0], "active_pass_ids: expected an array of ints, got [3.0, 4.0]"),
+    ("created_at", 5, "created_at: expected a string, got int"),
+])
+def test_registry_load_names_a_mistyped_record_field(tmp_path, key, value, message):
+    user = {"uid_hex": "0c", "active_pass_ids": [3, 4], "created_at": "t"}
+    obj = {"domain": "d", "N": 8, "w_min": 0, "w_max": 8, "users": [user]}
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(obj))
+    assert Registry.load(str(path)).users[0] == UserRecord("0c", (3, 4), "t")
+    user[key] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(SchemaViolation) as exc:
+        Registry.load(str(path))
+    assert str(exc.value) == f"registry: {path}: users[0].{message}"

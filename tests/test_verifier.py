@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_pass, move_eqset
 from trajmark.equivalence import Distribution, count_members, js_divergence
-from trajmark.errors import EmptyRegistry
+from trajmark.errors import EmptyRegistry, LengthMismatch
 from trajmark.registry import (
     Registry,
     UserRecord,
@@ -162,16 +162,16 @@ def test_monotonicity_in_thresholds(data_domain, data_pool):
 
 
 def _brute_force_ranking(vector, registry):
-    """Reference ranking: per-bit cosine similarity, then the tie-breaks."""
+    """Reference ranking: per-bit cosine similarity, ties to the earlier registration."""
     scored = []
-    for user in registry.users:
+    for index, user in enumerate(registry.users):
         bits = uid_bits(user.uid_int(), registry.n_bits)
         dot = sum(1 for a, b in zip(vector, bits) if a and b)
         nv = sum(1 for a in vector if a)
         np_ = sum(1 for b in bits if b)
         sim = 0.0 if nv == 0 or np_ == 0 else dot / math.sqrt(nv * np_)
-        scored.append((sim, user.created_at, user.uid_hex))
-    scored.sort(key=lambda row: (-row[0], row[1], row[2]))
+        scored.append((sim, index, user.uid_hex))
+    scored.sort(key=lambda row: (-row[0], row[1]))
     return [(uid, sim) for sim, _, uid in scored]
 
 
@@ -213,7 +213,7 @@ def _localization_case(draw):
         st.builds(lambda w, order: sum(1 << i for i in order[:w]), weights, positions),
         min_size=1, max_size=40, unique=True,
     ))
-    # few distinct stamps, so equal scores fall through to the UID tie-break
+    # stamps out of registration order, which the ranking must ignore
     stamps = draw(st.lists(
         st.sampled_from(["2026-01-01T00:00:00", "2026-01-02T00:00:00"]),
         min_size=len(uids), max_size=len(uids),
@@ -232,10 +232,25 @@ def test_localize_user_matches_brute_force(case):
     assert localize_user(vector, reg) == _brute_force_ranking(vector, reg)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_localization_case())
+def test_ranking_of_the_first_users_is_the_full_ranking_filtered(case):
+    # run_localization ranks each attacker once and reads every pool size
+    # off that ranking: the ranking of the first n users is the full one
+    # without the later users, so its top-1 is the first entry among them
+    vector, reg = case
+    index = {user.uid_hex: i for i, user in enumerate(reg.users)}
+    full = localize_user(vector, reg)
+    prefix = Registry(reg.domain, reg.n_bits, reg.w_min, reg.w_max)
+    for n, record in enumerate(reg.users, start=1):
+        prefix.append(record)
+        assert localize_user(vector, prefix) == [e for e in full if index[e[0]] < n]
+
+
 def test_localization_follows_registry_changes():
     # every user has weight 2, so the all-ones probe ties them all and
-    # ranks purely by registration; each ranking below runs on a registry
-    # whose scoring table an earlier ranking already built
+    # ranks purely by registration, whatever the stamps say; each ranking
+    # below runs on a registry whose scoring table was read before
     reg = Registry("tiny", 6, w_min=2, w_max=2)
     for s in range(6):
         register_user(reg, rng_seed=s, created_at=f"2026-01-0{s + 2}T00:00:00")
@@ -244,21 +259,23 @@ def test_localization_follows_registry_changes():
     def check(registry):
         for probe in probes:
             assert localize_user(probe, registry) == _brute_force_ranking(probe, registry)
+        tied = [uid for uid, _ in localize_user(probes[0], registry)]
+        assert tied == [u.uid_hex for u in registry.users]
 
     check(reg)
-    early = register_user(reg, rng_seed=99, created_at="2026-01-01T00:00:00")
+    late = register_user(reg, rng_seed=99, created_at="2026-01-01T00:00:00")
     check(reg)
-    assert localize_user(probes[0], reg)[0][0] == early.uid_hex
+    assert localize_user(probes[0], reg)[-1][0] == late.uid_hex
 
     uid = next(u for u in range(64) if u.bit_count() == 2 and u not in reg.uid_set())
     direct = UserRecord(uid_to_hex(uid, 6), tuple(i + 1 for i in range(6) if (uid >> i) & 1),
                         "2025-12-31T00:00:00")
     reg.append(direct)
     check(reg)
-    assert localize_user(probes[0], reg)[0][0] == direct.uid_hex
+    assert localize_user(probes[0], reg)[-1][0] == direct.uid_hex
 
     # users can be read but not written, so no edit can bypass the index
-    # and the table; a registry without a user is built from the rest
+    # and the table; a registry without a user is built by appending the rest
     with pytest.raises(TypeError):
         reg.users[0] = direct
     with pytest.raises(TypeError):
@@ -268,12 +285,14 @@ def test_localization_follows_registry_changes():
     with pytest.raises(AttributeError):
         reg.users = []
     removed, *rest = reg.users
-    reg = Registry(reg.domain, reg.n_bits, reg.w_min, reg.w_max, users=rest)
+    reg = Registry(reg.domain, reg.n_bits, reg.w_min, reg.w_max)
+    for record in rest:
+        reg.append(record)
     assert int(removed.uid_hex, 16) not in reg.uid_set()
     check(reg)
     reg.append(UserRecord(removed.uid_hex, removed.active_pass_ids, "2025-12-30T00:00:00"))
     check(reg)
-    assert localize_user(probes[0], reg)[0][0] == removed.uid_hex
+    assert localize_user(probes[0], reg)[-1][0] == removed.uid_hex
 
     loaded = Registry.from_json(reg.to_json())
     check(loaded)
@@ -303,6 +322,31 @@ def test_localization_tie_breaks_by_registration_order():
     ranking = localize_user(probe, reg)
     assert ranking[0][0] == first.uid_hex
     assert ranking[0][1] == pytest.approx(ranking[1][1])
+
+
+def test_localization_tie_ignores_an_earlier_stamp():
+    reg = Registry("tiny", 6, w_min=2, w_max=2)
+    first = register_user(reg, rng_seed=1, created_at="2026-01-02T00:00:00")
+    register_user(reg, rng_seed=2, created_at="2026-01-01T00:00:00")
+    ranking = localize_user([1] * 6, reg)
+    assert ranking[0][0] == first.uid_hex
+    assert ranking[0][1] == ranking[1][1]
+
+
+def test_localization_tie_with_equal_stamps_ignores_the_uid():
+    reg = _registry_of(6, [0b110000, 0b000011], ["2026-01-01T00:00:00"] * 2)
+    first, second = reg.users
+    assert first.uid_hex > second.uid_hex
+    ranking = localize_user([1] * 6, reg)
+    assert ranking[0][0] == first.uid_hex
+    assert ranking[0][1] == ranking[1][1]
+
+
+def test_localization_vector_length_must_be_registry_n():
+    reg = Registry("data", 39)
+    register_user(reg, rng_seed=1)
+    with pytest.raises(LengthMismatch, match="vector length 2 != registry N 39"):
+        localize_user([1, 0], reg)
 
 
 def test_localization_empty_registry():
