@@ -22,7 +22,7 @@ from dataclasses import replace as dc_replace
 from typing import Sequence
 
 from .equivalence import EquivalenceSet, _bindings, _first_tool_index, _walk
-from .errors import CorpusMismatch
+from .errors import CorpusMismatch, InvalidRange
 from .seeds import derive_rng
 from .trajectory import Action, GreyBoxTrajectory
 from .verifier import precision_recall_f1
@@ -80,7 +80,7 @@ def attack_random_deletion(
     action are dropped from the attacked corpus.
     """
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"deletion probability must lie in [0,1], got {p}")
+        raise InvalidRange(f"deletion probability must lie in [0,1], got {p}")
     outcome = AttackOutcome("random-deletion", [], [])
     for idx, traj in enumerate(corpus):
         rng = derive_rng(rng_seed, "attack", "del", idx)

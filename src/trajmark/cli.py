@@ -1,15 +1,14 @@
 """Unified command-line entry point.
 
-Exit codes: 0 success, 1 usage error, 2 data/schema error, 3
-acceptance-threshold failure inside ``experiment``. Every command is
-deterministic given ``--seed``; all randomness is derived from that one
-root integer.
+Exit codes: 0 success, 1 usage error or a defect's traceback, 2 data
+error naming the file and JSON path, 3 acceptance-threshold failure
+inside ``experiment``. Every command is deterministic given ``--seed``;
+all randomness is derived from that one root integer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -39,7 +38,10 @@ from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
 from .trajectory import read_json, read_jsonl, write_json, write_jsonl
-from .verifier import DEFAULT_M_MIN, DEFAULT_THETA_J, DEFAULT_THETA_N, localize_user, verify_corpus
+from .verifier import (
+    DEFAULT_M_MIN, DEFAULT_THETA_J, DEFAULT_THETA_N, detected_vector_from_json, localize_user,
+    verify_corpus,
+)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -73,11 +75,11 @@ def _candidate_sets(ref: str):
         domain = load_domain(ref)
         return domain.eqsets, list(domain.sandbox.tools), domain.sandbox
     obj = read_json(ref)
-    if "passes" in obj:
-        sets = [p.eqset for p in pool_from_json(obj)]
+    if isinstance(obj, dict) and "passes" in obj:
+        sets = [p.eqset for p in pool_from_json(obj, f"pool: {ref}: $")]
         tools = sorted({t for s in sets for t in s.tools()})
         return sets, tools, None
-    domain = DomainSpec.from_json(obj)
+    domain = DomainSpec.from_json(obj, f"domain: {ref}: $")
     return domain.eqsets, list(domain.sandbox.tools), domain.sandbox
 
 
@@ -171,8 +173,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_localize(args) -> int:
     verdict_obj = read_json(args.verdict)
+    vector = detected_vector_from_json(verdict_obj, f"verdict: {args.verdict}: $")
     registry = Registry.load(args.registry)
-    vector = verdict_obj["detected_vector"]
     ranking = localize_user(vector, registry)
     for uid, sim in ranking[: args.top]:
         print(f"{uid}\t{sim:.6f}")
@@ -408,9 +410,7 @@ def main(argv=None) -> int:
     except TrajmarkError as exc:
         print(f"trajmark: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (
-        OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, IndexError
-    ) as exc:
+    except OSError as exc:
         print(f"trajmark: {type(exc).__name__}: {exc}", file=sys.stderr)
         return DATA_ERROR
 

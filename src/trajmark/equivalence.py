@@ -26,6 +26,7 @@ from .errors import (
     ArityMismatch,
     IndexOutOfRange,
     InvalidDistribution,
+    InvalidRange,
     ManifestError,
     MappingGap,
     NoObservations,
@@ -34,7 +35,7 @@ from .errors import (
     UnknownTool,
 )
 from .seeds import derive_rng
-from .trajectory import Action, GreyBoxTrajectory, Scalar, json_object
+from .trajectory import Action, GreyBoxTrajectory, Scalar, json_at, json_value
 
 SCHEMES = ("VR", "PGR", "IA", "AE", "CE")
 ACTION_SCHEMES = ("VR", "PGR", "IA")
@@ -107,7 +108,7 @@ def derive_target_distribution(
             f"target index {target_index} outside arity {len(natural)}"
         )
     if not math.isfinite(delta) or delta < 0.0:
-        raise ValueError(f"delta must be a finite non-negative real, got {delta!r}")
+        raise InvalidRange(f"delta must be a finite non-negative real, got {delta!r}")
     if delta == 0.0:
         # e^0 scaling leaves the vector untouched; return it bit-exactly
         return Distribution(natural.weights)
@@ -193,15 +194,16 @@ class ActionPattern:
 
     def __post_init__(self) -> None:
         if not self.tool:
-            raise ValueError("pattern tool must be non-empty")
+            raise ManifestError("pattern tool must be non-empty")
         normalized = tuple(
-            (entry, entry) if isinstance(entry, str) else (entry[0], entry[1])
-            for entry in self.arg_slots
+            (entry, entry) if isinstance(entry, str) else tuple(entry) for entry in self.arg_slots
         )
+        if any(len(pair) != 2 for pair in normalized):
+            raise ManifestError(f"pattern {self.tool}: a slot is a name or an (arg, slot) pair")
         object.__setattr__(self, "arg_slots", normalized)
         arg_names = [arg for arg, _ in normalized]
         if len(set(arg_names)) != len(arg_names):
-            raise ValueError(f"duplicate arguments in pattern {self.tool}: {arg_names}")
+            raise ManifestError(f"duplicate arguments in pattern {self.tool}: {arg_names}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ class Segment:
         if not isinstance(self.patterns, tuple):
             object.__setattr__(self, "patterns", tuple(self.patterns))
         if not self.patterns:
-            raise ValueError("segment needs at least one pattern")
+            raise ManifestError("segment needs at least one pattern")
         slots = [slot for pat in self.patterns for _, slot in pat.arg_slots]
         own = frozenset(slots)
         object.__setattr__(self, "_slots", own)
@@ -235,16 +237,7 @@ class Segment:
                 tuple([(arg, SlotRef(slot)) for arg, slot in pat.arg_slots])
                 for pat in self.patterns
             ]))
-        else:
-            if len(self.param_map) != len(self.patterns):
-                raise MappingGap(
-                    f"param_map covers {len(self.param_map)} actions, "
-                    f"segment has {len(self.patterns)}"
-                )
-            for entry in self.param_map:
-                for _, source in entry:
-                    if isinstance(source, SlotRef) and source.slot not in own:
-                        raise MappingGap(f"param_map references unknown slot {source.slot!r}")
+        # an explicit param_map is checked by the set holding the segment
         # the compiled shape every match is decided from: each
         # pattern's argument names, the tools after the first, and the pairs
         # (first, later) of argument positions, numbered across all
@@ -384,13 +377,13 @@ class EquivalenceSet:
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r} for set {self.id}")
+            raise ManifestError(f"unknown scheme {self.scheme!r} for set {self.id}")
         object.__setattr__(self, "members", tuple(self.members))
         # a private copy behind a read-only view: nobody else can change it
         overrides = dict(self.cross_overrides)
         object.__setattr__(self, "cross_overrides", MappingProxyType(overrides))
         if len(self.members) < 2:
-            raise ValueError(f"equivalence set {self.id} needs k >= 2 members")
+            raise ManifestError(f"equivalence set {self.id} needs k >= 2 members")
         # every ordered pair, a member onto itself included, must be
         # rewritable: each slot its effective mapping reads is bound by the
         # source member. A pair without an override shares the plan of its
@@ -650,7 +643,7 @@ class WatermarkPass:
 
     def __post_init__(self) -> None:
         if self.pass_id < 1:
-            raise ValueError("pass_id must be >= 1")
+            raise InvalidRange("pass_id must be >= 1")
         if len(self.natural) != len(self.eqset.members):
             raise ArityMismatch(
                 f"pass {self.pass_id}: distribution arity {len(self.natural)} "
@@ -670,29 +663,29 @@ class WatermarkPass:
 # JSON codecs (shared by domain-spec and pass-pool files)
 # ---------------------------------------------------------------------------
 
-def _source_to_json(source: ArgSource) -> list:
-    if isinstance(source, Lit):
-        return ["lit", source.value]
-    return ["slot", source.slot]
-
-
-def _source_from_json(raw) -> ArgSource:
-    if raw[0] == "lit":
-        return Lit(raw[1])
-    if raw[0] == "slot":
-        return SlotRef(raw[1])
-    raise MappingGap(f"unknown arg source {raw!r}")
+def _arg_from_json(raw, where: str) -> tuple[str, ArgSource]:
+    """One ``[name, ["slot", slot]]`` or ``[name, ["lit", value]]`` of a mapping entry."""
+    match json_value(raw, list, where):
+        case [str() as name, ["lit", value]]:
+            return name, Lit(value)
+        case [str() as name, ["slot", str() as slot]]:
+            return name, SlotRef(slot)
+    raise MappingGap(f"{where}: expected [name, [\"slot\", slot]] or [name, [\"lit\", value]]")
 
 
 def mapping_to_json(mapping: ParamMapping) -> list:
     return [
-        [[name, _source_to_json(src)] for name, src in entry] for entry in mapping
+        [[name, ["lit", src.value] if isinstance(src, Lit) else ["slot", src.slot]]
+         for name, src in entry]
+        for entry in mapping
     ]
 
 
-def mapping_from_json(raw) -> ParamMapping:
+def mapping_from_json(raw, where: str) -> ParamMapping:
     return tuple(
-        tuple((name, _source_from_json(src)) for name, src in entry) for entry in raw
+        tuple(_arg_from_json(arg, f"{where}[{i}][{j}]")
+              for j, arg in enumerate(json_value(entry, list, f"{where}[{i}]")))
+        for i, entry in enumerate(json_value(raw, list, where))
     )
 
 
@@ -711,14 +704,20 @@ def segment_to_json(segment: Segment) -> dict:
     }
 
 
-def segment_from_json(obj: dict) -> Segment:
-    patterns = tuple(
-        # the pattern is checked before ``p.get`` reads it
-        ActionPattern(json_object(p, "pattern")["tool"], tuple(p.get("slots", [])))
-        for p in json_object(obj, "segment")["patterns"]
-    )
-    raw_map = obj.get("param_map")
-    return Segment(patterns, mapping_from_json(raw_map) if raw_map else ())
+def segment_from_json(obj, where: str = "segment: $") -> Segment:
+    patterns = []
+    for i, raw in enumerate(json_value(obj, list, where, "patterns")):
+        at = f"{where}.patterns[{i}]"
+        # a slot is a name or an [argument, slot] pair
+        slots = tuple(
+            slot if type(slot) is str else json_value(slot, [str], f"{at}.slots[{j}]")
+            for j, slot in enumerate(json_value(raw, list, at, "slots", []))
+        )
+        with json_at(at):
+            patterns.append(ActionPattern(json_value(raw, str, at, "tool"), slots))
+    param_map = json_value(obj, list, where, "param_map", [])
+    with json_at(where):
+        return Segment(tuple(patterns), mapping_from_json(param_map, f"{where}.param_map"))
 
 
 def eqset_to_json(eqset: EquivalenceSet) -> dict:
@@ -733,18 +732,22 @@ def eqset_to_json(eqset: EquivalenceSet) -> dict:
     }
 
 
-def eqset_from_json(obj: dict) -> EquivalenceSet:
-    raw_maps = json_object(obj, "set").get("cross_maps", {})
+def eqset_from_json(obj, where: str = "set: $") -> EquivalenceSet:
     overrides = {}
-    for key, raw in json_object(raw_maps, f"set {obj.get('id')}: cross_maps").items():
-        src, dst = key.split("->")
-        overrides[(int(src), int(dst))] = mapping_from_json(raw)
-    return EquivalenceSet(
-        id=obj["id"],
-        scheme=obj["scheme"],
-        members=tuple(segment_from_json(m) for m in obj["members"]),
-        cross_overrides=overrides,
-    )
+    at = f"{where}.cross_maps"
+    for key, raw in json_value(obj, dict, where, "cross_maps", {}).items():
+        src, arrow, dst = key.partition("->")
+        if not (arrow and src.isdecimal() and dst.isdecimal()):
+            raise SchemaViolation(f"{at}: expected keys 'src->dst', got {key!r}")
+        overrides[int(src), int(dst)] = mapping_from_json(raw, f"{at}.{key}")
+    members = enumerate(json_value(obj, list, where, "members"))
+    with json_at(where):
+        return EquivalenceSet(
+            id=json_value(obj, str, where, "id"),
+            scheme=json_value(obj, str, where, "scheme"),
+            members=tuple(segment_from_json(m, f"{where}.members[{i}]") for i, m in members),
+            cross_overrides=overrides,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +784,8 @@ def validate_equivalence(
     """
     from .simkit.sandbox import canonical_log, execute_segment
 
+    if n_cases < 1:
+        raise InvalidRange(f"validation needs at least 1 case, got {n_cases}")
     for tool in eqset.tools():
         if tool not in sandbox.tools:
             raise UnknownTool(f"set {eqset.id} uses unknown tool {tool!r}")

@@ -85,7 +85,7 @@ class LengthMismatch(TrajmarkError):
 
 
 class InvalidRange(TrajmarkError):
-    """Weight bounds violate 0 <= w_min <= w_max <= N."""
+    """A parameter or count is out of range: weight band, threshold, probability, size."""
 
 
 # --- verification / attacks -----------------------------------------------

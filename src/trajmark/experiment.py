@@ -50,7 +50,7 @@ from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
 from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
-from .trajectory import _gc_paused, json_object, read_json, write_json
+from .trajectory import _gc_paused, json_value, read_json, write_json
 from .verifier import DEFAULT_THETA_J, DEFAULT_THETA_N, f1_grid, localize_user, verify_corpus
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
@@ -94,41 +94,23 @@ class ExperimentConfig:
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """Load a JSON object whose keys name fields and match their defaults' types.
 
-        A count below its minimum in ``_MINIMUMS`` is refused too.
+        A tuple field takes a non-empty array; a count below ``_MINIMUMS`` is refused.
         """
-        where = f"config: {path}"
+        where = f"config: {path}: $"
         defaults = {f.name: f.default for f in fields(cls)}
+        raw = json_value(read_json(path), dict, where)
         values = {}
-        for key, value in json_object(read_json(path), where).items():
+        for key in raw:
             if key not in defaults:
                 raise SchemaViolation(f"{where}: unknown key {key!r}")
-            values[key] = _checked_value(
-                value, defaults[key], f"{where}: {key}", _MINIMUMS.get(key)
-            )
+            many = isinstance(defaults[key], tuple)
+            kind = [type(defaults[key][0])] if many else type(defaults[key])
+            value = json_value(raw, kind, where, key, minimum=_MINIMUMS.get(key))
+            if many and not value:
+                raise SchemaViolation(f"{where}.{key}: expected a non-empty array")
+            values[key] = tuple(value) if many else value
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
-
-
-def _checked_value(value: object, default: object, where: str, minimum: int | None) -> object:
-    """``value`` if its type is exactly ``default``'s, so no bool passes for an int.
-
-    A tuple default takes a non-empty list of its items' type, as a tuple.
-    A number below ``minimum``, when one is given, is refused.
-    """
-    if isinstance(default, tuple):
-        if type(value) is not list or not value:
-            raise SchemaViolation(f"{where}: expected a non-empty list, got {value!r}")
-        return tuple(
-            _checked_value(item, default[0], f"{where}[{i}]", minimum)
-            for i, item in enumerate(value)
-        )
-    if type(value) is not type(default):
-        raise SchemaViolation(
-            f"{where}: expected {type(default).__name__}, got {type(value).__name__}"
-        )
-    if minimum is not None and value < minimum:
-        raise SchemaViolation(f"{where}: expected at least {minimum}, got {value!r}")
-    return value
 
 
 def _write_csv(path: str, header: Sequence[str], rows: list[list]) -> None:

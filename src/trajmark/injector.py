@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .equivalence import WatermarkPass, scan_equivalence
-from .errors import EmptyActions, SchemaViolation
+from .errors import EmptyActions
 from .seeds import derive_rng
 from .trajectory import (
-    Action, GreyBoxTrajectory, _gc_paused, decode_json_line, iter_parsed_lines,
+    Action, GreyBoxTrajectory, _gc_paused, decode_json_line, iter_parsed_lines, json_value,
 )
 
 
@@ -222,25 +222,14 @@ def write_edits(
     return count
 
 
-def _is_index(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _parse_edit_line(line: str) -> tuple[int, bool, list[int]]:
     """The ``traj_index``, ``changed`` and ``final_positions`` of one edit line."""
     obj = decode_json_line(line)
-    if not isinstance(obj, dict):
-        raise SchemaViolation("edit line must be a JSON object")
-    traj_index = obj.get("traj_index")
-    if not _is_index(traj_index):
-        raise SchemaViolation("'traj_index' must be a non-negative integer")
-    changed = obj.get("changed")
-    if not isinstance(changed, bool):
-        raise SchemaViolation("'changed' must be a boolean")
-    final = obj.get("final_positions")
-    if not isinstance(final, list) or not all(_is_index(p) for p in final):
-        raise SchemaViolation("'final_positions' must be an array of non-negative integers")
-    return traj_index, changed, final
+    return (
+        json_value(obj, int, "$", "traj_index", minimum=0),
+        json_value(obj, bool, "$", "changed"),
+        json_value(obj, [int], "$", "final_positions", minimum=0),
+    )
 
 
 def read_edit_positions(path: str) -> dict[int, set[int]]:

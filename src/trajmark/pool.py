@@ -16,7 +16,7 @@ other command.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .equivalence import (
@@ -34,7 +34,7 @@ from .errors import NoValidCandidates, SchemaViolation
 from .seeds import derive_rng
 from .simkit.domains import DomainSpec
 from .simkit.generator import generate_greybox_corpus
-from .trajectory import _gc_paused, json_object, read_json, write_json
+from .trajectory import _gc_paused, json_at, json_value, read_json, write_json
 
 POOL_FORMAT_VERSION = 1
 
@@ -158,30 +158,29 @@ def pool_to_json(passes: Sequence[WatermarkPass], domain_name: str = "") -> dict
     }
 
 
-def pool_from_json(obj: dict) -> list[WatermarkPass]:
-    version = json_object(obj, "pool").get("format_version")
+def pool_from_json(obj, where: str = "pool: $") -> list[WatermarkPass]:
+    version = json_value(obj, int, where, "format_version")
     if version != POOL_FORMAT_VERSION:
-        raise SchemaViolation(
-            f"pool format {version!r} unsupported (expected {POOL_FORMAT_VERSION})"
-        )
-    passes = [
-        WatermarkPass(
-            pass_id=raw["pass_id"],
-            eqset=eqset_from_json(raw["set"]),
-            natural=Distribution(tuple(raw["natural"])),
-            target_index=raw["target_index"],
-            delta=raw["delta"],
-            order_rank=raw["order_rank"],
-            biased=Distribution(tuple(raw["biased"])),
-        )
-        for raw in obj.get("passes", [])
-    ]
+        raise SchemaViolation(f"{where}.format_version: unsupported pool format {version}")
+    passes = []
+    for i, raw in enumerate(json_value(obj, list, where, "passes")):
+        at = f"{where}.passes[{i}]"
+        with json_at(at):
+            passes.append(WatermarkPass(
+                pass_id=json_value(raw, int, at, "pass_id", minimum=1),
+                eqset=eqset_from_json(json_value(raw, dict, at, "set"), f"{at}.set"),
+                natural=Distribution(tuple(json_value(raw, [float], at, "natural"))),
+                target_index=json_value(raw, int, at, "target_index"),
+                delta=json_value(raw, float, at, "delta"),
+                order_rank=json_value(raw, int, at, "order_rank"),
+                biased=Distribution(tuple(json_value(raw, [float], at, "biased"))),
+            ))
     # pass i+1 sits at index i, whatever order the file lists them in
     passes.sort(key=lambda p: p.pass_id)
     if [p.pass_id for p in passes] != list(range(1, len(passes) + 1)):
-        raise SchemaViolation("pass_ids must be exactly 1..N")
+        raise SchemaViolation(f"{where}.passes: pass_ids must be exactly 1..N")
     if len({p.order_rank for p in passes}) != len(passes):
-        raise SchemaViolation("order_ranks must be unique")
+        raise SchemaViolation(f"{where}.passes: order_ranks must be unique")
     return passes
 
 
@@ -190,19 +189,9 @@ def save_pool(path: str, passes: Sequence[WatermarkPass], domain_name: str = "")
 
 
 def load_pool(path: str) -> list[WatermarkPass]:
-    return pool_from_json(read_json(path))
+    return pool_from_json(read_json(path), f"pool: {path}: $")
 
 
 def rebias_pool(passes: Sequence[WatermarkPass], delta: float) -> list[WatermarkPass]:
     """The same pool, in the same order, at a different watermark strength."""
-    return [
-        WatermarkPass(
-            pass_id=p.pass_id,
-            eqset=p.eqset,
-            natural=p.natural,
-            target_index=p.target_index,
-            delta=delta,
-            order_rank=p.order_rank,
-        )
-        for p in passes
-    ]
+    return [replace(p, delta=delta, biased=None) for p in passes]

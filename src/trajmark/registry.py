@@ -19,7 +19,7 @@ from typing import KeysView, Sequence
 from .equivalence import WatermarkPass
 from .errors import CapacityExhausted, InvalidRange, LengthMismatch, SchemaViolation
 from .seeds import derive_rng
-from .trajectory import json_object, read_json, write_json
+from .trajectory import json_at, json_value, read_json, write_json
 
 DEFAULT_W_MIN = 5
 DEFAULT_W_MAX = 20
@@ -156,37 +156,30 @@ class Registry:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, where: str = "registry") -> "Registry":
-        """The registry a document describes; a mistyped node names ``where`` and its key."""
-        obj = json_object(obj, where)
-        reg = cls(
-            domain=obj["domain"],
-            n_bits=obj["N"],
-            w_min=obj.get("w_min", DEFAULT_W_MIN),
-            w_max=obj.get("w_max", DEFAULT_W_MAX),
-        )
-        for i, raw in enumerate(obj.get("users", [])):
-            at = f"{where}: users[{i}]"
-            raw = json_object(raw, at)
-            uid_hex, pass_ids, created_at = raw["uid_hex"], raw["active_pass_ids"], raw["created_at"]
-            if not (isinstance(uid_hex, str) and re.fullmatch("[0-9a-f]+", uid_hex)):
+    def from_json(cls, obj, where: str = "registry: $") -> "Registry":
+        """The registry a document describes; a refused node names ``where`` and its path."""
+        with json_at(where):
+            reg = cls(
+                domain=json_value(obj, str, where, "domain"),
+                n_bits=json_value(obj, int, where, "N"),
+                w_min=json_value(obj, int, where, "w_min", DEFAULT_W_MIN),
+                w_max=json_value(obj, int, where, "w_max", DEFAULT_W_MAX),
+            )
+        for i, raw in enumerate(json_value(obj, list, where, "users")):
+            at = f"{where}.users[{i}]"
+            uid_hex = json_value(raw, str, at, "uid_hex")
+            if not re.fullmatch("[0-9a-f]+", uid_hex):
                 raise SchemaViolation(
                     f"{at}.uid_hex: expected a lowercase hex string, got {uid_hex!r}"
                 )
-            if not isinstance(pass_ids, list) or any(type(p) is not int for p in pass_ids):
-                raise SchemaViolation(
-                    f"{at}.active_pass_ids: expected an array of ints, got {pass_ids!r}"
-                )
-            if not isinstance(created_at, str):
-                raise SchemaViolation(
-                    f"{at}.created_at: expected a string, got {type(created_at).__name__}"
-                )
-            uid = hex_to_uid(uid_hex, reg.n_bits)
+            ids = json_value(raw, [int], at, "active_pass_ids")
+            with json_at(at):
+                uid = hex_to_uid(uid_hex, reg.n_bits)
             if uid in reg.uid_set():
                 raise SchemaViolation(f"{at}: duplicate uid {uid_hex}")
-            if tuple(k + 1 for k in range(reg.n_bits) if (uid >> k) & 1) != tuple(sorted(pass_ids)):
+            if tuple(k + 1 for k in range(reg.n_bits) if (uid >> k) & 1) != tuple(sorted(ids)):
                 raise SchemaViolation(f"{at}: active_pass_ids inconsistent with uid {uid_hex}")
-            reg.append(UserRecord(uid_hex, tuple(pass_ids), created_at))
+            reg.append(UserRecord(uid_hex, tuple(ids), json_value(raw, str, at, "created_at")))
         return reg
 
     def save(self, path: str) -> None:
@@ -194,7 +187,7 @@ class Registry:
 
     @classmethod
     def load(cls, path: str) -> "Registry":
-        return cls.from_json(read_json(path), f"registry: {path}")
+        return cls.from_json(read_json(path), f"registry: {path}: $")
 
 
 def register_user(

@@ -42,9 +42,9 @@ from ..equivalence import (
     eqset_from_json,
     eqset_to_json,
 )
-from ..errors import ManifestError, SchemaViolation
+from ..errors import ArityMismatch, ManifestError, SchemaViolation
 from ..seeds import derive_rng
-from ..trajectory import Action, json_object, read_json, write_json
+from ..trajectory import Action, json_at, json_value, read_json, write_json
 from .sandbox import SandboxSpec, ToolSpec
 
 # Table of per-scheme pass counts for the builtin domains.
@@ -216,46 +216,65 @@ class DomainSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "DomainSpec":
+    def from_json(cls, obj, where: str = "domain: $") -> "DomainSpec":
+        """The domain a document describes; a refused node names ``where`` and its path."""
         eqsets, natural, targets = [], {}, {}
-        for entry in obj["equivalence_sets"]:
-            eqset = eqset_from_json(entry["set"])
+        for i, entry in enumerate(json_value(obj, list, where, "equivalence_sets")):
+            at = f"{where}.equivalence_sets[{i}]"
+            eqset = eqset_from_json(json_value(entry, dict, at, "set"), f"{at}.set")
+            with json_at(at):
+                weights = Distribution(tuple(json_value(entry, [float], at, "natural")))
+                if len(weights) != len(eqset.members):
+                    raise ArityMismatch(f"{len(weights)} weights for {len(eqset.members)} members")
             eqsets.append(eqset)
-            natural[eqset.id] = Distribution(tuple(entry["natural"]))
-            targets[eqset.id] = int(entry["target"])
+            natural[eqset.id] = weights
+            targets[eqset.id] = json_value(entry, int, at, "target")
         templates = []
-        for raw in obj["templates"]:
-            items = []
-            for item in raw["items"]:
-                if json_object(item, f"template {raw['id']}: item")["kind"] == "slot":
-                    items.append(TemplateItem(kind="slot", set_id=item["set"]))
-                else:
-                    args = json_object(item["args"], f"template {raw['id']}: args")
-                    items.append(TemplateItem(
-                        kind="action",
-                        tool=item["tool"],
-                        args=tuple((name, tuple(gen)) for name, gen in args.items()),
-                    ))
-            templates.append(
-                Template(raw["id"], tuple(items), raw.get("weight", 1.0))
+        for i, raw in enumerate(json_value(obj, list, where, "templates")):
+            at = f"{where}.templates[{i}]"
+            items = json_value(raw, list, at, "items")
+            templates.append(Template(
+                json_value(raw, str, at, "id"),
+                tuple(_item_from_json(item, f"{at}.items[{j}]") for j, item in enumerate(items)),
+                json_value(raw, float, at, "weight", 1.0, minimum=0),
+            ))
+        if not any(t.weight for t in templates):
+            raise ManifestError(f"{where}.templates: no template has a positive weight")
+        sizes = json_value(obj, dict, where, "corpus_sizes", {})
+        tools = json_value(obj, list, where, "tools")
+        with json_at(where):
+            return cls(
+                name=json_value(obj, str, where, "name"),
+                sandbox=SandboxSpec.from_json(tools, f"{where}.tools"),
+                eqsets=eqsets,
+                natural=natural,
+                targets=targets,
+                templates=templates,
+                delta=json_value(obj, float, where, "delta", DEFAULT_DELTA, minimum=0),
+                corpus_sizes={
+                    key: json_value(sizes, int, f"{where}.corpus_sizes", key, minimum=1)
+                    for key in sizes
+                },
             )
-        return cls(
-            name=obj["name"],
-            sandbox=SandboxSpec.from_json(obj["tools"]),
-            eqsets=eqsets,
-            natural=natural,
-            targets=targets,
-            templates=templates,
-            delta=obj.get("delta", DEFAULT_DELTA),
-            corpus_sizes=obj.get("corpus_sizes", {}),
-        )
 
     def save(self, path: str) -> None:
         write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "DomainSpec":
-        return cls.from_json(read_json(path))
+        return cls.from_json(read_json(path), f"domain: {path}: $")
+
+
+def _item_from_json(item, where: str) -> TemplateItem:
+    kind = json_value(item, str, where, "kind")
+    if kind == "slot":
+        return TemplateItem(kind="slot", set_id=json_value(item, str, where, "set"))
+    if kind != "action":
+        raise SchemaViolation(f"{where}.kind: expected 'slot' or 'action', got {kind!r}")
+    args = json_value(item, dict, where, "args")
+    return TemplateItem("action", json_value(item, str, where, "tool"), tuple(
+        (name, tuple(json_value(args, list, f"{where}.args", name))) for name in args
+    ))
 
 
 # ---------------------------------------------------------------------------

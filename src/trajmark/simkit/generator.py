@@ -13,6 +13,7 @@ import random
 from typing import Callable
 
 from ..equivalence import Distribution
+from ..errors import InvalidRange
 from ..seeds import derive_rng
 from ..trajectory import Action, GreyBoxTrajectory
 from .domains import DomainSpec, Template
@@ -79,7 +80,7 @@ def generate_greybox_corpus(
     generation is order-independent and safe to parallelize.
     """
     if n < 1:
-        raise ValueError("corpus size must be >= 1")
+        raise InvalidRange(f"corpus size must be >= 1, got {n}")
     templates = domain.templates
     weights = [
         template_weights.get(t.id, 0.0) if template_weights else t.weight

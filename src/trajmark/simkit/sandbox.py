@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..errors import ExecutionFailure, InvalidArguments, UnknownTool
-from ..trajectory import Action, Scalar
+from ..trajectory import Action, Scalar, _is_scalar, json_at, json_value
 
 ABSENT = "<absent>"
 
@@ -54,17 +54,21 @@ def _eval(expr, arg_map: Mapping[str, Scalar], scratch: Mapping[str, Scalar]) ->
     raise ExecutionFailure(f"unknown value expression {expr!r}")
 
 
-def _parse_expr(raw) -> tuple:
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ExecutionFailure(f"bad value expression {raw!r}")
-    kind = raw[0]
-    if kind in ("arg", "lit", "var"):
-        if len(raw) != 2:
-            raise ExecutionFailure(f"bad value expression {raw!r}")
-        return (kind, raw[1])
-    if kind == "derive":
-        return ("derive", raw[1], *(_parse_expr(e) for e in raw[2:]))
-    raise ExecutionFailure(f"unknown value expression kind {kind!r}")
+def _parse_expr(raw, where: str) -> tuple:
+    """A value expression read from JSON: every name a string, a literal a scalar."""
+    kind = json_value(raw, list, where)[0] if raw else None
+    if kind in ("arg", "var") and len(raw) == 2:
+        return (kind, json_value(raw[1], str, f"{where}[1]"))
+    if kind == "lit" and len(raw) == 2 and _is_scalar(raw[1]):
+        return ("lit", raw[1])
+    if kind == "derive" and len(raw) > 2 and type(raw[1]) is str and raw[1] in _DERIVE_FNS:
+        args = enumerate(raw[2:], start=2)
+        return ("derive", raw[1], *(_parse_expr(e, f"{where}[{i}]") for i, e in args))
+    raise ExecutionFailure(f"{where}: bad value expression {raw!r}")
+
+
+# each effect op's operands after the op: an expression (e) or a name (n)
+_EFFECT_OPERANDS = {"read": "en", "write": "ee", "erase": "e", "note": "e", "derive": "ne"}
 
 
 def _expr_json(expr) -> list:
@@ -115,51 +119,41 @@ class ToolSpec:
                     )
 
     def to_json(self) -> dict:
-        effects = []
-        for e in self.effects:
-            if e[0] == "read":
-                effects.append(["read", _expr_json(e[1]), e[2]])
-            elif e[0] == "write":
-                effects.append(["write", _expr_json(e[1]), _expr_json(e[2])])
-            elif e[0] == "erase":
-                effects.append(["erase", _expr_json(e[1])])
-            elif e[0] == "note":
-                effects.append(["note", _expr_json(e[1])])
-            elif e[0] == "derive":
-                effects.append(["derive", e[1], _expr_json(e[2])])
         return {
             "name": self.name,
             "args": list(self.args),
             "ancillary": self.ancillary,
-            "effects": effects,
+            "effects": [
+                [op, *(_expr_json(part) if code == "e" else part
+                       for code, part in zip(_EFFECT_OPERANDS[op], operands))]
+                for op, *operands in self.effects
+            ],
             "output": _expr_json(self.output) if self.output else None,
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ToolSpec":
+    def from_json(cls, obj, where: str = "tool: $") -> "ToolSpec":
         effects = []
-        for raw in obj.get("effects", []):
-            op = raw[0]
-            if op == "read":
-                effects.append(("read", _parse_expr(raw[1]), raw[2]))
-            elif op == "write":
-                effects.append(("write", _parse_expr(raw[1]), _parse_expr(raw[2])))
-            elif op == "erase":
-                effects.append(("erase", _parse_expr(raw[1])))
-            elif op == "note":
-                effects.append(("note", _parse_expr(raw[1])))
-            elif op == "derive":
-                effects.append(("derive", raw[1], _parse_expr(raw[2])))
-            else:
-                raise ExecutionFailure(f"unknown effect op {op!r} in {obj.get('name')}")
-        output = obj.get("output")
-        return cls(
-            name=obj["name"],
-            args=tuple(obj.get("args", [])),
-            effects=tuple(effects),
-            output=_parse_expr(output) if output else None,
-            ancillary=bool(obj.get("ancillary", False)),
-        )
+        for i, raw in enumerate(json_value(obj, list, where, "effects", [])):
+            at = f"{where}.effects[{i}]"
+            op = json_value(raw, list, at)[0] if raw else None
+            operands = _EFFECT_OPERANDS.get(op) if type(op) is str else None
+            if operands is None or len(raw) != len(operands) + 1:
+                raise ExecutionFailure(f"{at}: bad effect {raw!r}")
+            effects.append((op, *(
+                _parse_expr(part, f"{at}[{j}]") if code == "e"
+                else json_value(part, str, f"{at}[{j}]")
+                for j, (code, part) in enumerate(zip(operands, raw[1:]), start=1)
+            )))
+        output = obj.get("output")  # null: no output
+        with json_at(where):
+            return cls(
+                name=json_value(obj, str, where, "name"),
+                args=tuple(json_value(obj, [str], where, "args", [])),
+                effects=tuple(effects),
+                output=None if output is None else _parse_expr(output, f"{where}.output"),
+                ancillary=json_value(obj, bool, where, "ancillary", False),
+            )
 
 
 @dataclass
@@ -175,10 +169,10 @@ class SandboxSpec:
         return [self.tools[name].to_json() for name in sorted(self.tools)]
 
     @classmethod
-    def from_json(cls, items: list) -> "SandboxSpec":
+    def from_json(cls, items, where: str = "tools: $") -> "SandboxSpec":
         box = cls()
-        for obj in items:
-            box.add(ToolSpec.from_json(obj))
+        for i, obj in enumerate(json_value(items, list, where)):
+            box.add(ToolSpec.from_json(obj, f"{where}[{i}]"))
         return box
 
 

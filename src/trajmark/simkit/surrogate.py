@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..equivalence import Distribution, count_members
-from ..trajectory import GreyBoxTrajectory, _gc_paused, write_json
+from ..errors import InvalidRange
+from ..trajectory import GreyBoxTrajectory, _gc_paused
 from .domains import DomainSpec
 from .generator import generate_greybox_corpus, template_for_trajectory
 
@@ -28,28 +29,6 @@ class SurrogateModel:
     fitted: dict[str, Distribution]
     skeleton_freqs: dict[str, float]
     missing_sets: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "domain": self.domain_name,
-            "eta": self.eta,
-            "fitted": {k: list(d.weights) for k, d in self.fitted.items()},
-            "skeleton_freqs": dict(self.skeleton_freqs),
-            "missing_sets": list(self.missing_sets),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SurrogateModel":
-        return cls(
-            domain_name=obj["domain"],
-            eta=obj["eta"],
-            fitted={k: Distribution(tuple(w)) for k, w in obj["fitted"].items()},
-            skeleton_freqs=dict(obj["skeleton_freqs"]),
-            missing_sets=tuple(obj.get("missing_sets", [])),
-        )
-
-    def save(self, path: str) -> None:
-        write_json(path, self.to_json())
 
 
 def _mix(empirical: Distribution, natural: Distribution, eta: float) -> Distribution:
@@ -74,9 +53,9 @@ def fit_surrogate(
     and a uniform fallback applies if nothing matches.
     """
     if not harvested:
-        raise ValueError("harvest must be non-empty")
+        raise InvalidRange("harvest must be non-empty")
     if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+        raise InvalidRange(f"eta must lie in [0, 1], got {eta}")
     fitted: dict[str, Distribution] = {}
     missing: list[str] = []
     for eqset, row in zip(domain.eqsets, count_members(harvested, domain.eqsets)):

@@ -10,8 +10,8 @@ actions and the response verbatim and drops every hidden step.
 
 Wire format: one JSON object per line (JSONL), UTF-8, ``\\n`` line endings,
 stable key order ``query_id, user_uid, actions, response``. The JSON
-documents (pools, registries, domains, surrogates, verdicts, configs and
-summaries) are read by ``read_json`` and written by ``write_json``.
+documents (pools, registries, domains, verdicts, configs and summaries)
+are read by ``read_json``, checked by ``json_value``, written by ``write_json``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ import gc
 import json
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
 
-from .errors import EmptyActions, MalformedLine, SchemaViolation
+from .errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
 
 Scalar = Union[str, int, float, bool]
 T = TypeVar("T")
@@ -294,8 +295,8 @@ def iter_jsonl(path: str) -> Iterator[GreyBoxTrajectory]:
 def iter_parsed_lines(path: str, parse: Callable[[str], T]) -> Iterator[T]:
     """Yield ``parse(line)`` for each non-blank line of a UTF-8 JSONL file.
 
-    A ``MalformedLine`` or ``SchemaViolation`` from decoding or from
-    ``parse`` is re-raised as the same type, prefixed with ``path:line``.
+    A ``TrajmarkError`` from decoding or from ``parse`` is re-raised as
+    the same type, prefixed with ``path:line``.
     """
     # bytes are decoded line by line so a bad UTF-8 sequence names its line
     with open(path, "rb") as handle:
@@ -306,10 +307,8 @@ def iter_parsed_lines(path: str, parse: Callable[[str], T]) -> Iterator[T]:
                 raise MalformedLine(f"{path}:{lineno}: not valid UTF-8: {exc}") from exc
             if not line:
                 continue
-            try:
+            with json_at(f"{path}:{lineno}"):
                 yield parse(line)
-            except (MalformedLine, SchemaViolation) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
 
 
 def write_jsonl(path: str, trajectories: Iterable[GreyBoxTrajectory]) -> int:
@@ -323,17 +322,59 @@ def write_jsonl(path: str, trajectories: Iterable[GreyBoxTrajectory]) -> int:
     return count
 
 
-def json_object(value: object, where: str) -> dict:
-    """``value`` if it is a JSON object, else a ``SchemaViolation`` naming ``where``."""
-    if not isinstance(value, dict):
-        raise SchemaViolation(f"{where}: expected a JSON object, got {type(value).__name__}")
-    return value
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an int",
+          float: "a number", bool: "a bool"}
+
+
+def json_value(node, kind, where: str, key=None, default=_REQUIRED, minimum=None):
+    """One node of a decoded JSON document, or a ``SchemaViolation`` naming its path.
+
+    ``kind`` is ``dict``, ``list``, ``str``, ``int``, ``bool``, ``float``
+    (any finite number) or ``[kind]`` (an array of that kind); a bool is
+    never an int or a number, and a number or item below ``minimum`` is
+    refused. ``where`` names the document, its file and the node's JSON
+    path: ``"pool: pool.json: $.passes[0]"``. With ``key``, the node is that
+    key of the object ``node``, read as ``default`` when missing, if given.
+    """
+    if key is not None:
+        if key not in json_value(node, dict, where):
+            if default is _REQUIRED:
+                raise SchemaViolation(f"{where}: missing key {key!r}")
+            return default
+        node, where = node[key], f"{where}.{key}"
+    of = kind[0] if isinstance(kind, list) else None
+    base = kind if of is None else list
+    if (type(node) is not base and (base, type(node)) != (float, int)
+            or type(node) is float and not math.isfinite(node)):
+        name = _KINDS[kind] if of is None else f"an array of {_KINDS[of].split()[1]}s"
+        raise SchemaViolation(f"{where}: expected {name}, got {type(node).__name__}")
+    if of is not None:
+        for i, item in enumerate(node):
+            json_value(item, of, f"{where}[{i}]", minimum=minimum)
+    elif minimum is not None and node < minimum:
+        raise SchemaViolation(f"{where}: expected at least {minimum}, got {node!r}")
+    return node
+
+
+@contextmanager
+def json_at(where: str):
+    """Prefix ``where`` to a ``TrajmarkError`` that does not already start with it."""
+    try:
+        yield
+    except TrajmarkError as exc:
+        if str(exc).startswith(where):
+            raise
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def read_json(path: str) -> object:
-    """Decode the JSON document in a UTF-8 file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    """Decode a UTF-8 JSON file as strictly as a JSONL line; a refusal names ``path``."""
+    with open(path, "rb") as handle, json_at(path):
+        try:
+            return decode_json_line(handle.read().decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(f"not valid UTF-8: {exc}") from exc
 
 
 def write_json(path: str, obj: object) -> None:

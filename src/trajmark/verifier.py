@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
-from .errors import EmptyRegistry, LengthMismatch
+from .errors import EmptyRegistry, InvalidRange, LengthMismatch, SchemaViolation
 from .registry import Registry, bits_to_uid
-from .trajectory import GreyBoxTrajectory, write_json
+from .trajectory import GreyBoxTrajectory, json_value, write_json
 
 DEFAULT_THETA_J = 0.015
 DEFAULT_THETA_N = 3
@@ -90,6 +90,14 @@ class Verdict:
         write_json(path, self.to_json())
 
 
+def detected_vector_from_json(obj, where: str = "verdict: $") -> list[int]:
+    """A verdict document's ``detected_vector``: an array of 0/1 ints."""
+    vector = json_value(obj, [int], where, "detected_vector", minimum=0)
+    if any(bit > 1 for bit in vector):
+        raise SchemaViolation(f"{where}.detected_vector: expected 0/1 ints, got {max(vector)}")
+    return vector
+
+
 def evaluate_passes(
     corpus: Sequence[GreyBoxTrajectory], pool: Sequence[WatermarkPass]
 ) -> list[PassEvaluation]:
@@ -125,7 +133,7 @@ def threshold_evaluations(
     detected iff conclusive and JSD(D', D-hat) < theta_j.
     """
     if not 0.0 < theta_j <= 1.0:
-        raise ValueError(f"theta_j must lie in (0, 1], got {theta_j}")
+        raise InvalidRange(f"theta_j must lie in (0, 1], got {theta_j}")
     out = []
     for ev in evaluations:
         conclusive = ev.observation_count >= m_min and ev.empirical is not None
@@ -158,7 +166,7 @@ def classify_model(
     pass_id - 1, bit 0 least significant, matching UID layout.
     """
     if theta_n < 1:
-        raise ValueError(f"theta_n must be >= 1, got {theta_n}")
+        raise InvalidRange(f"theta_n must be >= 1, got {theta_n}")
     n_bits = max(r.pass_id for r in results) if results else 0
     vector = [0] * n_bits
     for r in results:

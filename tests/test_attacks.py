@@ -15,7 +15,7 @@ from trajmark.attacks import (
     near_duplicate_map,
     AttackOutcome,
 )
-from trajmark.errors import CorpusMismatch
+from trajmark.errors import CorpusMismatch, InvalidRange
 from trajmark.seeds import derive_rng
 from trajmark.trajectory import Action, GreyBoxTrajectory
 
@@ -42,7 +42,7 @@ def test_deletion_p_one_drops_everything():
 
 
 def test_deletion_rejects_bad_probability():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRange):
         attack_random_deletion(CORPUS, 1.5, rng_seed=1)
 
 

@@ -17,6 +17,7 @@ from trajmark.errors import (
     ArityMismatch,
     IndexOutOfRange,
     InvalidDistribution,
+    InvalidRange,
     SupportMismatch,
 )
 
@@ -56,7 +57,7 @@ def test_skewed_delta_two_example():
 def test_derive_errors():
     with pytest.raises(IndexOutOfRange):
         derive_target_distribution(Distribution((0.5, 0.5)), 2, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRange):
         derive_target_distribution(Distribution((0.5, 0.5)), 0, -0.1)
     with pytest.raises(InvalidDistribution):
         Distribution((0.5, 0.6))

@@ -23,7 +23,9 @@ from trajmark.equivalence import (
     eqset_to_json,
     scan_equivalence,
 )
-from trajmark.errors import InvalidDistribution, MappingGap, NoObservations, TrajmarkError
+from trajmark.errors import (
+    InvalidDistribution, ManifestError, MappingGap, NoObservations, TrajmarkError,
+)
 from trajmark.injector import watermark_corpus
 from trajmark.pool import build_pool, pool_from_json, pool_to_json
 from trajmark.simkit.domains import DomainSpec, Template, TemplateItem, builtin_domain
@@ -273,11 +275,25 @@ def test_unresolvable_cross_map_rejected_at_build():
         EquivalenceSet("test.gap", "VR", (a, b))
 
 
+@pytest.mark.parametrize("param_map", [
+    # one entry for a two-action member
+    ((("x", SlotRef("x")),),),
+    # a slot no pattern of the member binds
+    ((("x", SlotRef("x")),), (("y", SlotRef("z")),)),
+])
+def test_member_param_map_is_checked_by_its_set(param_map):
+    # a segment's own param_map is checked when a set is built from it
+    plain = Segment((ActionPattern("A.Op", ("x",)), ActionPattern("A.Aux", ("y",))))
+    mapped = Segment(plain.patterns, param_map)
+    with pytest.raises(MappingGap):
+        EquivalenceSet("test.own", "VR", (plain, mapped))
+
+
 def test_eqset_requires_two_members():
     seg = Segment((ActionPattern("A.Op", ("x",)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ManifestError):
         EquivalenceSet("test.single", "VR", (seg,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ManifestError):
         EquivalenceSet("test.scheme", "XX", (seg, seg))
 
 

@@ -6,13 +6,19 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from trajmark import cli
 from trajmark.cli import main
 from trajmark.equivalence import ActionPattern, EquivalenceSet, Segment
-from trajmark.errors import NoValidCandidates
+from trajmark.errors import InvalidRange, NoValidCandidates, TrajmarkError
+from trajmark.experiment import ExperimentConfig
 from trajmark.pool import build_pool, load_pool, pool_from_json, pool_to_json, save_pool
-from trajmark.registry import Registry, passes_for_uid, register_user
-from trajmark.simkit.domains import builtin_domain
+from trajmark.registry import Registry, passes_for_uid, register_user, uid_bits
+from trajmark.simkit.domains import DomainSpec, build_domain, builtin_domain
+from trajmark.trajectory import read_json
+from trajmark.verifier import Verdict, detected_vector_from_json
 
 
 def test_pool_counts_match_reference_shape(data_domain, data_pool):
@@ -240,14 +246,77 @@ def _uid_hex_not_hex(data_pool):
     return {"domain": "d", "N": 8, "w_min": 0, "w_max": 8, "users": [user]}
 
 
+def _pass_id_bool(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["pass_id"] = True
+    return doc
+
+
+def _natural_string(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["natural"] = "ab"
+    return doc
+
+
+def _delta_string(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["delta"] = "1"
+    return doc
+
+
+def _slot_short_pair(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["set"]["members"][0]["patterns"][0]["slots"][0] = ["a"]
+    return doc
+
+
+def _slot_int(data_pool):
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["set"]["members"][0]["patterns"][0]["slots"][0] = 5
+    return doc
+
+
+def _target_index_missing(data_pool):
+    doc = _pool_doc(data_pool)
+    del doc["passes"][0]["target_index"]
+    return doc
+
+
+def _registry_n_bool(data_pool):
+    return {"domain": "data", "N": True, "w_min": 0, "w_max": 1, "users": []}
+
+
+def _registry_n_string(data_pool):
+    return {"domain": "data", "N": "39", "users": []}
+
+
+def _vector_string(data_pool):
+    return {"detected_vector": "1" * 39}
+
+
+def _vector_twos(data_pool):
+    return {"detected_vector": [2] * 39}
+
+
+def _vector_missing(data_pool):
+    return {"n_det": 0}
+
+
 @pytest.mark.parametrize("flag, build, error", [
-    ("--pool", _passes_of_ints, "TypeError"),
-    ("--pool", _biased_null, "TypeError"),
-    ("--pool", _empty_source, "IndexError"),
+    ("--pool", _passes_of_ints, "pool"),
+    ("--pool", _biased_null, "pool"),
+    ("--pool", _empty_source, "pool"),
     # a node of the wrong container type is refused before it is used
     ("--pool", _pool_array, "pool"),
-    ("--pool", _set_string, "set"),
-    ("--pool", _cross_maps_array, "set d.vr.1: cross_maps"),
+    ("--pool", _set_string, "pool"),
+    ("--pool", _cross_maps_array, "pool"),
+    # a bool is not an int, and a scalar node is type-checked by name
+    ("--pool", _pass_id_bool, "pool"),
+    ("--pool", _natural_string, "pool"),
+    ("--pool", _delta_string, "pool"),
+    ("--pool", _slot_short_pair, "pool"),
+    ("--pool", _slot_int, "pool"),
+    ("--pool", _target_index_missing, "pool"),
     ("--config", _config_array, "config"),
     ("--config", _config_seed_string, "config"),
     ("--config", _config_domains_int, "config"),
@@ -264,15 +333,189 @@ def _uid_hex_not_hex(data_pool):
     # a user record's fields are type-checked by name
     ("--registry", _active_ids_int, "registry"),
     ("--registry", _uid_hex_not_hex, "registry"),
-    ("--domain", _filler_args_array, "template data-t01: args"),
+    ("--registry", _registry_n_bool, "registry"),
+    ("--registry", _registry_n_string, "registry"),
+    ("--domain", _filler_args_array, "domain"),
+    # read by ``localize``: an array of 0/1 ints
+    ("--verdict", _vector_string, "verdict"),
+    ("--verdict", _vector_twos, "verdict"),
+    ("--verdict", _vector_missing, "verdict"),
 ])
 def test_cli_malformed_document_is_a_data_error(tmp_path, capsys, data_pool, flag, build, error):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(build(data_pool)))
-    assert main(["validate", flag, str(path), "--quiet"]) == 2
+    if flag == "--verdict":
+        registry = tmp_path / "reg.json"
+        Registry("data", 39).save(str(registry))
+        argv = ["localize", "--verdict", str(path), "--registry", str(registry)]
+    else:
+        argv = ["validate", flag, str(path), "--quiet"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"trajmark: {error}: ")
+    # the document, its file and the JSON path of the refused node
+    assert err.startswith(f"trajmark: {error}: {path}: $")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"format_version": 1, "passes": [',
+    b'{"format_version": 1, "passes": [], "domain": "\xff"}',
+    b'{"format_version": 1, "passes": [], "domain": NaN}',
+    b"[" * 100000 + b"]" * 100000,
+], ids=["truncated", "invalid_utf8", "nan", "too_deep"])
+def test_cli_undecodable_document_names_the_file(tmp_path, capsys, raw):
+    path = tmp_path / "pool.json"
+    path.write_bytes(raw)
+    assert main(["validate", "--pool", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trajmark: {path}: ") and err.count("\n") == 1
+
+
+def test_cli_defect_is_not_a_data_error(monkeypatch, tmp_path):
+    # only a TrajmarkError or an OSError is bad input; a KeyError is a defect
+    def broken(path):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "load_pool", broken)
+    with pytest.raises(KeyError):
+        main(["validate", "--pool", str(tmp_path / "pool.json"), "--quiet"])
+
+
+def test_genpool_refuses_fewer_than_one_validation_case(tmp_path, data_domain, capsys):
+    out = tmp_path / "pool.json"
+    assert main(["genpool", "--domain", "data", "--out", str(out), "--cases", "0"]) == 2
+    assert not out.exists()
+    assert "at least 1 case" in capsys.readouterr().err
+    with pytest.raises(InvalidRange):
+        build_pool(data_domain, seed=1, n_validation_cases=-1, calibration_size=10)
+
+
+# --- one node mutated in a valid document -------------------------------------
+
+def _doc_pool(data_pool):
+    """One pass of each scheme, renumbered 1..5."""
+    firsts = {}
+    for p in data_pool:
+        firsts.setdefault(p.eqset.scheme, p)
+    passes = [dataclasses.replace(p, pass_id=i, order_rank=i)
+              for i, p in enumerate(firsts.values(), start=1)]
+    return pool_to_json(passes, "data")
+
+
+def _doc_registry(data_pool):
+    reg = Registry("data", len(data_pool))
+    for seed in range(3):
+        register_user(reg, rng_seed=seed, created_at=f"2026-01-0{seed + 1}T00:00:00")
+    return reg.to_json()
+
+
+def _doc_domain(data_pool):
+    return build_domain("mini", shape={"VR": 1, "PGR": 1, "IA": 1, "AE": 1, "CE": 1}).to_json()
+
+
+def _doc_config(data_pool):
+    return {"domains": ["data", "social"], "seed": 3, "out_dir": "out", "n_attackers": 2,
+            "n_benign": 3, "localization_extra_users": [0, 10], "localization_seeds": 2,
+            "closed_loop_corpus": 50}
+
+
+def _doc_verdict(data_pool):
+    bits = uid_bits(0b1011, len(data_pool))
+    return Verdict([], bits, sum(bits), 0.015, 3, 30, True).to_json()
+
+
+# (document, build, load to a comparable value)
+DOCUMENTS = {
+    "pool": (_doc_pool, lambda path: pool_to_json(load_pool(path))),
+    "registry": (_doc_registry, lambda path: Registry.load(path).to_json()),
+    "domain": (_doc_domain, lambda path: DomainSpec.load(path).to_json()),
+    "config": (_doc_config, lambda path: dataclasses.asdict(ExperimentConfig.from_file(path))),
+    "verdict": (_doc_verdict,
+                lambda path: detected_vector_from_json(read_json(path), f"verdict: {path}: $")),
+}
+# what a missing optional key reads as; every other key the loaders read is required
+OPTIONAL = {
+    "registry": {"w_min": 5, "w_max": 20},
+    "pool": {"cross_maps": {}, "param_map": [], "slots": []},
+    "domain": {"cross_maps": {}, "param_map": [], "slots": [], "delta": 3.0,
+               "corpus_sizes": {}, "weight": 1.0, "args": [], "effects": [],
+               "output": None, "ancillary": False},
+    "config": {f.name: f.default for f in dataclasses.fields(ExperimentConfig)},
+}
+# an entry of these maps is data, not a field: a document without it is
+# another valid document
+MAPS = (("cross_maps",), ("args",))
+_SAMPLES = {"object": [{}, {"k": 1}], "array": [[], [1], ["lit"]], "string": ["", "a"],
+            "number": [0, 2, -1.5], "bool": [True, False], "null": [None]}
+
+
+def _json_type(value):
+    if value is None:
+        return "null"
+    return {dict: "object", list: "array", str: "string", bool: "bool"}.get(type(value), "number")
+
+
+def _nodes(value, path=()):
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _admitted(doc, path, value):
+    """The JSON types the node at ``path`` may hold."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if path and path[-1] == 1 and isinstance(parent, list) and parent[:1] == ["lit"]:
+        return {"string", "number", "bool"}  # a literal is any scalar
+    if path and path[-1] == "output":
+        return {"array", "null"}
+    return {_json_type(value)}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_document_loads_equal_or_names_the_node(tmp_path, data_pool, name, data):
+    build, load = DOCUMENTS[name]
+    doc = build(data_pool)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    original = load(str(path))
+    nodes = list(_nodes(doc))
+    where, value = data.draw(st.sampled_from(nodes))
+    mutated = json.loads(json.dumps(doc))
+    parent = mutated
+    for key in where[:-1]:
+        parent = parent[key]
+    # a field of an object; the entries of a map are not fields
+    deletable = bool(where) and isinstance(where[-1], str) and where[-2:-1] not in MAPS
+    if deletable and data.draw(st.booleans()):
+        del parent[where[-1]]
+    else:
+        kinds = sorted(set(_SAMPLES) - _admitted(doc, where, value))
+        kind = data.draw(st.sampled_from(kinds))
+        replacement = data.draw(st.sampled_from(_SAMPLES[kind]))
+        if where:
+            parent[where[-1]] = replacement
+        else:
+            mutated = replacement
+    path.write_text(json.dumps(mutated))
+    try:
+        loaded = load(str(path))
+    except TrajmarkError as exc:
+        assert str(exc).startswith(f"{name}: {path}: $"), str(exc)
+        return
+    if loaded != original:
+        # a deleted optional key reads as its default
+        default = OPTIONAL.get(name, {}).get(where[-1] if where else None, KeyError)
+        assert deletable and default is not KeyError, (where, loaded)
+        parent[where[-1]] = default
+        path.write_text(json.dumps(mutated))
+        assert loaded == load(str(path)), where
 
 
 def test_cli_genpool_prints_scheme_summary(tmp_path, capsys):

@@ -25,7 +25,6 @@ from trajmark.simkit.domains import (
 )
 from trajmark.simkit.generator import generate_greybox_corpus, template_for_trajectory
 from trajmark.simkit.surrogate import (
-    SurrogateModel,
     benign_surrogate,
     fit_surrogate,
     sample_surrogate,
@@ -229,16 +228,6 @@ def test_domain_file_fills_missing_corpus_sizes_from_the_defaults(mini_domain):
     assert DomainSpec.from_json(obj).corpus_sizes == {**DEFAULT_CORPUS_SIZES, "fit": 10}
     del obj["corpus_sizes"]
     assert DomainSpec.from_json(obj).corpus_sizes == DEFAULT_CORPUS_SIZES
-
-
-def test_surrogate_json_round_trip(tmp_path, mini_domain):
-    corpus = generate_greybox_corpus(mini_domain, 100, seed=2)
-    model = fit_surrogate(corpus, mini_domain, eta=0.8)
-    path = tmp_path / "model.json"
-    model.save(str(path))
-    loaded = SurrogateModel.from_json(json.loads(path.read_text()))
-    assert loaded.fitted == model.fitted
-    assert loaded.skeleton_freqs == model.skeleton_freqs
 
 
 def _domain_with_filler(tool, gen):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_pass, move_eqset
 from trajmark.equivalence import Distribution, count_members, js_divergence
-from trajmark.errors import EmptyRegistry, LengthMismatch
+from trajmark.errors import EmptyRegistry, InvalidRange, LengthMismatch
 from trajmark.registry import (
     Registry,
     UserRecord,
@@ -102,9 +102,9 @@ def test_unwatermarked_suspect_not_detected(ce_set):
 
 def test_detect_theta_validation(ce_set):
     p = make_pass(ce_set, (0.6, 0.4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRange):
         detect(p, p.biased, 100, theta_j=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidRange):
         detect(p, p.biased, 100, theta_j=1.5)
 
 
