@@ -20,7 +20,7 @@ from .attacks import (
     attack_rephrase_stub,
     semantic_breakage_rate,
 )
-from .errors import TrajmarkError
+from .errors import LengthMismatch, TrajmarkError
 from .experiment import (
     STAGES,
     ExperimentConfig,
@@ -83,6 +83,12 @@ def _candidate_sets(ref: str):
     return domain.eqsets, list(domain.sandbox.tools), domain.sandbox
 
 
+def _check_registry(registry: Registry, pool) -> None:
+    """Refuse a registry whose UIDs are not as long as the pool."""
+    if registry.n_bits != len(pool):
+        raise LengthMismatch(f"registry N={registry.n_bits} does not match pool size {len(pool)}")
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -105,10 +111,7 @@ def _cmd_register(args) -> int:
         registry = Registry.load(args.registry)
     except FileNotFoundError:
         registry = Registry(domain=args.domain_name or "default", n_bits=len(pool))
-    if registry.n_bits != len(pool):
-        raise TrajmarkError(
-            f"registry N={registry.n_bits} does not match pool size {len(pool)}"
-        )
+    _check_registry(registry, pool)
     record = register_user(registry, rng_seed=_seed(args))
     registry.save(args.registry)
     print(record.uid_hex)
@@ -118,7 +121,7 @@ def _cmd_register(args) -> int:
 
 def _cmd_simulate(args) -> int:
     domain = load_domain(args.domain)
-    n = args.n or domain.corpus_sizes["fit"]
+    n = domain.corpus_sizes["fit"] if args.n is None else args.n
     if args.mode == "victim":
         corpus = generate_greybox_corpus(domain, n, _seed(args), id_prefix="q")
     elif args.mode == "benign":
@@ -141,6 +144,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_inject(args) -> int:
     pool = load_pool(args.pool)
     registry = Registry.load(args.registry)
+    _check_registry(registry, pool)
     known = {u.uid_hex for u in registry.users}
     if args.uid not in known:
         raise TrajmarkError(f"uid {args.uid} is not registered")
@@ -281,10 +285,8 @@ def _cmd_validate(args) -> int:
         checked += 1
     if args.registry:
         registry = Registry.load(args.registry)
-        if pool is not None and registry.n_bits != len(pool):
-            raise TrajmarkError(
-                f"registry N={registry.n_bits} does not match pool size {len(pool)}"
-            )
+        if pool is not None:
+            _check_registry(registry, pool)
         _say(args, f"registry {args.registry}: {len(registry.users)} users, N={registry.n_bits}")
         checked += 1
     if args.corpus:

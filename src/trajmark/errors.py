@@ -96,3 +96,7 @@ class EmptyRegistry(TrajmarkError):
 
 class CorpusMismatch(TrajmarkError):
     """Ground-truth edit log does not cover the attacked corpus."""
+
+
+class DomainMismatch(TrajmarkError):
+    """A surrogate is sampled against another domain than the one it was fitted on."""

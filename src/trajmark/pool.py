@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .equivalence import (
     ACTION_SCHEMES,
+    SCHEMES,
     Distribution,
     EquivalenceSet,
     WatermarkPass,
@@ -52,7 +53,7 @@ class PoolBuildReport:
     def summary_lines(self) -> list[str]:
         lines = [f"pool for domain {self.domain!r} at delta={self.delta:g}"]
         total = 0
-        for scheme in ("VR", "PGR", "IA", "AE", "CE"):
+        for scheme in SCHEMES:
             count = self.scheme_counts.get(scheme, 0)
             total += count
             lines.append(f"  {scheme:4s} {count:3d}")

@@ -5,5 +5,5 @@ Submodules:
 * ``sandbox``   deterministic tool execution with effect logging
 * ``domains``   synthetic domain specs (tool libraries, templates, pools)
 * ``generator`` grey-box corpus generation from a domain spec
-* ``surrogate`` distribution-fitting imitation model and its sampler
+* ``surrogate`` imitation model: a domain with fitted distributions and weights
 """

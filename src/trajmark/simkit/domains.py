@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..equivalence import (
+    SCHEMES,
     ActionPattern,
     Distribution,
     EquivalenceSet,
@@ -107,8 +108,10 @@ class DomainSpec:
 
     The spec is frozen and holds its sets and templates as tuples, so the
     checks made when it is built hold for its life; derive a changed spec
-    with ``dataclasses.replace``, which checks it again. Each corpus size
-    that ``corpus_sizes`` does not give is read from ``DEFAULT_CORPUS_SIZES``.
+    with ``dataclasses.replace``, which checks it again. ``natural`` maps
+    each set id to the distribution its slots draw members from: configured
+    for a built-in domain, fitted for a surrogate. Each corpus size that
+    ``corpus_sizes`` does not give is read from ``DEFAULT_CORPUS_SIZES``.
     """
 
     name: str
@@ -488,11 +491,7 @@ def _natural_for(
     return Distribution(tuple(weights)), target
 
 
-def build_domain(
-    name: str,
-    shape: dict[str, int] | None = None,
-    delta: float = DEFAULT_DELTA,
-) -> DomainSpec:
+def build_domain(name: str, shape: dict[str, int] | None = None) -> DomainSpec:
     """Construct a synthetic domain deterministically from its name."""
     shape = shape or POOL_SHAPES.get(name)
     if shape is None:
@@ -508,7 +507,7 @@ def build_domain(
 
     weak_ids = {f"{tag}.vr.2", f"{tag}.vr.5"}
     family_counter = 0
-    for scheme in ("VR", "PGR", "IA", "AE", "CE"):
+    for scheme in SCHEMES:
         factory = _FAMILY_FACTORIES[scheme]
         for i in range(1, shape[scheme] + 1):
             prod = _PRODUCTS[family_counter % len(_PRODUCTS)]
@@ -569,7 +568,6 @@ def build_domain(
         natural=natural,
         targets=targets,
         templates=templates,
-        delta=delta,
     )
 
 

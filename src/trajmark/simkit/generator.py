@@ -1,18 +1,19 @@
 """Grey-box corpus generation from a domain spec.
 
-Each trajectory instantiates one query template: filler positions become
-concrete actions with fresh token arguments, equivalence slots draw a
-member from the slot's distribution and instantiate it through the set's
-canonical bindings. Trajectories are built in the form a service reveals,
-actions plus the final response, so no hidden reasoning is ever produced.
+Each trajectory instantiates one query template, drawn by template
+weight: filler positions become concrete actions with fresh token
+arguments, equivalence slots draw a member from the domain's natural
+distribution for the set and instantiate it through the set's canonical
+bindings. A surrogate is a domain derived with fitted distributions and
+template weights, so its samples come from here too. Trajectories are
+built in the form a service reveals, actions plus the final response, so
+no hidden reasoning is ever produced.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
 
-from ..equivalence import Distribution
 from ..errors import InvalidRange
 from ..seeds import derive_rng
 from ..trajectory import Action, GreyBoxTrajectory
@@ -33,12 +34,10 @@ def generate_trajectory(
     template: Template,
     query_id: str,
     rng: random.Random,
-    slot_dist: Callable[[str], Distribution] | None = None,
 ) -> GreyBoxTrajectory:
     """Instantiate one template into a grey-box trajectory.
 
-    ``slot_dist`` overrides the member distribution per set id; the default
-    is the domain's configured natural distribution. Actions are built
+    Each slot draws its member from ``domain.natural``. Actions are built
     without re-validation: the domain checked its templates and sets when
     it was built, and every generated value is a token or a checked literal.
     """
@@ -49,8 +48,7 @@ def generate_trajectory(
             emitted: tuple[Action, ...] = (Action._trusted(item.tool, args),)
         else:
             eqset = domain.eqset(item.set_id)
-            dist = slot_dist(item.set_id) if slot_dist else domain.natural[item.set_id]
-            member = dist.sample(rng)
+            member = domain.natural[item.set_id].sample(rng)
             # bindings are drawn for member 0's slots and routed through the
             # set's mapping, so the injector can rewrite any member it emits
             emitted = eqset.rewrite(0, member, {slot: _token(rng) for slot in eqset.base_slots})
@@ -71,8 +69,6 @@ def generate_greybox_corpus(
     n: int,
     seed: int,
     id_prefix: str = "q",
-    slot_dist: Callable[[str], Distribution] | None = None,
-    template_weights: dict[str, float] | None = None,
 ) -> list[GreyBoxTrajectory]:
     """Generate ``n`` grey-box trajectories, what a service would emit.
 
@@ -82,19 +78,12 @@ def generate_greybox_corpus(
     if n < 1:
         raise InvalidRange(f"corpus size must be >= 1, got {n}")
     templates = domain.templates
-    weights = [
-        template_weights.get(t.id, 0.0) if template_weights else t.weight
-        for t in templates
-    ]
-    if template_weights and not any(weights):
-        weights = [t.weight for t in templates]
+    weights = [t.weight for t in templates]
     corpus = []
     for idx in range(n):
         rng = derive_rng(seed, "gen", id_prefix, idx)
         template = rng.choices(templates, weights=weights, k=1)[0]
-        corpus.append(
-            generate_trajectory(domain, template, f"{id_prefix}{idx:06d}", rng, slot_dist)
-        )
+        corpus.append(generate_trajectory(domain, template, f"{id_prefix}{idx:06d}", rng))
     return corpus
 
 

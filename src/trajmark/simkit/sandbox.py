@@ -54,8 +54,16 @@ def _eval(expr, arg_map: Mapping[str, Scalar], scratch: Mapping[str, Scalar]) ->
     raise ExecutionFailure(f"unknown value expression {expr!r}")
 
 
-def _parse_expr(raw, where: str) -> tuple:
+# The built-in domains nest value expressions at most 2 deep. The bound keeps
+# _parse_expr, and _eval and _expr_json on the trees it returns, far from
+# the interpreter's recursion limit.
+MAX_EXPR_DEPTH = 32
+
+
+def _parse_expr(raw, where: str, depth: int = 1) -> tuple:
     """A value expression read from JSON: every name a string, a literal a scalar."""
+    if depth > MAX_EXPR_DEPTH:
+        raise ExecutionFailure(f"{where}: value expression nested deeper than {MAX_EXPR_DEPTH}")
     kind = json_value(raw, list, where)[0] if raw else None
     if kind in ("arg", "var") and len(raw) == 2:
         return (kind, json_value(raw[1], str, f"{where}[1]"))
@@ -63,7 +71,7 @@ def _parse_expr(raw, where: str) -> tuple:
         return ("lit", raw[1])
     if kind == "derive" and len(raw) > 2 and type(raw[1]) is str and raw[1] in _DERIVE_FNS:
         args = enumerate(raw[2:], start=2)
-        return ("derive", raw[1], *(_parse_expr(e, f"{where}[{i}]") for i, e in args))
+        return ("derive", raw[1], *(_parse_expr(e, f"{where}[{i}]", depth + 1) for i, e in args))
     raise ExecutionFailure(f"{where}: bad value expression {raw!r}")
 
 

@@ -1,33 +1,32 @@
 """The distribution-fitting stand-in for a fine-tuned imitation model.
 
-A surrogate learns, per equivalence set, the empirical member distribution
-of the trajectories it was trained on, blended with the natural
-distribution through a fidelity knob ``eta``: 1.0 models perfect imitation
-(the harvested biases are reproduced exactly up to sampling), 0.0 a benign
-model that never saw watermarked data. Sets absent from the harvest fall
-back to natural and are recorded rather than raised.
+A surrogate is a derived domain: the victim's domain with each set's
+natural distribution replaced by the one fitted on the harvest, and each
+template's weight by its skeleton frequency there. Sampling it is plain
+corpus generation on that domain. Per set, the fit blends the empirical
+member distribution with the natural one through a fidelity knob ``eta``:
+1.0 models perfect imitation (the harvested biases are reproduced exactly
+up to sampling), 0.0 a model that never saw watermarked data. Sets absent
+from the harvest keep natural and are recorded rather than raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..equivalence import Distribution, count_members
-from ..errors import InvalidRange
+from ..errors import DomainMismatch, InvalidRange
 from ..trajectory import GreyBoxTrajectory, _gc_paused
 from .domains import DomainSpec
 from .generator import generate_greybox_corpus, template_for_trajectory
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurrogateModel:
-    """Per-set fitted distributions plus base skeleton frequencies."""
+    """The domain a surrogate generates from, and the sets its harvest missed."""
 
-    domain_name: str
-    eta: float
-    fitted: dict[str, Distribution]
-    skeleton_freqs: dict[str, float]
+    domain: DomainSpec
     missing_sets: tuple[str, ...] = ()
 
 
@@ -48,9 +47,9 @@ def fit_surrogate(
     """Fit per-set categorical distributions from a harvested corpus.
 
     Fitting is deterministic: per set, eta * empirical + (1 - eta) *
-    natural. Skeleton frequencies come from matching each harvested
-    trajectory back to its template; unmatchable trajectories are skipped
-    and a uniform fallback applies if nothing matches.
+    natural. Template weights are skeleton frequencies, from matching each
+    harvested trajectory back to its template; unmatchable trajectories
+    are skipped and every template weighs the same if nothing matches.
     """
     if not harvested:
         raise InvalidRange("harvest must be non-empty")
@@ -67,33 +66,21 @@ def fit_surrogate(
         fitted[eqset.id] = _mix(Distribution.from_counts(row), natural, eta)
 
     counts: dict[str, int] = {t.id: 0 for t in domain.templates}
-    matched = 0
     for traj in harvested:
         template_id = template_for_trajectory(domain, traj)
         if template_id is not None:
             counts[template_id] += 1
-            matched += 1
-    if matched:
-        freqs = {tid: c / matched for tid, c in counts.items()}
-    else:
-        freqs = {t.id: 1.0 / len(domain.templates) for t in domain.templates}
-    return SurrogateModel(
-        domain_name=domain.name,
-        eta=eta,
-        fitted=fitted,
-        skeleton_freqs=freqs,
-        missing_sets=tuple(missing),
-    )
+    matched = sum(counts.values())
+    templates = [
+        replace(t, weight=counts[t.id] / matched if matched else 1.0 / len(domain.templates))
+        for t in domain.templates
+    ]
+    return SurrogateModel(replace(domain, natural=fitted, templates=templates), tuple(missing))
 
 
 def benign_surrogate(domain: DomainSpec) -> SurrogateModel:
-    """A model that never saw watermarked data: natural everywhere."""
-    return SurrogateModel(
-        domain_name=domain.name,
-        eta=0.0,
-        fitted={e.id: domain.natural[e.id] for e in domain.eqsets},
-        skeleton_freqs={t.id: t.weight for t in domain.templates},
-    )
+    """A model that never saw watermarked data: the domain itself."""
+    return SurrogateModel(domain)
 
 
 @_gc_paused
@@ -104,16 +91,9 @@ def sample_surrogate(
     seed: int,
     id_prefix: str = "s",
 ) -> list[GreyBoxTrajectory]:
-    """Query the surrogate: grey-box trajectories drawn from its fit."""
-    if model.domain_name != domain.name:
-        raise ValueError(
-            f"surrogate was fitted on {model.domain_name!r}, not {domain.name!r}"
+    """Query the surrogate: grey-box trajectories drawn from its fitted domain."""
+    if model.domain.name != domain.name:
+        raise DomainMismatch(
+            f"surrogate was fitted on {model.domain.name!r}, not {domain.name!r}"
         )
-    return generate_greybox_corpus(
-        domain,
-        n,
-        seed,
-        id_prefix=id_prefix,
-        slot_dist=lambda set_id: model.fitted[set_id],
-        template_weights=model.skeleton_freqs,
-    )
+    return generate_greybox_corpus(model.domain, n, seed, id_prefix)

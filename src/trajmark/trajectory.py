@@ -111,12 +111,6 @@ class Action:
     def arg_map(self) -> dict[str, Scalar]:
         return dict(self.args)
 
-    def get(self, name: str) -> Scalar | None:
-        for key, value in self.args:
-            if key == name:
-                return value
-        return None
-
 
 def _gc_paused(fn: F) -> F:
     """Run ``fn`` with the cyclic garbage collector off; for whole-corpus entry points.

@@ -14,7 +14,7 @@ whose fingerprint it carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
@@ -60,7 +60,6 @@ class Verdict:
     theta_n: int
     m_min: int
     classified_as_imitation: bool
-    localization: list[tuple[str, float]] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -81,9 +80,7 @@ class Verdict:
                 }
                 for r in self.results
             ],
-            "localization": [
-                {"uid_hex": uid, "similarity": sim} for uid, sim in self.localization
-            ],
+            "localization": [],  # filled by `localize --report`
         }
 
     def save(self, path: str) -> None:

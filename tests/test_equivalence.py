@@ -612,7 +612,8 @@ def test_trusted_actions_equal_validated_ones(eqset, values, seed):
     )
     for member in range(k):
         only = Distribution(tuple(float(m == member) for m in range(k)))
-        (generated,) = generate_greybox_corpus(domain, 1, seed, slot_dist=lambda _: only)
+        forced = dataclasses.replace(domain, natural={eqset.id: only})
+        (generated,) = generate_greybox_corpus(forced, 1, seed)
         _assert_validated(generated.actions)
         assert [a.tool for a in generated.actions] == [
             p.tool for p in eqset.members[member].patterns

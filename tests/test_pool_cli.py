@@ -371,6 +371,21 @@ def test_cli_undecodable_document_names_the_file(tmp_path, capsys, raw):
     assert err.startswith(f"trajmark: {path}: ") and err.count("\n") == 1
 
 
+def test_cli_deeply_nested_expression_is_a_data_error(tmp_path, capsys):
+    # far past the bound, though well inside what the JSON decoder accepts
+    doc = builtin_domain("data").to_json()
+    expr = ["arg", "msg"]
+    for _ in range(700):
+        expr = ["derive", "upper", expr]
+    doc["tools"][0]["output"] = expr
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--domain", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trajmark: domain: {path}: $.tools[0].output[2][2]")
+    assert "value expression nested deeper than" in err and err.count("\n") == 1
+
+
 def test_cli_defect_is_not_a_data_error(monkeypatch, tmp_path):
     # only a TrajmarkError or an OSError is bad input; a KeyError is a defect
     def broken(path):
@@ -571,6 +586,35 @@ def test_cli_inject_requires_registered_uid(workdir):
                  "--out", str(workdir / "x.jsonl"),
                  "--edits", str(workdir / "e.jsonl"), "--quiet"])
     assert code == 2
+
+
+def test_cli_inject_refuses_a_registry_of_another_pool_size(tmp_path, capsys, data_pool):
+    # a 39-bit registry against a 28-pass pool: the uid's bits would pick
+    # passes of the wrong pool
+    pool = tmp_path / "pool.json"
+    save_pool(str(pool), data_pool[:28], "data")
+    user = {"uid_hex": "000000001f", "active_pass_ids": [1, 2, 3, 4, 5], "created_at": "t"}
+    registry = tmp_path / "reg.json"
+    registry.write_text(json.dumps({"domain": "data", "N": 39, "users": [user]}))
+    victim = tmp_path / "victim.jsonl"
+    assert main(["simulate", "victim", "--domain", "data", "--n", "5",
+                 "--out", str(victim), "--seed", "3", "--quiet"]) == 0
+    out = tmp_path / "wm.jsonl"
+    assert main(["inject", "--pool", str(pool), "--registry", str(registry),
+                 "--uid", "000000001f", "--in", str(victim), "--out", str(out),
+                 "--edits", str(tmp_path / "edits.jsonl"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "trajmark: registry N=39 does not match pool size 28\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["victim", "benign"])
+def test_cli_simulate_refuses_a_zero_corpus_size(tmp_path, capsys, mode):
+    # 0 is a size, not "use the domain's fit size"
+    out = tmp_path / "corpus.jsonl"
+    assert main(["simulate", mode, "--domain", "data", "--n", "0",
+                 "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "trajmark: corpus size must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_cli_attack_writes_metrics(workdir, capsys):

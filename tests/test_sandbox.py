@@ -11,6 +11,7 @@ from trajmark.equivalence import (
 )
 from trajmark.errors import ExecutionFailure, InvalidArguments, UnknownTool
 from trajmark.simkit.sandbox import (
+    MAX_EXPR_DEPTH,
     SandboxSpec,
     ToolSpec,
     canonical_log,
@@ -108,6 +109,23 @@ def test_toolspec_json_round_trip(file_sandbox):
     after = execute_segment(actions, reloaded, {"a": "x"})
     assert before.env == after.env and before.log == after.log
 
+
+
+def _nested_output(depth: int) -> dict:
+    expr = ["arg", "msg"]
+    for _ in range(depth - 1):
+        expr = ["derive", "upper", expr]
+    return {"name": "Deep.Echo", "args": ["msg"], "output": expr}
+
+
+def test_toolspec_expression_depth_is_bounded():
+    # the deepest expression the bound admits still loads and evaluates
+    tool = ToolSpec.from_json(_nested_output(MAX_EXPR_DEPTH))
+    box = SandboxSpec({tool.name: tool})
+    (out,) = execute_segment([Action.make("Deep.Echo", {"msg": "a"})], box).outputs
+    assert out == "A"
+    with pytest.raises(ExecutionFailure, match=r"^tool: \$\.output(\[2\]){%d}: " % MAX_EXPR_DEPTH):
+        ToolSpec.from_json(_nested_output(MAX_EXPR_DEPTH + 1))
 
 # --- validate_equivalence ----------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Simulation kit: generation, surrogate fitting, domain shapes."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -29,7 +30,7 @@ from trajmark.simkit.surrogate import (
     fit_surrogate,
     sample_surrogate,
 )
-from trajmark.trajectory import Action, serialize_trajectory
+from trajmark.trajectory import Action, GreyBoxTrajectory, serialize_trajectory
 
 
 def test_builtin_pool_shapes_match_reference_counts():
@@ -99,11 +100,13 @@ def test_greybox_corpus_is_pinned(name):
 
 def test_surrogate_sample_is_pinned(data_domain):
     # eta 1 on a small harvest moves both the slot weights and the template
-    # weights off natural, so the sampler's override paths are pinned too
+    # weights off natural, so the fitted domain's draws are pinned, not the
+    # victim's
     harvest = generate_greybox_corpus(data_domain, 200, seed=3)
     model = fit_surrogate(harvest, data_domain, eta=1.0)
-    assert any(model.fitted[e.id] != data_domain.natural[e.id] for e in data_domain.eqsets)
-    assert model.skeleton_freqs != {t.id: t.weight for t in data_domain.templates}
+    fitted = model.domain
+    assert any(fitted.natural[e.id] != data_domain.natural[e.id] for e in data_domain.eqsets)
+    assert [t.weight for t in fitted.templates] != [t.weight for t in data_domain.templates]
     corpus = sample_surrogate(model, data_domain, 300, seed=5)
     assert _corpus_digest(corpus) == SURROGATE_DIGEST
 
@@ -128,7 +131,7 @@ def test_fit_surrogate_eta_zero_is_natural(data_domain):
     corpus = generate_greybox_corpus(data_domain, 300, seed=3)
     model = fit_surrogate(corpus, data_domain, eta=0.0)
     for eqset in data_domain.eqsets:
-        assert model.fitted[eqset.id].weights == pytest.approx(
+        assert model.domain.natural[eqset.id].weights == pytest.approx(
             data_domain.natural[eqset.id].weights, abs=1e-12
         )
 
@@ -142,7 +145,7 @@ def test_fit_surrogate_eta_one_tracks_harvest(mini_domain):
     wm, _ = watermark_corpus(corpus, passes, seed=9, uid_hex="ab")
     model = fit_surrogate(wm, mini_domain, eta=1.0)
     for p in passes:
-        assert model.fitted[p.eqset.id].l1_distance(p.biased) < 0.05
+        assert model.domain.natural[p.eqset.id].l1_distance(p.biased) < 0.05
 
 
 def test_fit_surrogate_mixture_arithmetic(ce_set, mini_domain):
@@ -165,7 +168,7 @@ def test_fidelity_monotone_in_eta(mini_domain):
     for eta in (0.0, 0.25, 0.5, 0.75, 1.0):
         model = fit_surrogate(wm, mini_domain, eta=eta)
         for p in passes:
-            gap = js_divergence(model.fitted[p.eqset.id], p.biased)
+            gap = js_divergence(model.domain.natural[p.eqset.id], p.biased)
             assert gap <= last[p.eqset.id] + 1e-12
             last[p.eqset.id] = gap
 
@@ -176,17 +179,43 @@ def test_fit_records_missing_sets(data_domain):
     model = fit_surrogate(corpus, data_domain, eta=1.0)
     assert model.missing_sets
     for set_id in model.missing_sets:
-        assert model.fitted[set_id].weights == data_domain.natural[set_id].weights
+        assert model.domain.natural[set_id].weights == data_domain.natural[set_id].weights
 
 
 def test_sample_surrogate_degenerate_distribution(mini_domain):
-    model = benign_surrogate(mini_domain)
     target_set = mini_domain.eqsets[0]
-    model.fitted[target_set.id] = Distribution((1.0, 0.0))
+    natural = {**mini_domain.natural, target_set.id: Distribution((1.0, 0.0))}
+    model = benign_surrogate(dataclasses.replace(mini_domain, natural=natural))
     corpus = sample_surrogate(model, mini_domain, 200, seed=6)
     (counts,) = count_members(corpus, [target_set])
     assert sum(counts) > 0
     assert Distribution.from_counts(counts).weights == (1.0, 0.0)
+
+
+def test_benign_surrogate_samples_the_victim_corpus(data_domain):
+    # the benign model is the domain itself, so its sample is the corpus
+    # the domain generates at the same seed and prefix
+    sampled = sample_surrogate(benign_surrogate(data_domain), data_domain, 150, 9, "b")
+    assert sampled == generate_greybox_corpus(data_domain, 150, 9, "b")
+
+
+def test_fit_surrogate_derives_a_domain(data_domain):
+    harvest = generate_greybox_corpus(data_domain, 200, seed=3)
+    fitted = fit_surrogate(harvest, data_domain, eta=1.0).domain
+    assert fitted.name == data_domain.name and fitted.eqsets == data_domain.eqsets
+    assert [t.items for t in fitted.templates] == [t.items for t in data_domain.templates]
+    assert sum(t.weight for t in fitted.templates) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_fit_without_a_matched_trajectory_weighs_templates_equally(data_domain):
+    stray = GreyBoxTrajectory("x", (Action("Nowhere.Tool"),), "")
+    fitted = fit_surrogate([stray], data_domain, eta=1.0).domain
+    assert {t.weight for t in fitted.templates} == {1.0 / len(data_domain.templates)}
+
+
+def test_sample_surrogate_refuses_another_domain(data_domain, mini_domain):
+    with pytest.raises(TrajmarkError, match="fitted on 'data', not 'dense'"):
+        sample_surrogate(benign_surrogate(data_domain), mini_domain, 10, seed=1)
 
 
 def test_template_recovery(data_domain):
