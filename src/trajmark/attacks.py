@@ -17,13 +17,14 @@ changed the matched member. Attacks never touch the response field.
 from __future__ import annotations
 
 import difflib
+import random
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
 from typing import Sequence
 
 from .equivalence import EquivalenceSet, _bindings, _first_tool_index, _walk
 from .errors import CorpusMismatch, InvalidRange
-from .seeds import derive_rng
+from .seeds import seed_stream
 from .trajectory import Action, GreyBoxTrajectory
 from .verifier import precision_recall_f1
 
@@ -82,8 +83,9 @@ def attack_random_deletion(
     if not 0.0 <= p <= 1.0:
         raise InvalidRange(f"deletion probability must lie in [0,1], got {p}")
     outcome = AttackOutcome("random-deletion", [], [])
+    seed_of = seed_stream(rng_seed, "attack", "del")
     for idx, traj in enumerate(corpus):
-        rng = derive_rng(rng_seed, "attack", "del", idx)
+        rng = random.Random(seed_of(idx))
         kept_actions = []
         removed = set()
         for pos, action in enumerate(traj.actions):
@@ -113,8 +115,9 @@ def attack_rephrase_stub(corpus: Sequence[GreyBoxTrajectory], rng_seed: int) -> 
     the tool-choice level where the watermark lives. Not semantics-preserving.
     """
     outcome = AttackOutcome("rephrase-stub", [], [])
+    seed_of = seed_stream(rng_seed, "attack", "rephrase")
     for idx, traj in enumerate(corpus):
-        rng = derive_rng(rng_seed, "attack", "rephrase", idx)
+        rng = random.Random(seed_of(idx))
         new_actions = []
         touched = set()
         for pos, action in enumerate(traj.actions):
@@ -161,8 +164,9 @@ def attack_pk_replacement(
     """
     neighbours = near_duplicate_map(tool_library)
     outcome = AttackOutcome("pk-replace", [], [])
+    seed_of = seed_stream(rng_seed, "attack", "pk")
     for idx, traj in enumerate(corpus):
-        rng = derive_rng(rng_seed, "attack", "pk", idx)
+        rng = random.Random(seed_of(idx))
         new_actions = []
         touched = set()
         for pos, action in enumerate(traj.actions):
@@ -217,9 +221,10 @@ def attack_fk_replacement(
     ]
 
     outcome = AttackOutcome("fk-replace", [], [])
+    seed_of = seed_stream(rng_seed, "attack", "fk")
     for idx, (traj, spans) in enumerate(zip(corpus, spans_by_traj)):
         actions = traj.actions
-        rng = derive_rng(rng_seed, "attack", "fk", idx)
+        rng = random.Random(seed_of(idx))
         new_actions: list[Action] = []
         flagged: set[int] = set()
         modified: set[int] = set()

@@ -20,7 +20,7 @@ from .attacks import (
     attack_rephrase_stub,
     semantic_breakage_rate,
 )
-from .errors import LengthMismatch, TrajmarkError
+from .errors import InvalidRange, LengthMismatch, TrajmarkError
 from .experiment import (
     STAGES,
     ExperimentConfig,
@@ -176,6 +176,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_localize(args) -> int:
+    if args.top < 1:
+        raise InvalidRange(f"--top must be >= 1, got {args.top}")
     verdict_obj = read_json(args.verdict)
     vector = detected_vector_from_json(verdict_obj, f"verdict: {args.verdict}: $")
     registry = Registry.load(args.registry)
@@ -259,8 +261,10 @@ def _cmd_experiment(args) -> int:
         )
     else:
         config = ExperimentConfig(seed=_seed(args), out_dir=args.out_dir or "reports")
-    if args.domains:
+    if args.domains is not None:
         config.domains = tuple(args.domains.split(","))
+        if not all(config.domains):
+            raise InvalidRange(f"--domains must list domain names, got {args.domains!r}")
     if args.stage == "all":
         acceptance = run_all(config)["acceptance"]
     else:

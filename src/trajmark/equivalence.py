@@ -215,9 +215,10 @@ class Segment:
     bind the same value (a copy-then-delete pair must delete the copied
     source, not some other key).
 
-    ``param_map`` states how to build the segment's concrete actions from a
-    bindings dict over its own slots; by default every argument is filled
-    from its same-named slot.
+    ``param_map`` states how to build the segment's concrete actions from
+    the values of its own slots; by default every argument is filled from
+    its same-named slot. ``slot_order`` is the slots sorted: a match's
+    bindings are the tuple of their values in that order.
     """
 
     patterns: tuple[ActionPattern, ...]
@@ -228,9 +229,6 @@ class Segment:
             object.__setattr__(self, "patterns", tuple(self.patterns))
         if not self.patterns:
             raise ManifestError("segment needs at least one pattern")
-        slots = [slot for pat in self.patterns for _, slot in pat.arg_slots]
-        own = frozenset(slots)
-        object.__setattr__(self, "_slots", own)
         if not self.param_map:
             # every argument from its same-named slot: all references resolve
             object.__setattr__(self, "param_map", tuple([
@@ -243,14 +241,17 @@ class Segment:
         # (first, later) of argument positions, numbered across all
         # patterns, that bind the same slot
         names = tuple([tuple([arg for arg, _ in pat.arg_slots]) for pat in self.patterns])
-        same_slot = []
-        if len(own) != len(slots):
-            first_position: dict[str, int] = {}
-            for position, slot in enumerate(slots):
-                if slot in first_position:
-                    same_slot.append((first_position[slot], position))
+        position, first, same_slot = 0, {}, []  # slot -> (position, offset, arg) first bound
+        for offset, pat in enumerate(self.patterns):
+            for arg, slot in pat.arg_slots:
+                if slot in first:
+                    same_slot.append((first[slot][0], position))
                 else:
-                    first_position[slot] = position
+                    first[slot] = (position, offset, arg)
+                position += 1
+        object.__setattr__(self, "slot_order", tuple(sorted(first)))
+        # each slot's (pattern offset, argument name) of first binding, for ``_bindings``
+        object.__setattr__(self, "_binds", tuple([first[s][1:] for s in self.slot_order]))
         object.__setattr__(self, "_shape", (
             names, tuple([pat.tool for pat in self.patterns[1:]]), tuple(same_slot)
         ))
@@ -261,9 +262,6 @@ class Segment:
             "_arg_names",
             frozenset(names[0]) if len(names) == 1 and not same_slot else None,
         )
-
-    def slots(self) -> frozenset[str]:
-        return self._slots
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -302,40 +300,16 @@ def _shape_matches(shape: tuple, actions: Sequence[Action], start: int) -> bool:
     return True
 
 
-def _bindings(segment: Segment, actions: Sequence[Action], start: int) -> dict[str, Scalar]:
-    """The slot values of ``segment``'s match at ``actions[start:]``.
+def _bindings(segment: Segment, actions: Sequence[Action], start: int) -> tuple[Scalar, ...]:
+    """The slot values of ``segment``'s match at ``actions[start:]``, in its ``slot_order``.
 
     Call it only on a span that ``_walk`` or ``_shape_matches`` has decided:
     nothing is checked again. A slot bound by several arguments takes the
     value of its first occurrence, which keeps its type where equal values
     differ in type (``1 == True``).
     """
-    bindings: dict[str, Scalar] = {}
-    for offset, pattern in enumerate(segment.patterns):
-        arg_map = dict(actions[start + offset].args)
-        for arg_name, slot in pattern.arg_slots:
-            bindings.setdefault(slot, arg_map[arg_name])
-    return bindings
-
-
-def _compile(mapping: ParamMapping, target: Segment) -> tuple[tuple, list[str]]:
-    """The plan that builds ``target``'s actions, and the slots it reads in order.
-
-    The plan has one ``(tool, ((arg_name, slot, literal), ...))`` row per
-    target action, ``slot`` None for a literal. ``mapping`` has been
-    checked to cover every action of ``target``.
-    """
-    plan, reads = [], []
-    for pattern, entry in zip(target.patterns, mapping):
-        args = []
-        for arg_name, source in entry:
-            if isinstance(source, Lit):
-                args.append((arg_name, None, source.value))
-            else:
-                args.append((arg_name, source.slot, None))
-                reads.append(source.slot)
-        plan.append((pattern.tool, tuple(args)))
-    return tuple(plan), reads
+    arg_maps = [dict(actions[pos].args) for pos in range(start, start + len(segment.patterns))]
+    return tuple([arg_maps[offset][arg] for offset, arg in segment._binds])
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +333,13 @@ class EquivalenceSet:
     stored as a read-only mapping, and the set is frozen: the checks below
     and the tables built from them hold for the life of the set.
 
-    Construction checks every effective mapping the way ``Action`` checks
-    an action: valid tool names, distinct string argument names, and
-    literals that are finite scalars. Every slot it reads must be bound by
-    the source member. Each effective mapping is then compiled once into a
-    plan (see ``_compile``), and ``rewrite`` only reads the plan.
+    Construction compiles every effective mapping once into a plan
+    addressed by slot index, and checks it the way ``Action`` checks an
+    action: valid tool names, distinct string argument names, and literals
+    that are finite scalars. Every slot it reads must be bound by the
+    source member (see ``_compile``). ``rewrite`` only reads the plans.
 
-    It also builds ``base_slots``, member 0's slots sorted, and
+    It also builds ``base_slots``, member 0's ``slot_order``, and
     ``scan_index``, a read-only map from each first tool to the
     ``_ScanEntry`` rows of the members starting with it, in scan order.
     """
@@ -385,32 +359,20 @@ class EquivalenceSet:
         if len(self.members) < 2:
             raise ManifestError(f"equivalence set {self.id} needs k >= 2 members")
         # every ordered pair, a member onto itself included, must be
-        # rewritable: each slot its effective mapping reads is bound by the
-        # source member. A pair without an override shares the plan of its
-        # target's own param_map, compiled once.
-        own = [_compile(member.param_map, member) for member in self.members]
+        # rewritable through its effective mapping: the pair's override, else
+        # its target's own param_map. Sources with one slot order share the
+        # plan of a mapping, compiled once.
+        compiled: dict[tuple, tuple] = {}
         plans = []
         for src, source in enumerate(self.members):
-            src_slots = source.slots()
             row = []
             for dst, target in enumerate(self.members):
-                mapping = overrides.get((src, dst))
-                if mapping is None:
-                    plan, reads = own[dst]
-                else:
-                    self._check_actions(mapping, dst, src)
-                    plan, reads = _compile(mapping, target)
-                if not src_slots.issuperset(reads):
-                    slot = next(slot for slot in reads if slot not in src_slots)
-                    raise MappingGap(
-                        f"set {self.id}: mapping {src}->{dst} needs slot "
-                        f"{slot!r} not bound by member {src}"
-                    )
-                row.append(plan)
+                mapping = overrides.get((src, dst), target.param_map)
+                key = (dst, id(mapping), source.slot_order)
+                if key not in compiled:
+                    compiled[key] = self._compile(src, dst, mapping)
+                row.append(compiled[key])
             plans.append(tuple(row))
-        # the actions each member's own param_map builds
-        for dst, member in enumerate(self.members):
-            self._check_actions(member.param_map, dst)
         # per first tool, the members starting with it as ``_ScanEntry``
         # rows in scan order (longest member first, ties by member index):
         # at an action, only the members starting with its tool can match
@@ -422,51 +384,62 @@ class EquivalenceSet:
             )
         for name, value in (
             # member 0's slot namespace, in the order bindings are drawn for it
-            ("base_slots", tuple(sorted(self.members[0].slots()))),
+            ("base_slots", self.members[0].slot_order),
             ("scan_index", MappingProxyType({t: tuple(row) for t, row in by_tool.items()})),
             ("_all_tools", frozenset(pat.tool for seg in self.members for pat in seg.patterns)),
             ("_plans", tuple(plans)),
         ):
             object.__setattr__(self, name, value)
 
-    def _check_actions(self, mapping: ParamMapping, dst: int, src: int | None = None) -> None:
-        """Refuse a mapping onto member ``dst`` that builds actions ``Action`` refuses.
+    def _compile(self, src: int, dst: int, mapping: ParamMapping) -> tuple:
+        """The plan that builds member ``dst``'s actions from a match of member ``src``.
 
-        ``src`` names an explicit cross mapping; without it, ``mapping`` is
-        the member's own. Each target action is built once through the
-        public constructor, with an empty string standing in for every
-        slot value: bound values come from validated actions, so only the
-        tool name, the argument names and the literals can be wrong.
+        One ``(tool, ((arg_name, index, literal), ...))`` row per target
+        action, ``index`` into member ``src``'s ``slot_order`` or None for a
+        literal. A mapping that misses an action or a slot raises
+        ``MappingGap``. Each row is built once through ``Action``, with an
+        empty string for every bound value, which comes from a validated
+        action: only the tool, the argument names and literals can be wrong.
         """
-        patterns = self.members[dst].patterns
+        patterns, order = self.members[dst].patterns, self.members[src].slot_order
         if len(mapping) != len(patterns):
             raise MappingGap(
                 f"set {self.id}: mapping {src}->{dst} covers {len(mapping)} actions, "
                 f"member {dst} has {len(patterns)}"
             )
+        plan = []
         for pattern, entry in zip(patterns, mapping):
+            args = []
+            for arg_name, source in entry:
+                if isinstance(source, Lit):
+                    args.append((arg_name, None, source.value))
+                elif source.slot in order:
+                    args.append((arg_name, order.index(source.slot), None))
+                else:
+                    raise MappingGap(
+                        f"set {self.id}: mapping {src}->{dst} needs slot "
+                        f"{source.slot!r} not bound by member {src}"
+                    )
             try:
-                Action(pattern.tool, tuple([
-                    (name, source.value if isinstance(source, Lit) else "")
-                    for name, source in entry
-                ]))
+                Action(pattern.tool, tuple([(a, v if i is None else "") for a, i, v in args]))
             except SchemaViolation as exc:
-                where = f"member {dst}" if src is None else f"mapping {src}->{dst}"
-                raise ManifestError(f"set {self.id}: {where}: {exc}") from exc
+                raise ManifestError(f"set {self.id}: mapping {src}->{dst}: {exc}") from exc
+            plan.append((pattern.tool, tuple(args)))
+        return tuple(plan)
 
-    def rewrite(self, src: int, dst: int, bindings: dict[str, Scalar]) -> tuple[Action, ...]:
+    def rewrite(self, src: int, dst: int, values: Sequence[Scalar]) -> tuple[Action, ...]:
         """Produce member ``dst``'s actions from a match of member ``src``.
 
-        ``bindings`` must bind every slot of member ``src``, as the bindings
-        of a decided match or a draw over ``base_slots`` for member 0 do;
-        a missing slot raises ``KeyError``. The actions are read off the
-        plan compiled at build, from checked parts, and nothing is checked
+        ``values`` holds one value per slot of member ``src``, in its
+        ``slot_order``, as the bindings of a decided match or a draw over
+        ``base_slots`` for member 0 do. The actions are read off the plan
+        compiled at build, from checked parts, and nothing is checked
         again.
         """
         return tuple([
             Action._trusted(tool, tuple([
-                (arg_name, literal if slot is None else bindings[slot])
-                for arg_name, slot, literal in args
+                (arg_name, literal if index is None else values[index])
+                for arg_name, index, literal in args
             ]))
             for tool, args in self._plans[src][dst]
         ])
@@ -476,11 +449,12 @@ class EquivalenceSet:
 
     def match_at(
         self, actions: Sequence[Action], pos: int
-    ) -> tuple[int, dict[str, Scalar]] | None:
+    ) -> tuple[int, tuple[Scalar, ...]] | None:
         """The first member, in scan order, matching at ``actions[pos:]``.
 
-        Returns ``(member_index, bindings)``, or None when no member
-        matches or ``pos`` is at or past the end.
+        Returns ``(member_index, bindings)``, the bindings in that member's
+        ``slot_order``, or None when no member matches or ``pos`` is at or
+        past the end.
         """
         if pos >= len(actions):
             return None
@@ -492,10 +466,11 @@ class EquivalenceSet:
 
 def scan_equivalence(
     actions: Sequence[Action], eqset: EquivalenceSet
-) -> list[tuple[int, int, int, dict[str, Scalar]]]:
+) -> list[tuple[int, int, int, tuple[Scalar, ...]]]:
     """Greedy left-to-right scan for set members over an action sequence.
 
-    Returns ``(member_index, start, length, bindings)`` tuples. Overlaps are
+    Returns ``(member_index, start, length, bindings)`` tuples, the bindings
+    in the member's ``slot_order``, ready for ``rewrite``. Overlaps are
     resolved leftmost-first, then longest-member-first; matched regions are
     consumed, so the spans are pairwise disjoint. This is ``_walk`` for one
     set; ``_bindings`` reads the bindings off each reported span.
@@ -794,15 +769,15 @@ def validate_equivalence(
     rng = derive_rng(rng_seed, "validate", eqset.id)
 
     for case in range(n_cases):
-        bindings = {
-            slot: f"k{case}_{slot}_{rng.randrange(16**6):06x}" for slot in eqset.base_slots
-        }
-        env0 = {str(v): f"data:{v}" for v in bindings.values()}
+        values = tuple([
+            f"k{case}_{slot}_{rng.randrange(16**6):06x}" for slot in eqset.base_slots
+        ])
+        env0 = {v: f"data:{v}" for v in values}
         env0["const"] = "anchor"
 
         reference = None
         for m_idx in range(len(eqset.members)):
-            actions = eqset.rewrite(0, m_idx, bindings)
+            actions = eqset.rewrite(0, m_idx, values)
             result = execute_segment(actions, sandbox, dict(env0))
             observed = (result.env, canonical_log(result.log, erase_ancillary))
             if m_idx == 0:
@@ -817,7 +792,7 @@ def validate_equivalence(
                         "case": case,
                         "member_index": m_idx,
                         "differs_in": reason,
-                        "bindings": bindings,
+                        "bindings": dict(zip(eqset.base_slots, values)),
                     },
                 )
     return ValidationReport(eqset.id, valid=True, n_cases=n_cases)

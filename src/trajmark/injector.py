@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .equivalence import WatermarkPass, scan_equivalence
 from .errors import EmptyActions
-from .seeds import derive_rng
+from .seeds import seed_stream
 from .trajectory import (
     Action, GreyBoxTrajectory, _gc_paused, decode_json_line, iter_parsed_lines, json_value,
 )
@@ -166,9 +166,9 @@ def watermark_corpus(
     """
     out_trajs: list[GreyBoxTrajectory] = []
     out_edits: list[list[EditRecord]] = []
+    seed_of = seed_stream(seed, "inject", uid_hex or "")
     for t in corpus:
-        rng = derive_rng(seed, "inject", uid_hex or "", t.query_id)
-        wm, edits = watermark_trajectory(t, passes, rng)
+        wm, edits = watermark_trajectory(t, passes, random.Random(seed_of(t.query_id)))
         if stamp_uid and uid_hex is not None:
             wm = replace(wm, user_uid=uid_hex)
         out_trajs.append(wm)

@@ -30,6 +30,7 @@ Design rules baked into the factories:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from ..equivalence import (
@@ -112,6 +113,12 @@ class DomainSpec:
     each set id to the distribution its slots draw members from: configured
     for a built-in domain, fitted for a surrogate. Each corpus size that
     ``corpus_sizes`` does not give is read from ``DEFAULT_CORPUS_SIZES``.
+
+    Building the spec compiles each template for the generator into
+    ``(template_id, steps)``, each step ``(cum, n_tokens, plans)``: the
+    plans of a filler (``cum`` None, one plan) or of a slot's set from
+    member 0, picked by ``cum``; each plan reads ``n_tokens`` drawn values
+    by index (see ``EquivalenceSet._compile``).
     """
 
     name: str
@@ -130,49 +137,56 @@ class DomainSpec:
         by_id = {e.id: e for e in self.eqsets}
         if len(by_id) != len(self.eqsets):
             raise ManifestError(f"domain {self.name}: duplicate set ids")
-        checked: set[TemplateItem] = set()  # fillers that passed, shared by templates
+        fillers: dict[int, tuple] = {}  # compiled once per filler shared by templates
+        programs = []
         for template in self.templates:
+            steps = []
             for item in template.items:
                 if item.kind == "action":
-                    self._check_filler(template, item, checked)
-                elif item.kind == "slot" and item.set_id not in by_id:
+                    if id(item) not in fillers:
+                        fillers[id(item)] = self._compile_filler(template, item)
+                    steps.append(fillers[id(item)])
+                elif item.set_id in by_id:
+                    eqset = by_id[item.set_id]
+                    # bisecting all but the last cumulative weight is ``Distribution.sample``
+                    cum = list(accumulate(self.natural[item.set_id].weights))[:-1]
+                    steps.append((cum, len(eqset.base_slots), eqset._plans[0]))
+                else:
                     raise ManifestError(
                         f"template {template.id} references unknown set {item.set_id}"
                     )
+            programs.append((template.id, tuple(steps)))
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_programs", (
+            tuple(programs), list(accumulate(t.weight for t in self.templates))
+        ))
 
-    def _check_filler(
-        self, template: Template, item: TemplateItem, checked: set[TemplateItem]
-    ) -> None:
-        """Refuse a filler action whose generated actions ``Action`` would refuse.
+    def _compile_filler(self, template: Template, item: TemplateItem) -> tuple:
+        """The step generating a filler, refused if ``Action`` would refuse its actions.
 
         Generation builds filler actions without re-validation, so the tool
         name, the argument names and every ("lit", value) generator are
-        checked here, once per distinct filler; a ("token",) generator
-        always yields a string.
+        checked here; a ("token",) generator always yields a string, the
+        next token drawn.
         """
-        try:
-            if item in checked:
-                return
-        except TypeError:  # unhashable, so it holds a value the checks refuse
-            pass
         where = f"domain {self.name}: template {template.id}"
-        args = []
+        args, n_tokens = [], 0
         for name, gen in item.args:
             kind = gen[0] if isinstance(gen, tuple) and gen else None
             if kind == "token":
-                args.append((name, ""))
+                args.append((name, n_tokens, None))
+                n_tokens += 1
             elif kind == "lit" and len(gen) > 1:
-                args.append((name, gen[1]))
+                args.append((name, None, gen[1]))
             else:
                 raise ManifestError(
                     f"{where}: unknown argument generator {gen!r} for {item.tool}.{name}"
                 )
         try:
-            Action(item.tool, tuple(args))
+            Action(item.tool, tuple([(a, v if i is None else "") for a, i, v in args]))
         except SchemaViolation as exc:
             raise ManifestError(f"{where}: {exc}") from exc
-        checked.add(item)
+        return None, n_tokens, (((item.tool, tuple(args)),),)
 
     def eqset(self, set_id: str) -> EquivalenceSet:
         return self._by_id[set_id]

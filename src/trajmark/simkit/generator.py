@@ -3,8 +3,8 @@
 Each trajectory instantiates one query template, drawn by template
 weight: filler positions become concrete actions with fresh token
 arguments, equivalence slots draw a member from the domain's natural
-distribution for the set and instantiate it through the set's canonical
-bindings. A surrogate is a domain derived with fitted distributions and
+distribution for the set and instantiate it through the set's plan from
+member 0. A surrogate is a domain derived with fitted distributions and
 template weights, so its samples come from here too. Trajectories are
 built in the form a service reveals, actions plus the final response, so
 no hidden reasoning is ever produced.
@@ -13,55 +13,14 @@ no hidden reasoning is ever produced.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 
 from ..errors import InvalidRange
-from ..seeds import derive_rng
+from ..seeds import seed_stream
 from ..trajectory import Action, GreyBoxTrajectory
-from .domains import DomainSpec, Template
+from .domains import DomainSpec
 
-
-def _token(rng: random.Random) -> str:
-    return f"x{rng.getrandbits(32):08x}"
-
-
-def _gen_value(gen: tuple, rng: random.Random):
-    # ``DomainSpec`` admits only ("token",) and ("lit", value) generators
-    return _token(rng) if gen[0] == "token" else gen[1]
-
-
-def generate_trajectory(
-    domain: DomainSpec,
-    template: Template,
-    query_id: str,
-    rng: random.Random,
-) -> GreyBoxTrajectory:
-    """Instantiate one template into a grey-box trajectory.
-
-    Each slot draws its member from ``domain.natural``. Actions are built
-    without re-validation: the domain checked its templates and sets when
-    it was built, and every generated value is a token or a checked literal.
-    """
-    actions: list[Action] = []
-    for item in template.items:
-        if item.kind == "action":
-            args = tuple((name, _gen_value(gen, rng)) for name, gen in item.args)
-            emitted: tuple[Action, ...] = (Action._trusted(item.tool, args),)
-        else:
-            eqset = domain.eqset(item.set_id)
-            member = domain.natural[item.set_id].sample(rng)
-            # bindings are drawn for member 0's slots and routed through the
-            # set's mapping, so the injector can rewrite any member it emits
-            emitted = eqset.rewrite(0, member, {slot: _token(rng) for slot in eqset.base_slots})
-        for action in emitted:
-            # one discarded draw per action keeps the per-trajectory RNG
-            # stream, and so every seeded corpus, unchanged
-            rng.getrandbits(32)
-            actions.append(action)
-    return GreyBoxTrajectory(
-        query_id=query_id,
-        actions=tuple(actions),
-        response=f"completed {template.id} for {query_id}",
-    )
+_new, _set = object.__new__, object.__setattr__
 
 
 def generate_greybox_corpus(
@@ -73,17 +32,40 @@ def generate_greybox_corpus(
     """Generate ``n`` grey-box trajectories, what a service would emit.
 
     Each trajectory's RNG stream depends only on (seed, prefix, index), so
-    generation is order-independent and safe to parallelize.
+    generation is order-independent and safe to parallelize. The stream
+    picks a template by weight and runs the steps its domain compiled: a
+    slot draws its member from ``domain.natural``, every step one token per
+    value its plan reads and one discarded value per action it emits, which
+    keeps every seeded corpus unchanged. Actions are built without checks:
+    the domain checked its templates and sets when it was built.
     """
     if n < 1:
         raise InvalidRange(f"corpus size must be >= 1, got {n}")
-    templates = domain.templates
-    weights = [t.weight for t in templates]
+    programs, weights = domain._programs
+    seed_of = seed_stream(seed, "gen", id_prefix)
     corpus = []
     for idx in range(n):
-        rng = derive_rng(seed, "gen", id_prefix, idx)
-        template = rng.choices(templates, weights=weights, k=1)[0]
-        corpus.append(generate_trajectory(domain, template, f"{id_prefix}{idx:06d}", rng))
+        rng = random.Random(seed_of(idx))
+        getrandbits, uniform = rng.getrandbits, rng.random
+        template_id, steps = rng.choices(programs, cum_weights=weights)[0]
+        actions = []
+        for cum, n_tokens, plans in steps:
+            # bindings are drawn for member 0's slots and routed through the
+            # set's plan, so the injector can rewrite any member it emits
+            plan = plans[0] if cum is None else plans[bisect(cum, uniform())]
+            values = ["x%08x" % getrandbits(32) for _ in range(n_tokens)]
+            for tool, args in plan:
+                getrandbits(32)
+                action = _new(Action)  # ``Action._trusted``, inlined
+                _set(action, "tool", tool)
+                _set(action, "args", tuple([
+                    (name, literal if index is None else values[index])
+                    for name, index, literal in args
+                ]))
+                actions.append(action)
+        query_id = f"{id_prefix}{idx:06d}"
+        response = f"completed {template_id} for {query_id}"
+        corpus.append(GreyBoxTrajectory(query_id, tuple(actions), response))
     return corpus
 
 

@@ -131,6 +131,8 @@ def threshold_evaluations(
     """
     if not 0.0 < theta_j <= 1.0:
         raise InvalidRange(f"theta_j must lie in (0, 1], got {theta_j}")
+    if m_min < 1:
+        raise InvalidRange(f"m_min must be >= 1, got {m_min}")
     out = []
     for ev in evaluations:
         conclusive = ev.observation_count >= m_min and ev.empirical is not None

@@ -183,6 +183,7 @@ def _reference_fk(corpus, eqsets, rng_seed, suspicion_share, min_count):
                 out.extend(t.actions[start : start + length])
             else:
                 mods.update(range(start, start + length))
+                # reference_scan gives the values in sorted slot order, as rewrite takes them
                 out.extend(eqset.rewrite(m_idx, draw, bindings))
             cursor = start + length
         out.extend(t.actions[cursor:])

@@ -49,7 +49,8 @@ def reference_match(segment, actions, start):
     afterwards; this oracle does both at once, from the patterns alone.
     Tools must match in order, every slot must bind, and repeated slot
     names must bind equal values; the first occurrence of a slot gives its
-    value. Returns the bindings, or None on any failure.
+    value. Returns the bindings as the package gives them, the values in
+    the order of the sorted slot names, or None on any failure.
     """
     if start + len(segment) > len(actions):
         return None
@@ -68,7 +69,7 @@ def reference_match(segment, actions, start):
                 bindings[slot] = value
             elif bound != value:
                 return None
-    return bindings
+    return tuple(bindings[slot] for slot in sorted(bindings))
 
 
 def reference_rewrite(mapping, target, bindings):
@@ -98,9 +99,9 @@ def reference_rewrite(mapping, target, bindings):
     return tuple(actions)
 
 
-def typed(bindings):
-    """Bindings with each value's type: ``{"s": 1} == {"s": True}``, these differ."""
-    return [(k, type(v), v) for k, v in bindings.items()]
+def typed(values):
+    """Values with each one's type: ``(1,) == (True,)``, these differ."""
+    return [(type(v), v) for v in values]
 
 
 def typed_spans(spans):
@@ -108,7 +109,7 @@ def typed_spans(spans):
 
 
 def typed_actions(actions):
-    return [(a.tool, typed(dict(a.args))) for a in actions]
+    return [(a.tool, [(k, type(v), v) for k, v in a.args]) for a in actions]
 
 
 def reference_scan(actions, eqset):
@@ -152,8 +153,11 @@ def test_match_binds_slots():
         Segment((ActionPattern("U.Op", ("x", "y")),)),
     ))
     actions = [Action.make("T.Op", {"x": "a", "y": 2})]
-    assert eqset.match_at(actions, 0) == (0, {"x": "a", "y": 2})
-    assert scan_equivalence(actions, eqset) == [(0, 0, 1, {"x": "a", "y": 2})]
+    assert eqset.match_at(actions, 0) == (0, ("a", 2))
+    assert scan_equivalence(actions, eqset) == [(0, 0, 1, ("a", 2))]
+    # the values are in the member's sorted slot order, not argument order
+    swapped = [Action.make("U.Op", {"y": 2, "x": "a"})]
+    assert eqset.match_at(swapped, 0) == (1, ("a", 2))
     assert eqset.match_at([Action.make("T.Op", {"x": "a"})], 0) is None
     assert eqset.match_at([Action.make("V.Op", {"x": "a", "y": 2})], 0) is None
 
@@ -167,8 +171,10 @@ def test_match_requires_consistent_repeated_slots(ce_set):
         Action.make("Files.Copy", {"src": "a", "dst": "b"}),
         Action.make("Files.Delete", {"path": "c"}),
     ]
-    assert ce_set.match_at(good, 0) == (1, {"src": "a", "dst": "b"})
-    assert scan_equivalence(good, ce_set) == [(1, 0, 2, {"src": "a", "dst": "b"})]
+    # member 1 binds slots dst and src, in that order
+    assert ce_set.members[1].slot_order == ("dst", "src")
+    assert ce_set.match_at(good, 0) == (1, ("b", "a"))
+    assert scan_equivalence(good, ce_set) == [(1, 0, 2, ("b", "a"))]
     assert ce_set.match_at(bad, 0) is None
     assert scan_equivalence(bad, ce_set) == []
     # 1 == True, so the pair matches; the slot keeps its first value, the int
@@ -177,7 +183,7 @@ def test_match_requires_consistent_repeated_slots(ce_set):
         Action.make("Files.Delete", {"path": True}),
     ]
     m_idx, bindings = ce_set.match_at(mixed, 0)
-    assert (m_idx, typed(bindings)) == (1, [("src", int, 1), ("dst", str, "b")])
+    assert (m_idx, typed(bindings)) == (1, [(str, "b"), (int, 1)])
 
 
 def test_scan_finds_compositional_span(ce_set):
@@ -189,7 +195,7 @@ def test_scan_finds_compositional_span(ce_set):
     assert len(spans) == 1
     m_idx, start, length, bindings = spans[0]
     assert (m_idx, start, length) == (1, 0, 2)
-    assert bindings["src"] == "a" and bindings["dst"] == "b"
+    assert dict(zip(ce_set.members[1].slot_order, bindings)) == {"src": "a", "dst": "b"}
 
 
 def test_scan_empty_when_no_tools_match(ce_set):
@@ -242,11 +248,12 @@ def test_scan_consumes_matched_regions():
 
 
 def test_rewrite_through_cross_map(ce_set):
-    bindings = {"src": "a", "dst": "b"}
-    atomic = ce_set.rewrite(1, 0, bindings)
+    # both members bind the slots (dst, src), and values come in that order
+    assert [m.slot_order for m in ce_set.members] == [("dst", "src")] * 2
+    atomic = ce_set.rewrite(1, 0, ("b", "a"))
     assert [a.tool for a in atomic] == ["Files.Move"]
     assert atomic[0].arg_map() == {"src": "a", "dst": "b"}
-    decomposed = ce_set.rewrite(0, 1, {"src": "a", "dst": "b"})
+    decomposed = ce_set.rewrite(0, 1, ("b", "a"))
     assert [a.tool for a in decomposed] == ["Files.Copy", "Files.Delete"]
     assert decomposed[1].arg_map() == {"path": "a"}
 
@@ -261,9 +268,11 @@ def test_rewrite_with_literal_fill():
             (1, 0): ((("dest", SlotRef("dest")),),),
         },
     )
-    fine_actions = eqset.rewrite(0, 1, {"dest": "d1"})
+    assert eqset.base_slots == ("dest",)
+    fine_actions = eqset.rewrite(0, 1, ("d1",))
     assert fine_actions[0].arg_map() == {"dest": "d1", "mode": "std"}
-    coarse_actions = eqset.rewrite(1, 0, {"dest": "d1", "mode": "std"})
+    # member 1's values are (dest, mode); the knob is dropped
+    coarse_actions = eqset.rewrite(1, 0, ("d1", "std"))
     assert coarse_actions[0].arg_map() == {"dest": "d1"}
 
 
@@ -570,9 +579,9 @@ def _small_sets(draw):
     overrides = {}
     for src, source in enumerate(members):
         for dst, target in enumerate(members):
-            if target.slots() <= source.slots() and not draw(st.booleans()):
+            if set(target.slot_order) <= set(source.slot_order) and not draw(st.booleans()):
                 continue
-            refs = sorted(source.slots())
+            refs = source.slot_order
             arg_sources = st.one_of(st.builds(Lit, _SCALARS), *(
                 [st.sampled_from([SlotRef(s) for s in refs])] if refs else []
             ))
@@ -597,8 +606,11 @@ def test_trusted_actions_equal_validated_ones(eqset, values, seed):
     bindings = dict(zip(_SLOTS, values))
     k = len(eqset.members)
     for src in range(k):
+        # member src's values, in the order of its sorted slot names
+        slots = {slot for pat in eqset.members[src].patterns for _, slot in pat.arg_slots}
+        src_values = tuple(bindings[slot] for slot in sorted(slots))
         for dst in range(k):
-            actions = eqset.rewrite(src, dst, bindings)
+            actions = eqset.rewrite(src, dst, src_values)
             _assert_validated(actions)
             # the effective mapping: the pair's override, else the target's own
             mapping = eqset.cross_overrides.get((src, dst), eqset.members[dst].param_map)

@@ -654,6 +654,40 @@ def test_cli_localize_rejects_a_vector_of_another_length(tmp_path, capsys):
     assert capsys.readouterr().err == "trajmark: vector length 2 != registry N 39\n"
 
 
+@pytest.mark.parametrize("top", ["0", "-1"])
+def test_cli_localize_refuses_a_top_below_one(tmp_path, capsys, top):
+    # -1 used to print every user but the last, and 0 nothing, both exiting 0
+    registry = tmp_path / "reg.json"
+    reg = Registry("data", 39)
+    register_user(reg, rng_seed=1)
+    reg.save(str(registry))
+    verdict = tmp_path / "verdict.json"
+    verdict.write_text(json.dumps({"detected_vector": [1] * 39}))
+    assert main(["localize", "--verdict", str(verdict), "--registry", str(registry),
+                 "--top", top]) == 2
+    assert capsys.readouterr() == ("", f"trajmark: --top must be >= 1, got {top}\n")
+
+
+@pytest.mark.parametrize("domains", ["", "data,", ",data"])
+def test_cli_experiment_refuses_an_empty_domain_list_or_item(tmp_path, capsys, domains):
+    # an empty list used to run the default domains
+    assert main(["experiment", "delta-kld", "--domains", domains,
+                 "--out-dir", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"trajmark: --domains must list domain names, got {domains!r}\n"
+    )
+    assert not (tmp_path / "delta_kld.csv").exists()
+
+
+def test_cli_verify_refuses_an_m_min_below_one(workdir, capsys):
+    suspect = workdir / "suspect.jsonl"
+    assert main(["simulate", "victim", "--domain", "data", "--n", "20",
+                 "--out", str(suspect), "--seed", "3", "--quiet"]) == 0
+    assert main(["verify", "--pool", str(workdir / "pool.json"), "--suspect", str(suspect),
+                 "--m-min", "-5", "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "trajmark: m_min must be >= 1, got -5\n")
+
+
 def test_cli_validate_happy_path(workdir):
     pool = workdir / "pool.json"
     assert main(["validate", "--domain", "data", "--pool", str(pool), "--quiet"]) == 0

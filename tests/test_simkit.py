@@ -207,6 +207,28 @@ def test_fit_surrogate_derives_a_domain(data_domain):
     assert sum(t.weight for t in fitted.templates) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_replaced_domain_generates_from_its_own_compiled_templates(data_domain):
+    # dataclasses.replace builds the spec again, so its compiled templates
+    # carry its own weights and natural distributions, and the parent's stay
+    before = generate_greybox_corpus(data_domain, 60, seed=4)
+    first = data_domain.templates[0]
+    derived = dataclasses.replace(
+        data_domain,
+        natural={e.id: Distribution(tuple(float(m == len(e.members) - 1) for m in range(
+            len(e.members)))) for e in data_domain.eqsets},
+        templates=[dataclasses.replace(t, weight=float(t is first))
+                   for t in data_domain.templates],
+    )
+    corpus = generate_greybox_corpus(derived, 60, seed=4)
+    assert {template_for_trajectory(derived, t) for t in corpus} == {first.id}
+    slots = {item.set_id for item in first.items if item.kind == "slot"}
+    for eqset, counts in zip(derived.eqsets, count_members(corpus, derived.eqsets)):
+        # only the last member is drawn, and only in the first template's slots
+        assert counts[:-1] == [0] * (len(counts) - 1)
+        assert (counts[-1] > 0) == (eqset.id in slots)
+    assert generate_greybox_corpus(data_domain, 60, seed=4) == before != corpus
+
+
 def test_fit_without_a_matched_trajectory_weighs_templates_equally(data_domain):
     stray = GreyBoxTrajectory("x", (Action("Nowhere.Tool"),), "")
     fitted = fit_surrogate([stray], data_domain, eta=1.0).domain

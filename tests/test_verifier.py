@@ -106,6 +106,9 @@ def test_detect_theta_validation(ce_set):
         detect(p, p.biased, 100, theta_j=0.0)
     with pytest.raises(InvalidRange):
         detect(p, p.biased, 100, theta_j=1.5)
+    for m_min in (0, -5):
+        with pytest.raises(InvalidRange, match=f"m_min must be >= 1, got {m_min}"):
+            detect(p, p.biased, 100, m_min=m_min)
 
 
 def _results(detected_ids, n=10, counts=None):
