@@ -43,7 +43,7 @@ from .trajectory import (
 from .verifier import (
     DetectionResult,
     Verdict,
-    classify_model,
+    classify_evidence,
     f1_grid,
     localize_user,
     verify_corpus,
@@ -69,7 +69,7 @@ __all__ = [
     "apply_pass",
     "build_pool",
     "capacity",
-    "classify_model",
+    "classify_evidence",
     "count_members",
     "derive_target_distribution",
     "f1_grid",

@@ -18,7 +18,9 @@ Five scheme tags classify how equivalence arises:
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -50,9 +52,14 @@ _SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Distribution:
-    """A categorical distribution over the members of one equivalence set."""
+    """A categorical distribution over the members of one equivalence set.
+
+    ``cum_weights`` holds the running sums of ``weights``, computed once:
+    ``sample`` bisects them, and so does the generator's slot step.
+    """
 
     weights: tuple[float, ...]
+    cum_weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.weights, tuple):
@@ -65,6 +72,7 @@ class Distribution:
         total = math.fsum(self.weights)
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidDistribution(f"weights sum to {total!r}, not 1")
+        object.__setattr__(self, "cum_weights", tuple(accumulate(self.weights)))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -77,14 +85,12 @@ class Distribution:
         return cls(tuple(c / total for c in counts))
 
     def sample(self, rng) -> int:
-        """Draw a member index using one uniform variate from ``rng``."""
-        u = rng.random()
-        acc = 0.0
-        for i, w in enumerate(self.weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(self.weights) - 1
+        """Draw a member index using one uniform variate from ``rng``.
+
+        Member ``i`` is the first whose running sum exceeds the variate; the
+        last member takes any variate that rounding leaves above them all.
+        """
+        return bisect(self.cum_weights, rng.random(), 0, len(self.weights) - 1)
 
     def l1_distance(self, other: "Distribution") -> float:
         if len(self) != len(other):
@@ -112,8 +118,12 @@ def derive_target_distribution(
     if delta == 0.0:
         # e^0 scaling leaves the vector untouched; return it bit-exactly
         return Distribution(natural.weights)
+    try:
+        scale = math.exp(delta)
+    except OverflowError:
+        raise InvalidRange(f"delta {delta!r} is too large: e**delta overflows") from None
     p = natural.weights
-    boosted = p[target_index] * math.exp(delta)
+    boosted = p[target_index] * scale
     denom = boosted + math.fsum(w for k, w in enumerate(p) if k != target_index)
     weights = tuple(
         (boosted if j == target_index else p[j]) / denom for j in range(len(p))

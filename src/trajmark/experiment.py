@@ -228,11 +228,8 @@ def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
         loose_j = max(DEFAULT_THETA_J_GRID)
         # low-volume suspects at the strictest pass-count threshold
         high_n = max(DEFAULT_THETA_N_GRID)
-        missed = 0
-        for corpus in positives_low:
-            verdict = verify_corpus(corpus, passes, theta_n=high_n)
-            if not verdict.classified_as_imitation:
-                missed += 1
+        missed = sum(not verify_corpus(corpus, passes, theta_n=high_n).classified_as_imitation
+                     for corpus in positives_low)
         recall_low = 1.0 - missed / len(positives_low)
         checks[name] = {
             "f1_at_default": default_cell.f1,

@@ -29,6 +29,7 @@ Design rules baked into the factories:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -137,6 +138,13 @@ class DomainSpec:
         by_id = {e.id: e for e in self.eqsets}
         if len(by_id) != len(self.eqsets):
             raise ManifestError(f"domain {self.name}: duplicate set ids")
+        cum_weights = list(accumulate(t.weight for t in self.templates))
+        total = cum_weights[-1] if cum_weights else 0.0
+        if not 0.0 < total < math.inf:
+            raise ManifestError(
+                f"domain {self.name}: template weights must have a positive finite total,"
+                f" got {total!r}"
+            )
         fillers: dict[int, tuple] = {}  # compiled once per filler shared by templates
         programs = []
         for template in self.templates:
@@ -148,8 +156,8 @@ class DomainSpec:
                     steps.append(fillers[id(item)])
                 elif item.set_id in by_id:
                     eqset = by_id[item.set_id]
-                    # bisecting all but the last cumulative weight is ``Distribution.sample``
-                    cum = list(accumulate(self.natural[item.set_id].weights))[:-1]
+                    # bisecting all but the last running sum is ``Distribution.sample``
+                    cum = self.natural[item.set_id].cum_weights[:-1]
                     steps.append((cum, len(eqset.base_slots), eqset._plans[0]))
                 else:
                     raise ManifestError(
@@ -157,9 +165,7 @@ class DomainSpec:
                     )
             programs.append((template.id, tuple(steps)))
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_programs", (
-            tuple(programs), list(accumulate(t.weight for t in self.templates))
-        ))
+        object.__setattr__(self, "_programs", (tuple(programs), cum_weights))
 
     def _compile_filler(self, template: Template, item: TemplateItem) -> tuple:
         """The step generating a filler, refused if ``Action`` would refuse its actions.
@@ -255,8 +261,6 @@ class DomainSpec:
                 tuple(_item_from_json(item, f"{at}.items[{j}]") for j, item in enumerate(items)),
                 json_value(raw, float, at, "weight", 1.0, minimum=0),
             ))
-        if not any(t.weight for t in templates):
-            raise ManifestError(f"{where}.templates: no template has a positive weight")
         sizes = json_value(obj, dict, where, "corpus_sizes", {})
         tools = json_value(obj, list, where, "tools")
         with json_at(where):

@@ -2,11 +2,13 @@
 
 Verification runs a suspect's trajectory dump against the *global* pool of
 watermark passes (the trainer's identity is unknown, so no subset can be
-assumed). Each pass is detected when the suspect's empirical member
-distribution sits within Jensen-Shannon divergence ``theta_j`` of the
-pass's biased target and enough matches were observed to make the estimate
-meaningful. A suspect is classified as an imitation when at least
-``theta_n`` passes are detected. The detected-pass bit vector is then
+assumed). ``evaluate_passes`` gathers the threshold-independent evidence
+once: per pass, the suspect's empirical member distribution, its match
+count and its Jensen-Shannon divergence to the pass's biased target.
+``classify_evidence`` then applies the detection rule in one step: a pass
+is detected when enough matches were observed and its divergence lies
+below ``theta_j``, and the suspect is classified as an imitation when at
+least ``theta_n`` passes are detected. The detected-pass bit vector is then
 matched against the registry by cosine similarity to localize the user
 whose fingerprint it carries.
 """
@@ -38,13 +40,9 @@ class PassEvaluation:
 
 
 @dataclass(frozen=True)
-class DetectionResult:
-    """Thresholded verdict for one pass."""
+class DetectionResult(PassEvaluation):
+    """One pass's evidence with the detection rule applied."""
 
-    pass_id: int
-    empirical: Distribution | None
-    observation_count: int
-    jsd_to_target: float | None
     conclusive: bool
     detected: bool
 
@@ -119,61 +117,43 @@ def evaluate_passes(
     return evaluations
 
 
-def threshold_evaluations(
+def classify_evidence(
     evaluations: Sequence[PassEvaluation],
-    theta_j: float,
+    theta_j: float = DEFAULT_THETA_J,
+    theta_n: int = DEFAULT_THETA_N,
     m_min: int = DEFAULT_M_MIN,
-) -> list[DetectionResult]:
-    """Apply the detection rule to cached evidence at given thresholds.
+) -> Verdict:
+    """Apply the detection rule to one suspect's cached evidence.
 
     A pass is conclusive iff at least ``m_min`` matches were observed, and
-    detected iff conclusive and JSD(D', D-hat) < theta_j.
+    detected iff conclusive and JSD(D', D-hat) < theta_j. Inconclusive
+    passes count as not detected (0-bits): the rule is conservative toward
+    false accusation. The suspect is an imitation iff at least ``theta_n``
+    passes are detected. The detected vector is indexed by pass_id - 1,
+    bit 0 least significant, matching UID layout.
     """
     if not 0.0 < theta_j <= 1.0:
         raise InvalidRange(f"theta_j must lie in (0, 1], got {theta_j}")
     if m_min < 1:
         raise InvalidRange(f"m_min must be >= 1, got {m_min}")
-    out = []
-    for ev in evaluations:
-        conclusive = ev.observation_count >= m_min and ev.empirical is not None
-        detected = bool(
-            conclusive and ev.jsd_to_target is not None and ev.jsd_to_target < theta_j
-        )
-        out.append(
-            DetectionResult(
-                ev.pass_id,
-                ev.empirical,
-                ev.observation_count,
-                ev.jsd_to_target,
-                conclusive,
-                detected,
-            )
-        )
-    return out
-
-
-def classify_model(
-    results: Sequence[DetectionResult],
-    theta_n: int,
-    theta_j: float = DEFAULT_THETA_J,
-    m_min: int = DEFAULT_M_MIN,
-) -> Verdict:
-    """Fold per-pass results into a holistic verdict.
-
-    Inconclusive passes count as not detected (0-bits): the rule is
-    conservative toward false accusation. The detected vector is indexed by
-    pass_id - 1, bit 0 least significant, matching UID layout.
-    """
     if theta_n < 1:
         raise InvalidRange(f"theta_n must be >= 1, got {theta_n}")
-    n_bits = max(r.pass_id for r in results) if results else 0
-    vector = [0] * n_bits
-    for r in results:
-        if r.detected:
-            vector[r.pass_id - 1] = 1
+    results = []
+    vector = [0] * max((ev.pass_id for ev in evaluations), default=0)
+    for ev in evaluations:
+        conclusive = ev.observation_count >= m_min and ev.empirical is not None
+        detected = (
+            conclusive and ev.jsd_to_target is not None and ev.jsd_to_target < theta_j
+        )
+        results.append(DetectionResult(
+            ev.pass_id, ev.empirical, ev.observation_count, ev.jsd_to_target,
+            conclusive, detected,
+        ))
+        if detected:
+            vector[ev.pass_id - 1] = 1
     n_det = sum(vector)
     return Verdict(
-        results=list(results),
+        results=results,
         detected_vector=tuple(vector),
         n_det=n_det,
         theta_j=theta_j,
@@ -191,9 +171,7 @@ def verify_corpus(
     m_min: int = DEFAULT_M_MIN,
 ) -> Verdict:
     """End-to-end verification of one suspect trajectory dump."""
-    evaluations = evaluate_passes(corpus, pool)
-    results = threshold_evaluations(evaluations, theta_j, m_min)
-    return classify_model(results, theta_n, theta_j, m_min)
+    return classify_evidence(evaluate_passes(corpus, pool), theta_j, theta_n, m_min)
 
 
 def localize_user(
@@ -266,27 +244,20 @@ def f1_grid(
     """Classify every suspect at every threshold pair and score the grid.
 
     Positives are dumps from models trained on watermarked data, negatives
-    from benign models. Per-suspect evidence is computed once; thresholds
-    are then swept cheaply over the cached JSD values.
+    from benign models. Per-suspect evidence is computed once; each cell
+    then runs ``classify_evidence`` over the cached evidence.
     """
     if not positive_corpora or not negative_corpora:
-        raise ValueError("need at least one positive and one negative model")
+        raise InvalidRange("need at least one positive and one negative model")
     pos_evals = [evaluate_passes(c, pool) for c in positive_corpora]
     neg_evals = [evaluate_passes(c, pool) for c in negative_corpora]
     cells = []
     for theta_j in theta_j_list:
         for theta_n in theta_n_list:
-            tp = fp = fn = 0
-            for evs in pos_evals:
-                results = threshold_evaluations(evs, theta_j, m_min)
-                if classify_model(results, theta_n, theta_j, m_min).classified_as_imitation:
-                    tp += 1
-                else:
-                    fn += 1
-            for evs in neg_evals:
-                results = threshold_evaluations(evs, theta_j, m_min)
-                if classify_model(results, theta_n, theta_j, m_min).classified_as_imitation:
-                    fp += 1
-            precision, recall, f1 = precision_recall_f1(tp, fp, fn)
+            tp = sum(classify_evidence(evs, theta_j, theta_n, m_min).classified_as_imitation
+                     for evs in pos_evals)
+            fp = sum(classify_evidence(evs, theta_j, theta_n, m_min).classified_as_imitation
+                     for evs in neg_evals)
+            precision, recall, f1 = precision_recall_f1(tp, fp, len(pos_evals) - tp)
             cells.append(GridCell(theta_j, theta_n, precision, recall, f1))
     return cells

@@ -1,7 +1,9 @@
 """Distribution algebra: exponential biasing, JSD, KLD."""
 
+import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,65 @@ def test_derive_limit_behaviour():
     for ws, t in [((0.5, 0.5), 0), ((0.01, 0.99), 0), ((0.2, 0.3, 0.5), 1)]:
         b = derive_target_distribution(Distribution(ws), t, 50.0)
         assert b.weights[t] >= 1.0 - 1e-6
+
+
+def test_derive_refuses_a_delta_whose_exponential_overflows():
+    # e**709 is a float; e**710 is not
+    assert derive_target_distribution(Distribution((0.5, 0.5)), 0, 709.0).weights[0] == 1.0
+    for delta in (710.0, 1000.0, 1e308):
+        with pytest.raises(InvalidRange, match=re.escape(f"delta {delta!r} is too large")):
+            derive_target_distribution(Distribution((0.5, 0.5)), 0, delta)
+
+
+# --- drawing a member ----------------------------------------------------------
+
+def _scan_sample(weights, u):
+    """The draw as a linear scan of the running sums: the reference for ``sample``."""
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+class _FixedVariate:
+    """An RNG whose every uniform variate is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@st.composite
+def _sample_case(draw):
+    raw = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=1, max_size=6)
+               .filter(any))
+    weights = tuple(w / math.fsum(raw) for w in raw)
+    sums = list(itertools.accumulate(weights))
+    # a variate anywhere, at a running sum, or one float to either side of it
+    u = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.just(0.0),
+        st.sampled_from(sums),
+        st.sampled_from(sums).map(lambda s: math.nextafter(s, 0.0)),
+        st.sampled_from(sums).map(lambda s: math.nextafter(s, 1.0)),
+    ))
+    return weights, u
+
+
+@settings(max_examples=500)
+@given(_sample_case())
+def test_sample_bisects_what_the_linear_scan_finds(case):
+    weights, u = case
+    dist = Distribution(weights)
+    assert dist.cum_weights == tuple(itertools.accumulate(weights))
+    drawn = dist.sample(_FixedVariate(u))
+    assert drawn == _scan_sample(weights, u)
+    # a member of zero weight is drawn only as the last one, by rounding
+    assert weights[drawn] > 0.0 or drawn == len(weights) - 1
 
 
 # --- Jensen-Shannon divergence ----------------------------------------------

@@ -396,6 +396,39 @@ def test_cli_defect_is_not_a_data_error(monkeypatch, tmp_path):
         main(["validate", "--pool", str(tmp_path / "pool.json"), "--quiet"])
 
 
+def test_cli_refuses_a_delta_whose_exponential_overflows(tmp_path, capsys, data_pool):
+    # both ended in an OverflowError traceback from ``math.exp``
+    out = tmp_path / "pool.json"
+    assert main(["genpool", "--domain", "data", "--delta", "1000", "--out", str(out),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == "trajmark: delta 1000.0 is too large: e**delta overflows\n"
+    assert not out.exists()
+    doc = _pool_doc(data_pool)
+    doc["passes"][0]["delta"] = 1e308
+    out.write_text(json.dumps(doc))
+    assert main(["validate", "--pool", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"trajmark: pool: {out}: $.passes[0]: delta 1e+308 is too large: e**delta overflows\n"
+    )
+
+
+def test_cli_refuses_template_weights_whose_total_overflows(tmp_path, capsys):
+    # ``validate`` used to accept this file and ``simulate`` to end in a traceback
+    doc = builtin_domain("data").to_json()
+    doc["templates"][0]["weight"] = doc["templates"][1]["weight"] = 1e308
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "victim.jsonl"
+    for argv in (["validate", "--domain", str(path), "--quiet"],
+                 ["simulate", "victim", "--domain", str(path), "--n", "5", "--out", str(out)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"trajmark: domain: {path}: $: domain data: template weights must have a"
+            " positive finite total, got inf\n"
+        )
+    assert not out.exists()
+
+
 def test_genpool_refuses_fewer_than_one_validation_case(tmp_path, data_domain, capsys):
     out = tmp_path / "pool.json"
     assert main(["genpool", "--domain", "data", "--out", str(out), "--cases", "0"]) == 2

@@ -14,7 +14,7 @@ from trajmark.equivalence import (
     js_divergence,
     validate_equivalence,
 )
-from trajmark.errors import TrajmarkError
+from trajmark.errors import ManifestError, TrajmarkError
 from trajmark.simkit.domains import (
     DEFAULT_CORPUS_SIZES,
     POOL_SHAPES,
@@ -279,6 +279,22 @@ def test_domain_file_fills_missing_corpus_sizes_from_the_defaults(mini_domain):
     assert DomainSpec.from_json(obj).corpus_sizes == {**DEFAULT_CORPUS_SIZES, "fit": 10}
     del obj["corpus_sizes"]
     assert DomainSpec.from_json(obj).corpus_sizes == DEFAULT_CORPUS_SIZES
+
+
+@pytest.mark.parametrize("weights", [
+    [1e308, 1e308], [0.0, 0.0], [float("inf"), 1.0], [float("nan"), 1.0], [],
+], ids=["overflowing", "zero", "inf", "nan", "none"])
+def test_domain_refuses_template_weights_without_a_positive_finite_total(weights):
+    # each of these used to build, and failed only when a corpus was generated
+    base = dense_domain()
+    template = base.templates[0]
+    templates = [dataclasses.replace(template, id=f"dense-t{i:02d}", weight=w)
+                 for i, w in enumerate(weights)]
+    with pytest.raises(ManifestError, match="domain dense: template weights must have"):
+        DomainSpec(name="dense", sandbox=base.sandbox, eqsets=base.eqsets,
+                   natural=base.natural, targets=base.targets, templates=templates)
+    with pytest.raises(ManifestError, match="domain dense: template weights must have"):
+        dataclasses.replace(base, templates=templates)
 
 
 def _domain_with_filler(tool, gen):

@@ -1,5 +1,6 @@
 """Detection thresholds, classification, and localization."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -20,11 +21,12 @@ from trajmark.registry import (
     uid_to_hex,
 )
 from trajmark.verifier import (
+    DetectionResult,
     PassEvaluation,
-    classify_model,
+    classify_evidence,
+    f1_grid,
     localize_user,
     precision_recall_f1,
-    threshold_evaluations,
     verify_corpus,
     evaluate_passes,
 )
@@ -52,8 +54,9 @@ def evidence(p, empirical, count):
     return PassEvaluation(p.pass_id, empirical, count, jsd)
 
 
-def detect(p, empirical, count, theta_j=0.015, m_min=30):
-    return threshold_evaluations([evidence(p, empirical, count)], theta_j, m_min)[0]
+def detect(p, empirical, count, theta_j=0.015, m_min=30, theta_n=3):
+    verdict = classify_evidence([evidence(p, empirical, count)], theta_j, theta_n, m_min)
+    return verdict.results[0]
 
 
 def test_count_members_counts(ce_set):
@@ -109,39 +112,89 @@ def test_detect_theta_validation(ce_set):
     for m_min in (0, -5):
         with pytest.raises(InvalidRange, match=f"m_min must be >= 1, got {m_min}"):
             detect(p, p.biased, 100, m_min=m_min)
+    for theta_n in (0, -5):
+        with pytest.raises(InvalidRange, match=f"theta_n must be >= 1, got {theta_n}"):
+            detect(p, p.biased, 100, theta_n=theta_n)
 
 
-def _results(detected_ids, n=10, counts=None):
-    out = []
-    for pid in range(1, n + 1):
-        detected = pid in detected_ids
-        out.append(
-            detect_pass_result(pid, detected, (counts or {}).get(pid, 100))
-        )
-    return out
-
-
-def detect_pass_result(pid, detected, count):
-    from trajmark.verifier import DetectionResult
-
-    return DetectionResult(
-        pass_id=pid,
-        empirical=Distribution((1.0,)) if count else None,
-        observation_count=count,
-        jsd_to_target=0.0 if detected else 0.5,
-        conclusive=count >= 30,
-        detected=detected,
-    )
+def _results(detected_ids, n=10):
+    """Conclusive evidence for passes 1..n: JSD 0 on ``detected_ids``, 0.5 elsewhere."""
+    return [
+        PassEvaluation(pid, Distribution((1.0,)), 100, 0.0 if pid in detected_ids else 0.5)
+        for pid in range(1, n + 1)
+    ]
 
 
 def test_classification_boundaries():
-    benign = classify_model(_results(set()), theta_n=3)
+    benign = classify_evidence(_results(set()), theta_n=3)
     assert not benign.classified_as_imitation and benign.n_det == 0
-    exactly = classify_model(_results({1, 4, 9}), theta_n=3)
+    exactly = classify_evidence(_results({1, 4, 9}), theta_n=3)
     assert exactly.classified_as_imitation and exactly.n_det == 3
     assert exactly.detected_vector == (1, 0, 0, 1, 0, 0, 0, 0, 1, 0)
-    below = classify_model(_results({1, 4}), theta_n=3)
+    below = classify_evidence(_results({1, 4}), theta_n=3)
     assert not below.classified_as_imitation
+
+
+def test_detection_result_is_evidence_plus_the_rule():
+    # positional construction keeps the evidence fields first
+    built = DetectionResult(4, Distribution((1.0,)), 100, 0.0, True, True)
+    assert isinstance(built, PassEvaluation)
+    own = [f.name for f in dataclasses.fields(DetectionResult)]
+    assert own[:4] == [f.name for f in dataclasses.fields(PassEvaluation)]
+    assert own[4:] == ["conclusive", "detected"]
+    verdict = classify_evidence(_results({4}, n=4), theta_n=1)
+    assert verdict.results[3] == built
+    assert [r.detected for r in verdict.results] == [False, False, False, True]
+
+
+def _rule_oracle(evaluations, theta_j, theta_n, m_min):
+    """The paper's rule written out per pass: conclusive, detected, vector, n_det, class."""
+    conclusive = [ev.observation_count >= m_min and ev.empirical is not None
+                  for ev in evaluations]
+    detected = [c and ev.jsd_to_target < theta_j for c, ev in zip(conclusive, evaluations)]
+    vector = [0] * max((ev.pass_id for ev in evaluations), default=0)
+    for ev, hit in zip(evaluations, detected):
+        if hit:
+            vector[ev.pass_id - 1] = 1
+    n_det = sum(detected)
+    return conclusive, detected, tuple(vector), n_det, n_det >= theta_n
+
+
+@st.composite
+def _evidence_case(draw):
+    theta_j = draw(st.floats(0.0, 1.0, exclude_min=True))
+    theta_n = draw(st.integers(1, 6))
+    m_min = draw(st.integers(1, 300))
+    # unique ids in drawn order: shuffled and possibly with gaps
+    pass_ids = draw(st.lists(st.integers(1, 40), max_size=12, unique=True))
+    evaluations = []
+    for pid in pass_ids:
+        count = draw(st.one_of(st.just(0), st.just(m_min), st.integers(1, 400)))
+        if count == 0:
+            evaluations.append(PassEvaluation(pid, None, 0, None))
+            continue
+        jsd = draw(st.one_of(st.just(theta_j), st.floats(0.0, 1.0)))
+        evaluations.append(PassEvaluation(pid, Distribution((0.5, 0.5)), count, jsd))
+    return evaluations, theta_j, theta_n, m_min
+
+
+@settings(max_examples=400, deadline=None)
+@given(_evidence_case())
+def test_classify_evidence_matches_the_rule_oracle(case):
+    evaluations, theta_j, theta_n, m_min = case
+    verdict = classify_evidence(evaluations, theta_j, theta_n, m_min)
+    conclusive, detected, vector, n_det, imitation = _rule_oracle(*case)
+    assert [type(r) for r in verdict.results] == [DetectionResult] * len(evaluations)
+    for result, ev in zip(verdict.results, evaluations):
+        assert (result.pass_id, result.empirical, result.observation_count,
+                result.jsd_to_target) == (ev.pass_id, ev.empirical, ev.observation_count,
+                                          ev.jsd_to_target)
+    assert [r.conclusive for r in verdict.results] == conclusive
+    assert [r.detected for r in verdict.results] == detected
+    assert verdict.detected_vector == vector
+    assert verdict.n_det == n_det
+    assert verdict.classified_as_imitation is imitation
+    assert (verdict.theta_j, verdict.theta_n, verdict.m_min) == (theta_j, theta_n, m_min)
 
 
 def test_monotonicity_in_thresholds(data_domain, data_pool):
@@ -151,17 +204,59 @@ def test_monotonicity_in_thresholds(data_domain, data_pool):
     evals = evaluate_passes(corpus, data_pool)
     detected_sets = []
     for theta_j in (0.005, 0.015, 0.05, 0.1, 0.5):
-        results = threshold_evaluations(evals, theta_j)
+        results = classify_evidence(evals, theta_j).results
         detected_sets.append({r.pass_id for r in results if r.detected})
     for smaller, larger in zip(detected_sets, detected_sets[1:]):
         assert smaller <= larger
-    results = threshold_evaluations(evals, 0.5)
     verdicts = [
-        classify_model(results, theta_n).classified_as_imitation
+        classify_evidence(evals, 0.5, theta_n).classified_as_imitation
         for theta_n in range(1, 8)
     ]
     # once a verdict flips to benign it stays benign as theta_n grows
     assert all(a or not b for a, b in zip(verdicts, verdicts[1:]))
+
+
+def _grid_corpora(domain):
+    """Watermarked and clean dense-domain dumps of a few sizes around ``m_min``."""
+    from trajmark.injector import watermark_corpus
+    from trajmark.pool import build_pool
+    from trajmark.simkit.generator import generate_greybox_corpus
+
+    passes, _ = build_pool(domain, seed=4, calibration_size=1000)
+    positives = []
+    for i, (n, active) in enumerate([(8, passes), (30, passes), (60, passes[:2]),
+                                     (120, passes[1:]), (200, passes)]):
+        corpus = generate_greybox_corpus(domain, n, seed=100 + i, id_prefix=f"p{i}")
+        positives.append(watermark_corpus(corpus, active, seed=200 + i, uid_hex="7")[0])
+    negatives = [
+        generate_greybox_corpus(domain, n, seed=300 + j, id_prefix=f"n{j}")
+        for j, n in enumerate((8, 40, 120, 200))
+    ]
+    return passes, positives, negatives
+
+
+def test_f1_grid_cells_score_verify_corpus_verdicts(mini_domain):
+    passes, positives, negatives = _grid_corpora(mini_domain)
+    theta_js, theta_ns, m_min = (0.001, 0.015, 0.05, 0.2, 1.0), (1, 2, 3), 30
+    cells = f1_grid(positives, negatives, passes, theta_js, theta_ns, m_min)
+    assert [(c.theta_j, c.theta_n) for c in cells] == list(itertools.product(theta_js, theta_ns))
+    for cell in cells:
+        def imitations(corpora):
+            return sum(verify_corpus(c, passes, cell.theta_j, cell.theta_n, m_min)
+                       .classified_as_imitation for c in corpora)
+        tp, fp = imitations(positives), imitations(negatives)
+        assert (cell.precision, cell.recall, cell.f1) == precision_recall_f1(
+            tp, fp, len(positives) - tp
+        ), cell
+    # the thresholds matter on these corpora
+    assert len({(c.precision, c.recall) for c in cells}) > 2
+
+
+def test_f1_grid_needs_a_positive_and_a_negative(data_pool):
+    corpus = [traj([move()])]
+    for positives, negatives in (([], [corpus]), ([corpus], []), ([], [])):
+        with pytest.raises(InvalidRange, match="at least one positive and one negative"):
+            f1_grid(positives, negatives, data_pool, (0.015,), (3,))
 
 
 def _brute_force_ranking(vector, registry):
