@@ -9,6 +9,7 @@ all randomness is derived from that one root integer.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -32,7 +33,7 @@ from .experiment import (
 )
 from .injector import read_edit_positions, watermark_corpus, write_edits
 from .pool import POOL_FORMAT_VERSION, build_pool, load_pool, pool_from_json, save_pool
-from .registry import Registry, passes_for_uid, register_user
+from .registry import Registry, passes_for_uid, register_user, uid_to_hex
 from .seeds import derive_seed
 from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus
@@ -145,13 +146,16 @@ def _cmd_inject(args) -> int:
     pool = load_pool(args.pool)
     registry = Registry.load(args.registry)
     _check_registry(registry, pool)
-    known = {u.uid_hex for u in registry.users}
-    if args.uid not in known:
+    # looked up by value: "0003" and "3" name one user, who is served as
+    # the registry spells the UID
+    uid = int(args.uid, 16) if re.fullmatch("[0-9a-f]+", args.uid) else None
+    if uid not in registry.uid_set():
         raise TrajmarkError(f"uid {args.uid} is not registered")
-    active = passes_for_uid(args.uid, pool)
+    uid_hex = uid_to_hex(uid, registry.n_bits)
+    active = passes_for_uid(uid_hex, pool)
     corpus = read_jsonl(args.infile)
     wm, edits = watermark_corpus(
-        corpus, active, seed=_seed(args), uid_hex=args.uid, stamp_uid=True
+        corpus, active, seed=_seed(args), uid_hex=uid_hex, stamp_uid=True
     )
     write_jsonl(args.out, wm)
     n_edits = write_edits(args.edits, wm, edits)

@@ -646,6 +646,7 @@ def _write_summary(config: ExperimentConfig, summary: dict) -> None:
     write_json(os.path.join(config.out_dir, "summary.json"), summary)
 
 
+@_gc_paused
 def run_all(config: ExperimentConfig) -> dict:
     """Run every stage, write reports, and score acceptance thresholds.
 

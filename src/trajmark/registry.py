@@ -177,9 +177,16 @@ class Registry:
                 uid = hex_to_uid(uid_hex, reg.n_bits)
             if uid in reg.uid_set():
                 raise SchemaViolation(f"{at}: duplicate uid {uid_hex}")
+            weight = uid.bit_count()
+            if not reg.w_min <= weight <= reg.w_max:
+                raise SchemaViolation(
+                    f"{at}: uid {uid_hex} has weight {weight}, outside [{reg.w_min}, {reg.w_max}]"
+                )
             if tuple(k + 1 for k in range(reg.n_bits) if (uid >> k) & 1) != tuple(sorted(ids)):
                 raise SchemaViolation(f"{at}: active_pass_ids inconsistent with uid {uid_hex}")
-            reg.append(UserRecord(uid_hex, tuple(ids), json_value(raw, str, at, "created_at")))
+            # the spelling register_user writes: it keys the injection seed stream
+            reg.append(UserRecord(uid_to_hex(uid, reg.n_bits), tuple(ids),
+                                  json_value(raw, str, at, "created_at")))
         return reg
 
     def save(self, path: str) -> None:

@@ -17,12 +17,13 @@ from bisect import bisect
 
 from ..errors import InvalidRange
 from ..seeds import seed_stream
-from ..trajectory import Action, GreyBoxTrajectory
+from ..trajectory import Action, GreyBoxTrajectory, _gc_paused
 from .domains import DomainSpec
 
 _new, _set = object.__new__, object.__setattr__
 
 
+@_gc_paused
 def generate_greybox_corpus(
     domain: DomainSpec,
     n: int,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from ..equivalence import Distribution, count_members
 from ..errors import DomainMismatch, InvalidRange
-from ..trajectory import GreyBoxTrajectory, _gc_paused
+from ..trajectory import GreyBoxTrajectory
 from .domains import DomainSpec
 from .generator import generate_greybox_corpus, template_for_trajectory
 
@@ -83,7 +83,6 @@ def benign_surrogate(domain: DomainSpec) -> SurrogateModel:
     return SurrogateModel(domain)
 
 
-@_gc_paused
 def sample_surrogate(
     model: SurrogateModel,
     domain: DomainSpec,

@@ -115,13 +115,28 @@ class Action:
 def _gc_paused(fn: F) -> F:
     """Run ``fn`` with the cyclic garbage collector off; for whole-corpus entry points.
 
-    ``build_pool``, ``watermark_corpus``, ``sample_surrogate`` and
-    ``run_stage`` build corpora of frozen, acyclic actions, tuples and
-    strings that reference counting alone frees; the full collections
-    their allocations set off freed 0 objects. The pause is process-wide
-    while it lasts, so other threads get no cycle collection either. If
-    the collector is already off, the call leaves it off: only the
-    outermost paused call turns it back on.
+    ``build_pool``, ``watermark_corpus``, ``generate_greybox_corpus``,
+    ``run_stage`` and ``run_all`` build corpora of frozen, acyclic
+    actions, tuples and strings that reference counting alone frees; the
+    full collections their allocations set off freed 0 objects. The pause
+    is process-wide while it lasts, so other threads get no cycle
+    collection either. If the collector is already off, the call leaves
+    it off and freezes nothing: only the outermost paused call ends the
+    pause.
+
+    The outermost exit moves every object the collector tracks into its
+    permanent generation (``gc.freeze``), so what the call built is never
+    scanned again; without it the next unpaused calls would pay the
+    collections the pause skipped. The freeze is process-wide and
+    cumulative: it takes every live object, not only the call's, and a
+    reference cycle alive at that moment is never collected. That is why
+    the entry points must leave no cycle behind; reference counting still
+    frees frozen objects. The full collection that follows scans nothing,
+    since all was just frozen, but it empties the interpreter's free
+    lists, which a freeze alone leaves pinning memory. ``run_all`` is
+    paused as well as ``run_stage``, so a run ends its pause once: that
+    collection at each stage's exit hands back memory the next stage maps
+    again.
     """
 
     @functools.wraps(fn)
@@ -132,6 +147,8 @@ def _gc_paused(fn: F) -> F:
         try:
             return fn(*args, **kwargs)
         finally:
+            gc.freeze()
+            gc.collect()
             gc.enable()
 
     return paused
@@ -371,8 +388,43 @@ def read_json(path: str) -> object:
             raise MalformedLine(f"not valid UTF-8: {exc}") from exc
 
 
+def _json_key(key: object) -> str:
+    """An object key as ``json.dumps`` writes it: a string, or a scalar as its text."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _indented_json(value: object, depth: int = 0) -> str:
+    """``json.dumps(value, indent=1)``, built without the encoder's closures.
+
+    With an indent, ``json`` encodes through nested functions that refer to
+    one another, a reference cycle left behind as garbage on every call;
+    ``run_all`` writes its summary inside a collector pause, whose exit
+    would freeze that garbage for good. Scalars and keys go through the C
+    encoder, so every byte is the one ``json.dumps`` writes.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = "\n" + " " * (depth + 1)
+        items = ",".join(
+            f"{pad}{_json_key(k)}: {_indented_json(v, depth + 1)}"
+            for k, v in value.items()
+        )
+        return "{" + items + "\n" + " " * depth + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        pad = "\n" + " " * (depth + 1)
+        items = ",".join(pad + _indented_json(v, depth + 1) for v in value)
+        return "[" + items + "\n" + " " * depth + "]"
+    return json.dumps(value)
+
+
 def write_json(path: str, obj: object) -> None:
     """Write ``obj`` to a UTF-8 file as JSON indented by one space, plus a newline."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=1)
-        handle.write("\n")
+        handle.write(_indented_json(obj) + "\n")

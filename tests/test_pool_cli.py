@@ -640,6 +640,55 @@ def test_cli_inject_refuses_a_registry_of_another_pool_size(tmp_path, capsys, da
     assert not out.exists()
 
 
+def test_cli_inject_serves_a_padded_registry_record_as_registered(workdir, capsys):
+    # "000214040814" and "0214040814" name one user; the spelling keys the
+    # injection seed stream, so either --uid must stamp the registered one
+    pool, registry = workdir / "pool.json", workdir / "reg.json"
+    assert main(["register", "--pool", str(pool), "--registry", str(registry),
+                 "--seed", "31", "--quiet"]) == 0
+    uid = capsys.readouterr().out.strip()
+    victim = workdir / "victim.jsonl"
+    assert main(["simulate", "victim", "--domain", "data", "--n", "40",
+                 "--out", str(victim), "--seed", "3", "--quiet"]) == 0
+
+    def inject(reg_path, spelling):
+        out = workdir / f"wm-{reg_path.stem}-{spelling}.jsonl"
+        assert main(["inject", "--pool", str(pool), "--registry", str(reg_path),
+                     "--uid", spelling, "--in", str(victim), "--out", str(out),
+                     "--edits", str(workdir / "edits.jsonl"), "--seed", "4", "--quiet"]) == 0
+        return out.read_bytes()
+
+    served = inject(registry, uid)
+    padded = workdir / "padded.json"
+    doc = json.loads(registry.read_text())
+    doc["users"][0]["uid_hex"] = "00" + uid
+    padded.write_text(json.dumps(doc))
+    assert main(["validate", "--pool", str(pool), "--registry", str(padded), "--quiet"]) == 0
+    assert Registry.load(str(padded)).users[0].uid_hex == uid
+    assert inject(padded, uid) == served
+    assert inject(padded, "00" + uid) == served
+    assert inject(registry, "00" + uid) == served
+    assert json.loads(served.splitlines()[0])["user_uid"] == uid
+
+
+def test_cli_refuses_a_registry_record_outside_the_weight_band(workdir, capsys):
+    # weight 2 under the default band of 5..20: register_user never writes it
+    pool, registry = workdir / "pool.json", workdir / "reg.json"
+    user = {"uid_hex": "0000000003", "active_pass_ids": [1, 2], "created_at": "t"}
+    registry.write_text(json.dumps({"domain": "data", "N": 39, "users": [user]}))
+    assert main(["validate", "--pool", str(pool), "--registry", str(registry)]) == 2
+    message = (f"trajmark: registry: {registry}: $.users[0]: uid 0000000003 has weight 2, "
+               "outside [5, 20]\n")
+    assert capsys.readouterr().err == message
+    victim = workdir / "victim.jsonl"
+    assert main(["simulate", "victim", "--domain", "data", "--n", "5",
+                 "--out", str(victim), "--seed", "3", "--quiet"]) == 0
+    assert main(["inject", "--pool", str(pool), "--registry", str(registry),
+                 "--uid", "3", "--in", str(victim), "--out", str(workdir / "wm.jsonl"),
+                 "--edits", str(workdir / "edits.jsonl"), "--quiet"]) == 2
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("mode", ["victim", "benign"])
 def test_cli_simulate_refuses_a_zero_corpus_size(tmp_path, capsys, mode):
     # 0 is a size, not "use the domain's fit size"

@@ -182,6 +182,27 @@ def test_registry_load_rejects_one_uid_spelled_twice(second):
     assert list(Registry.from_json(obj).uid_set()) == [3]
 
 
+@pytest.mark.parametrize("spelling", ["c", "0c", "000c"])
+def test_registry_load_keeps_the_spelling_register_user_writes(spelling):
+    user = {"uid_hex": spelling, "active_pass_ids": [3, 4], "created_at": "t"}
+    obj = {"domain": "d", "N": 8, "w_min": 0, "w_max": 8, "users": [user]}
+    assert Registry.from_json(obj).users[0] == UserRecord(uid_to_hex(12, 8), (3, 4), "t")
+    assert Registry.from_json(obj).to_json()["users"][0]["uid_hex"] == "0c"
+
+
+@pytest.mark.parametrize("w_min, w_max", [(3, 8), (0, 1)])
+def test_registry_load_refuses_a_uid_outside_the_weight_band(w_min, w_max):
+    user = {"uid_hex": "0c", "active_pass_ids": [3, 4], "created_at": "t"}
+    obj = {"domain": "d", "N": 8, "w_min": w_min, "w_max": w_max, "users": [user]}
+    with pytest.raises(SchemaViolation) as exc:
+        Registry.from_json(obj)
+    assert str(exc.value) == (
+        f"registry: $.users[0]: uid 0c has weight 2, outside [{w_min}, {w_max}]"
+    )
+    obj["w_min"], obj["w_max"] = 2, 2
+    assert len(Registry.from_json(obj).users) == 1
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("uid_hex", "ZZ", "uid_hex: expected a lowercase hex string, got 'ZZ'"),
     ("uid_hex", "0C", "uid_hex: expected a lowercase hex string, got '0C'"),

@@ -1,11 +1,13 @@
 """Trajectory model: parsing, serialization, and grey-box projection."""
 
+import dataclasses
 import gc
 import inspect
 import json
 import math
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +15,17 @@ from hypothesis import strategies as st
 
 from trajmark.cli import main
 from trajmark.errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
-from trajmark.experiment import run_stage
+from trajmark.experiment import ExperimentConfig, run_all, run_stage
 from trajmark.injector import watermark_corpus, watermark_trajectory
 from trajmark.pool import build_pool
-from trajmark.registry import register_user
-from trajmark.simkit.surrogate import sample_surrogate
+from trajmark.registry import Registry, passes_for_uid, register_user
+from trajmark.simkit.generator import generate_greybox_corpus
 from trajmark.trajectory import (
     Action,
     FullTrajectory,
     GreyBoxTrajectory,
     _gc_paused,
+    _indented_json,
     grey_box_view,
     parse_trajectory_line,
     read_jsonl,
@@ -452,8 +455,9 @@ def test_nested_gc_pause_reenables_only_at_the_outermost_exit():
     (build_pool, "build_pool",
      ["domain", "seed", "delta", "n_validation_cases", "calibration_size"]),
     (watermark_corpus, "watermark_corpus", ["corpus", "passes", "seed", "uid_hex", "stamp_uid"]),
-    (sample_surrogate, "sample_surrogate", ["model", "domain", "n", "seed", "id_prefix"]),
+    (generate_greybox_corpus, "generate_greybox_corpus", ["domain", "n", "seed", "id_prefix"]),
     (run_stage, "run_stage", ["name", "config", "pools"]),
+    (run_all, "run_all", ["config"]),
 ])
 def test_paused_entry_points_keep_name_doc_and_signature(fn, name, params):
     # the bench and run_stage find these functions by name
@@ -479,3 +483,122 @@ def test_watermark_corpus_reads_its_corpus_with_the_collector_paused():
     assert watermark_corpus(corpus(), [], seed=1) == ([], [])
     assert seen == [False]
     assert gc.isenabled()
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_JSON_KEYS = st.one_of(st.text(), st.none(), st.booleans(), st.integers(), st.floats())
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, inner, max_size=4),
+), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+def test_indented_json_writes_what_json_dumps_writes(value):
+    assert _indented_json(value) == json.dumps(value, indent=1)
+
+
+def test_indented_json_refuses_the_keys_json_refuses():
+    with pytest.raises(TypeError, match="not tuple"):
+        _indented_json({(1,): 1})
+
+
+class _Node:
+    pass
+
+
+@_gc_paused
+def _freeze_counts_around_a_nested_pause():
+    before = gc.get_freeze_count()
+    assert _collector_state() is False
+    return before, gc.get_freeze_count()
+
+
+def test_a_cycle_made_after_a_paused_call_is_still_collected():
+    # the freeze takes what is alive at the exit, nothing made later
+    _collector_state()
+    died = []
+    node = _Node()
+    node.self = node
+    ref = weakref.ref(node, lambda _: died.append(True))
+    del node
+    gc.collect()
+    assert died and ref() is None
+
+
+def test_a_corpus_built_in_a_paused_call_is_freed_by_reference_counting(mini_domain):
+    corpus = generate_greybox_corpus(mini_domain, 50, seed=1)
+    refs = [weakref.ref(corpus[0]), weakref.ref(corpus[-1].actions[0])]
+    gc.disable()  # no collection may run: dropping the list must free them
+    try:
+        del corpus
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_nested_pause_exit_does_not_freeze():
+    before, after = _freeze_counts_around_a_nested_pause()
+    assert after == before
+    assert gc.get_freeze_count() > after  # the outermost exit froze
+
+
+def test_a_paused_call_under_a_disabled_collector_freezes_nothing():
+    gc.disable()
+    try:
+        fresh = [[] for _ in range(10)]  # tracked objects a freeze would take
+        before = gc.get_freeze_count()
+        assert _collector_state() is False
+        assert gc.get_freeze_count() == before
+        del fresh
+    finally:
+        gc.enable()
+
+
+def _paused_calls(domain, pool, tmp_path):
+    """Each paused entry point with small inputs: ``name -> (fn, args, kwargs)``."""
+    reg = Registry(domain.name, len(pool))
+    uid = register_user(reg, rng_seed=1).uid_hex
+    small = dataclasses.replace(domain, corpus_sizes={
+        "calibration": 400, "fit": 200, "verify": 200, "verify_low": 100, "attack": 200,
+    })
+    small_file = tmp_path / "data.json"
+    small.save(str(small_file))
+    config = ExperimentConfig(
+        seed=7, out_dir=str(tmp_path / "run"), domains=(str(small_file),), n_attackers=1,
+        n_benign=1, localization_extra_users=(0,), localization_seeds=1, closed_loop_corpus=100,
+    )
+    corpus = generate_greybox_corpus(domain, 100, seed=1)
+    return {
+        "build_pool": (build_pool, (domain, 42),
+                       {"n_validation_cases": 5, "calibration_size": 400}),
+        "generate_greybox_corpus": (generate_greybox_corpus, (domain, 200, 1), {}),
+        "watermark_corpus": (watermark_corpus, (corpus, passes_for_uid(uid, pool), 1),
+                             {"uid_hex": uid, "stamp_uid": True}),
+        "run_stage": (run_stage, ("closed-loop", config, lambda name: (small, pool)), {}),
+        "run_all": (run_all, (config,), {}),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "build_pool", "generate_greybox_corpus", "watermark_corpus", "run_stage", "run_all",
+])
+def test_paused_entry_points_leave_no_reference_cycle(tmp_path, data_domain, data_pool, name):
+    # a pause's outermost exit freezes every live object, so a cycle that a
+    # paused call leaves behind, in its garbage or in what it returns, would
+    # never be collected
+    fn, args, kwargs = _paused_calls(data_domain, data_pool, tmp_path)[name]
+    gc.collect()
+    gc.disable()
+    try:
+        result = fn.__wrapped__(*args, **kwargs)
+        del result
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        kinds = sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert found == 0, kinds
