@@ -31,14 +31,14 @@ from .experiment import (
     run_stage,
     _write_csv,
 )
-from .injector import read_edit_positions, watermark_corpus, write_edits
+from .injector import iter_watermarked, read_edit_positions, write_edit_lines
 from .pool import POOL_FORMAT_VERSION, build_pool, load_pool, pool_from_json, save_pool
 from .registry import Registry, passes_for_uid, register_user, uid_to_hex
 from .seeds import derive_seed
 from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
-from .simkit.generator import generate_greybox_corpus
-from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
-from .trajectory import read_json, read_jsonl, write_json, write_jsonl
+from .simkit.generator import iter_greybox_corpus
+from .simkit.surrogate import fit_surrogate
+from .trajectory import iter_jsonl, output_file, read_json, read_jsonl, write_json, write_jsonl
 from .verifier import (
     DEFAULT_M_MIN, DEFAULT_THETA_J, DEFAULT_THETA_N, detected_vector_from_json, localize_user,
     verify_corpus,
@@ -123,21 +123,20 @@ def _cmd_register(args) -> int:
 def _cmd_simulate(args) -> int:
     domain = load_domain(args.domain)
     n = domain.corpus_sizes["fit"] if args.n is None else args.n
+    # every corpus is drawn by the one generator, from the domain that
+    # models its source, and written as it is drawn
     if args.mode == "victim":
-        corpus = generate_greybox_corpus(domain, n, _seed(args), id_prefix="q")
+        source, prefix = domain, "q"
     elif args.mode == "benign":
-        corpus = sample_surrogate(
-            benign_surrogate(domain), domain, n, _seed(args), id_prefix="b"
-        )
+        source, prefix = domain, "b"  # a model that never saw watermarked data
     else:  # surrogate
         if not args.harvest:
             raise TrajmarkError("simulate surrogate requires --harvest")
-        harvested = read_jsonl(args.harvest)
-        model = fit_surrogate(harvested, domain, eta=args.eta)
+        model = fit_surrogate(iter_jsonl(args.harvest), domain, eta=args.eta)
         if model.missing_sets:
             _say(args, f"harvest missing sets (natural fallback): {list(model.missing_sets)}")
-        corpus = sample_surrogate(model, domain, n, _seed(args), id_prefix="s")
-    count = write_jsonl(args.out, corpus)
+        source, prefix = model.domain, "s"
+    count = write_jsonl(args.out, iter_greybox_corpus(source, n, _seed(args), id_prefix=prefix))
     _say(args, f"wrote {count} trajectories to {args.out}")
     return 0
 
@@ -153,16 +152,25 @@ def _cmd_inject(args) -> int:
         raise TrajmarkError(f"uid {args.uid} is not registered")
     uid_hex = uid_to_hex(uid, registry.n_bits)
     active = passes_for_uid(uid_hex, pool)
-    corpus = read_jsonl(args.infile)
-    wm, edits = watermark_corpus(
-        corpus, active, seed=_seed(args), uid_hex=uid_hex, stamp_uid=True
+    served = iter_watermarked(
+        iter_jsonl(args.infile), active, seed=_seed(args), uid_hex=uid_hex, stamp_uid=True
     )
-    write_jsonl(args.out, wm)
-    n_edits = write_edits(args.edits, wm, edits)
-    changed = sum(1 for es in edits for e in es if e.changed)
+    n_edits = changed = 0
+
+    def logged(log):
+        nonlocal n_edits, changed
+        for idx, (wm, edits) in enumerate(served):
+            n_edits += write_edit_lines(log, idx, wm.query_id, edits)
+            changed += sum(1 for e in edits if e.changed)
+            yield wm
+
+    # one trajectory at a time; both files appear only once the input has
+    # been read to its end
+    with output_file(args.edits) as log:
+        count = write_jsonl(args.out, logged(log))
     _say(
         args,
-        f"watermarked {len(wm)} trajectories with {len(active)} passes: "
+        f"watermarked {count} trajectories with {len(active)} passes: "
         f"{n_edits} draws, {changed} rewrites",
     )
     return 0
@@ -170,8 +178,9 @@ def _cmd_inject(args) -> int:
 
 def _cmd_verify(args) -> int:
     pool = load_pool(args.pool)
-    suspect = read_jsonl(args.suspect)
-    verdict = verify_corpus(suspect, pool, args.theta_j, args.theta_n, args.m_min)
+    verdict = verify_corpus(
+        iter_jsonl(args.suspect), pool, args.theta_j, args.theta_n, args.m_min
+    )
     if args.report:
         verdict.save(args.report)
     _say(args, f"passes detected: {verdict.n_det} (theta_n={args.theta_n})")
@@ -200,6 +209,7 @@ _STRATEGIES = ("random-deletion", "rephrase-stub", "pk-replace", "fk-replace")
 
 
 def _cmd_attack(args) -> int:
+    # held in memory: pk-replace builds its tool library from the whole corpus
     corpus = read_jsonl(args.infile)
     truth = read_edit_positions(args.edits) if args.edits else {}
     sets, tools, sandbox = ([], [], None)
@@ -298,8 +308,8 @@ def _cmd_validate(args) -> int:
         _say(args, f"registry {args.registry}: {len(registry.users)} users, N={registry.n_bits}")
         checked += 1
     if args.corpus:
-        corpus = read_jsonl(args.corpus)
-        _say(args, f"corpus {args.corpus}: {len(corpus)} trajectories")
+        count = sum(1 for _ in iter_jsonl(args.corpus))
+        _say(args, f"corpus {args.corpus}: {count} trajectories")
         checked += 1
     if args.config:
         ExperimentConfig.from_file(args.config)

@@ -557,11 +557,13 @@ def _walk(
 def count_members(
     corpus: Iterable[GreyBoxTrajectory], eqsets: Sequence[EquivalenceSet]
 ) -> list[list[int]]:
-    """Tally non-overlapping member matches of each set over a corpus.
+    """Tally non-overlapping member matches of each set over a corpus, read once.
 
     Returns one member-indexed count vector per set, in set order: the
     per-set sums of ``scan_equivalence`` results. Each trajectory is walked
-    once for all sets (see ``_walk``), and no bindings are built.
+    once for all sets (see ``_walk``), and no bindings are built. The corpus
+    is iterated once and no trajectory is kept, so a generator or a file
+    stream is counted in constant memory.
     """
     index = _first_tool_index(eqsets)
     counts = [[0] * len(eqset.members) for eqset in eqsets]

@@ -14,13 +14,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .equivalence import WatermarkPass, scan_equivalence
 from .errors import EmptyActions
 from .seeds import seed_stream
 from .trajectory import (
     Action, GreyBoxTrajectory, _gc_paused, decode_json_line, iter_parsed_lines, json_value,
+    output_file,
 )
 
 
@@ -151,6 +152,27 @@ def watermark_trajectory(
     return replace(t, actions=actions), edits
 
 
+def iter_watermarked(
+    corpus: Iterable[GreyBoxTrajectory],
+    passes: Sequence[WatermarkPass],
+    seed: int,
+    uid_hex: str | None = None,
+    stamp_uid: bool = False,
+) -> Iterator[tuple[GreyBoxTrajectory, list[EditRecord]]]:
+    """Watermark a corpus as it is read, yielding each trajectory with its edits.
+
+    ``corpus`` is read once. The stream for each trajectory depends only on
+    (seed, uid, query_id), so results are independent of processing order
+    and safe to parallelize.
+    """
+    seed_of = seed_stream(seed, "inject", uid_hex or "")
+    for t in corpus:
+        wm, edits = watermark_trajectory(t, passes, random.Random(seed_of(t.query_id)))
+        if stamp_uid and uid_hex is not None:
+            wm = replace(wm, user_uid=uid_hex)
+        yield wm, edits
+
+
 @_gc_paused
 def watermark_corpus(
     corpus: Iterable[GreyBoxTrajectory],
@@ -161,16 +183,12 @@ def watermark_corpus(
 ) -> tuple[list[GreyBoxTrajectory], list[list[EditRecord]]]:
     """Watermark a whole corpus with per-trajectory derived RNG streams.
 
-    The stream for each trajectory depends only on (seed, uid, query_id),
-    so results are independent of processing order and safe to parallelize.
+    The list form of ``iter_watermarked``: the same trajectories and edit
+    records, held at once.
     """
     out_trajs: list[GreyBoxTrajectory] = []
     out_edits: list[list[EditRecord]] = []
-    seed_of = seed_stream(seed, "inject", uid_hex or "")
-    for t in corpus:
-        wm, edits = watermark_trajectory(t, passes, random.Random(seed_of(t.query_id)))
-        if stamp_uid and uid_hex is not None:
-            wm = replace(wm, user_uid=uid_hex)
+    for wm, edits in iter_watermarked(corpus, passes, seed, uid_hex, stamp_uid):
         out_trajs.append(wm)
         out_edits.append(edits)
     return out_trajs, out_edits
@@ -200,26 +218,33 @@ def edit_to_json(traj_index: int, query_id: str, edit: EditRecord) -> dict:
     }
 
 
+def write_edit_lines(
+    handle: TextIO, traj_index: int, query_id: str, edits: Sequence[EditRecord]
+) -> int:
+    """Write one JSON line per edit record of one trajectory; returns the line count."""
+    for edit in edits:
+        handle.write(
+            json.dumps(
+                edit_to_json(traj_index, query_id, edit),
+                ensure_ascii=False,
+                separators=(",", ":"),
+            )
+        )
+        handle.write("\n")
+    return len(edits)
+
+
 def write_edits(
     path: str,
-    corpus: Sequence[GreyBoxTrajectory],
-    edits_by_traj: Sequence[Sequence[EditRecord]],
+    corpus: Iterable[GreyBoxTrajectory],
+    edits_by_traj: Iterable[Sequence[EditRecord]],
 ) -> int:
     """Write one JSON line per edit record; returns the line count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for idx, (traj, edits) in enumerate(zip(corpus, edits_by_traj)):
-            for edit in edits:
-                handle.write(
-                    json.dumps(
-                        edit_to_json(idx, traj.query_id, edit),
-                        ensure_ascii=False,
-                        separators=(",", ":"),
-                    )
-                )
-                handle.write("\n")
-                count += 1
-    return count
+    with output_file(path) as handle:
+        return sum(
+            write_edit_lines(handle, idx, traj.query_id, edits)
+            for idx, (traj, edits) in enumerate(zip(corpus, edits_by_traj))
+        )
 
 
 def _parse_edit_line(line: str) -> tuple[int, bool, list[int]]:

@@ -34,7 +34,7 @@ from .equivalence import (
 from .errors import NoValidCandidates, SchemaViolation
 from .seeds import derive_rng
 from .simkit.domains import DomainSpec
-from .simkit.generator import generate_greybox_corpus
+from .simkit.generator import iter_greybox_corpus
 from .trajectory import _gc_paused, json_at, json_value, read_json, write_json
 
 POOL_FORMAT_VERSION = 1
@@ -86,15 +86,16 @@ def build_pool(
     """Validate candidates, calibrate naturals, and derive biased targets."""
     delta = domain.delta if delta is None else delta
     calibration_size = calibration_size or domain.corpus_sizes["calibration"]
-    calibration = generate_greybox_corpus(
+    # the calibration corpus is counted as it is drawn, never held
+    calibration = iter_greybox_corpus(
         domain, calibration_size, derive_rng(seed, "calibration").randrange(2**63),
         id_prefix="cal",
     )
+    counts = count_members(calibration, domain.eqsets)
     report = PoolBuildReport(
         domain=domain.name, delta=delta, calibration_size=calibration_size
     )
     accepted: list[tuple[EquivalenceSet, Distribution, int]] = []
-    counts = count_members(calibration, domain.eqsets)
     for eqset, row in zip(domain.eqsets, counts):
         verdict: ValidationReport = validate_equivalence(
             eqset, domain.sandbox, n_cases=n_validation_cases, rng_seed=seed

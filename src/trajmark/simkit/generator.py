@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
+from typing import Iterator
 
 from ..errors import InvalidRange
 from ..seeds import seed_stream
@@ -23,14 +24,13 @@ from .domains import DomainSpec
 _new, _set = object.__new__, object.__setattr__
 
 
-@_gc_paused
-def generate_greybox_corpus(
+def iter_greybox_corpus(
     domain: DomainSpec,
     n: int,
     seed: int,
     id_prefix: str = "q",
-) -> list[GreyBoxTrajectory]:
-    """Generate ``n`` grey-box trajectories, what a service would emit.
+) -> Iterator[GreyBoxTrajectory]:
+    """Yield ``n`` grey-box trajectories, what a service would emit, one at a time.
 
     Each trajectory's RNG stream depends only on (seed, prefix, index), so
     generation is order-independent and safe to parallelize. The stream
@@ -38,13 +38,13 @@ def generate_greybox_corpus(
     slot draws its member from ``domain.natural``, every step one token per
     value its plan reads and one discarded value per action it emits, which
     keeps every seeded corpus unchanged. Actions are built without checks:
-    the domain checked its templates and sets when it was built.
+    the domain checked its templates and sets when it was built. ``n < 1``
+    is refused before the first draw.
     """
     if n < 1:
         raise InvalidRange(f"corpus size must be >= 1, got {n}")
     programs, weights = domain._programs
     seed_of = seed_stream(seed, "gen", id_prefix)
-    corpus = []
     for idx in range(n):
         rng = random.Random(seed_of(idx))
         getrandbits, uniform = rng.getrandbits, rng.random
@@ -66,8 +66,22 @@ def generate_greybox_corpus(
                 actions.append(action)
         query_id = f"{id_prefix}{idx:06d}"
         response = f"completed {template_id} for {query_id}"
-        corpus.append(GreyBoxTrajectory(query_id, tuple(actions), response))
-    return corpus
+        yield GreyBoxTrajectory(query_id, tuple(actions), response)
+
+
+@_gc_paused
+def generate_greybox_corpus(
+    domain: DomainSpec,
+    n: int,
+    seed: int,
+    id_prefix: str = "q",
+) -> list[GreyBoxTrajectory]:
+    """Generate ``n`` grey-box trajectories, what a service would emit.
+
+    The list form of ``iter_greybox_corpus``, which draws them: the same
+    trajectories from the same per-trajectory seed streams, held at once.
+    """
+    return list(iter_greybox_corpus(domain, n, seed, id_prefix))
 
 
 def template_for_trajectory(

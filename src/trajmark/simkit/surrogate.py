@@ -12,8 +12,9 @@ from the harvest keep natural and are recorded rather than raised.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable
 
 from ..equivalence import Distribution, count_members
 from ..errors import DomainMismatch, InvalidRange
@@ -40,24 +41,33 @@ def _mix(empirical: Distribution, natural: Distribution, eta: float) -> Distribu
 
 
 def fit_surrogate(
-    harvested: Sequence[GreyBoxTrajectory],
+    harvested: Iterable[GreyBoxTrajectory],
     domain: DomainSpec,
     eta: float,
 ) -> SurrogateModel:
-    """Fit per-set categorical distributions from a harvested corpus.
+    """Fit per-set categorical distributions from a harvested corpus, read once.
 
     Fitting is deterministic: per set, eta * empirical + (1 - eta) *
     natural. Template weights are skeleton frequencies, from matching each
-    harvested trajectory back to its template; unmatchable trajectories
-    are skipped and every template weighs the same if nothing matches.
+    harvested trajectory back to its template in the same pass that counts
+    its members; unmatchable trajectories are skipped and every template
+    weighs the same if nothing matches.
     """
-    if not harvested:
-        raise InvalidRange("harvest must be non-empty")
     if not 0.0 <= eta <= 1.0:
         raise InvalidRange(f"eta must lie in [0, 1], got {eta}")
+    by_template: Counter[str | None] = Counter()
+
+    def tally(corpus):
+        for traj in corpus:
+            by_template[template_for_trajectory(domain, traj)] += 1
+            yield traj
+
+    rows = count_members(tally(harvested), domain.eqsets)
+    if not by_template:
+        raise InvalidRange("harvest must be non-empty")
     fitted: dict[str, Distribution] = {}
     missing: list[str] = []
-    for eqset, row in zip(domain.eqsets, count_members(harvested, domain.eqsets)):
+    for eqset, row in zip(domain.eqsets, rows):
         natural = domain.natural[eqset.id]
         if not any(row):
             missing.append(eqset.id)
@@ -65,14 +75,10 @@ def fit_surrogate(
             continue
         fitted[eqset.id] = _mix(Distribution.from_counts(row), natural, eta)
 
-    counts: dict[str, int] = {t.id: 0 for t in domain.templates}
-    for traj in harvested:
-        template_id = template_for_trajectory(domain, traj)
-        if template_id is not None:
-            counts[template_id] += 1
-    matched = sum(counts.values())
+    del by_template[None]  # the trajectories no template produced
+    matched = sum(by_template.values())
     templates = [
-        replace(t, weight=counts[t.id] / matched if matched else 1.0 / len(domain.templates))
+        replace(t, weight=by_template[t.id] / matched if matched else 1.0 / len(domain.templates))
         for t in domain.templates
     ]
     return SurrogateModel(replace(domain, natural=fitted, templates=templates), tuple(missing))

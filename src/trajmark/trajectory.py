@@ -20,10 +20,12 @@ import functools
 import gc
 import json
 import math
+import os
 import re
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar, Union
 
 from .errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
 
@@ -322,10 +324,56 @@ def iter_parsed_lines(path: str, parse: Callable[[str], T]) -> Iterator[T]:
                 yield parse(line)
 
 
+@contextmanager
+def output_file(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text handle on ``path`` whose contents appear only if the block succeeds.
+
+    A missing path or a regular file is written as a temporary file beside
+    it (beside its target, for a symlink), renamed onto it at the end with
+    an existing file's mode and, where permitted, owner; a block that raises
+    removes the temporary file and leaves the path as it was. So a command
+    that reads its input as it writes leaves no partial output behind when
+    a late input line is refused. A path that cannot be replaced, such as
+    ``/dev/null``, a FIFO, a terminal or a file with other hard links, is
+    opened and written directly.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    # a random name, so a file left by a killed run blocks no later run
+    temporary = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    # 0o666 less the umask: the mode ``open`` gives a new file
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+                made = os.fstat(fd)
+                if (st.st_uid, st.st_gid) != (made.st_uid, made.st_gid):
+                    with suppress(PermissionError):
+                        os.fchown(fd, st.st_uid, st.st_gid)
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def write_jsonl(path: str, trajectories: Iterable[GreyBoxTrajectory]) -> int:
-    """Write a corpus to a JSONL file; returns the number of lines written."""
+    """Write a corpus to a JSONL file as it is read; returns the number of lines written.
+
+    ``trajectories`` is read once, and ``path`` is replaced only when all of
+    it was written (see ``output_file``).
+    """
     count = 0
-    with open(path, "w", encoding="utf-8") as handle:
+    with output_file(path) as handle:
         for t in trajectories:
             handle.write(serialize_trajectory(t))
             handle.write("\n")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
 from .errors import EmptyRegistry, InvalidRange, LengthMismatch, SchemaViolation
@@ -94,12 +94,13 @@ def detected_vector_from_json(obj, where: str = "verdict: $") -> list[int]:
 
 
 def evaluate_passes(
-    corpus: Sequence[GreyBoxTrajectory], pool: Sequence[WatermarkPass]
+    corpus: Iterable[GreyBoxTrajectory], pool: Sequence[WatermarkPass]
 ) -> list[PassEvaluation]:
-    """Compute threshold-independent per-pass evidence over a corpus once.
+    """Compute threshold-independent per-pass evidence over a corpus, read once.
 
-    One ``count_members`` call tallies every pass's set; a pass with no
-    match gets an empty evaluation, which detection treats as inconclusive.
+    One ``count_members`` call tallies every pass's set as the corpus is
+    read, so a stream is never held; a pass with no match gets an empty
+    evaluation, which detection treats as inconclusive.
     """
     counts = count_members(corpus, [p.eqset for p in pool])
     evaluations = []
@@ -164,13 +165,17 @@ def classify_evidence(
 
 
 def verify_corpus(
-    corpus: Sequence[GreyBoxTrajectory],
+    corpus: Iterable[GreyBoxTrajectory],
     pool: Sequence[WatermarkPass],
     theta_j: float = DEFAULT_THETA_J,
     theta_n: int = DEFAULT_THETA_N,
     m_min: int = DEFAULT_M_MIN,
 ) -> Verdict:
-    """End-to-end verification of one suspect trajectory dump."""
+    """End-to-end verification of one suspect trajectory dump, read once.
+
+    ``corpus`` may be a one-shot stream, such as ``iter_jsonl``'s: the
+    verdict depends only on the member counts it yields.
+    """
     return classify_evidence(evaluate_passes(corpus, pool), theta_j, theta_n, m_min)
 
 

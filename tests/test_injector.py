@@ -26,12 +26,13 @@ from trajmark.injector import (
     _carry_positions,
     apply_pass,
     changed_positions,
+    iter_watermarked,
     read_edit_positions,
     watermark_corpus,
     watermark_trajectory,
     write_edits,
 )
-from trajmark.pool import build_pool
+from trajmark.pool import build_pool, save_pool
 from trajmark.registry import Registry, passes_for_uid, register_user
 from trajmark.simkit.domains import builtin_domain
 from trajmark.simkit.generator import generate_greybox_corpus
@@ -401,6 +402,32 @@ def test_edit_log_round_trip(tmp_path, data_domain, data_pool):
     truth = changed_positions(edits_by_traj)
     assert truth
     assert read_edit_positions(str(path)) == truth
+
+
+def test_streaming_inject_serves_what_watermark_corpus_returns(tmp_path, data_domain, data_pool):
+    corpus = generate_greybox_corpus(data_domain, 150, seed=58, id_prefix="si")
+    reg = Registry("data", len(data_pool))
+    uid = register_user(reg, rng_seed=11).uid_hex
+    active = passes_for_uid(uid, data_pool)
+    wm, edits_by_traj = watermark_corpus(corpus, active, seed=67, uid_hex=uid, stamp_uid=True)
+    streamed = list(iter_watermarked(iter(corpus), active, seed=67, uid_hex=uid, stamp_uid=True))
+    assert [t for t, _ in streamed] == wm
+    assert [edits for _, edits in streamed] == edits_by_traj
+    assert any(e.changed for edits in edits_by_traj for e in edits)
+
+    # the CLI writes both files line by line: the bytes the list forms write
+    pool, registry = tmp_path / "pool.json", tmp_path / "reg.json"
+    save_pool(str(pool), data_pool, "data")
+    reg.save(str(registry))
+    victim, out, log = tmp_path / "victim.jsonl", tmp_path / "wm.jsonl", tmp_path / "edits.jsonl"
+    write_jsonl(str(victim), corpus)
+    assert main(["inject", "--pool", str(pool), "--registry", str(registry), "--uid", uid,
+                 "--in", str(victim), "--out", str(out), "--edits", str(log),
+                 "--seed", "67", "--quiet"]) == 0
+    write_jsonl(str(tmp_path / "wm-list.jsonl"), wm)
+    write_edits(str(tmp_path / "edits-list.jsonl"), wm, edits_by_traj)
+    assert out.read_bytes() == (tmp_path / "wm-list.jsonl").read_bytes()
+    assert log.read_bytes() == (tmp_path / "edits-list.jsonl").read_bytes()
 
 
 _GOOD_EDIT = b'{"traj_index":0,"changed":true,"final_positions":[0]}'

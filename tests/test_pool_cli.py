@@ -699,6 +699,39 @@ def test_cli_simulate_refuses_a_zero_corpus_size(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "validate", "inject", "surrogate"])
+def test_cli_corpus_commands_refuse_a_bad_last_line_and_leave_no_file(workdir, capsys, command):
+    # the bad line is the file's last: a command that reads as it writes
+    # must still fail with path:line and leave nothing behind
+    pool, registry = workdir / "pool.json", workdir / "reg.json"
+    assert main(["register", "--pool", str(pool), "--registry", str(registry),
+                 "--seed", "31", "--quiet"]) == 0
+    uid = capsys.readouterr().out.strip()
+    corpus = workdir / "corpus.jsonl"
+    assert main(["simulate", "victim", "--domain", "data", "--n", "50",
+                 "--out", str(corpus), "--seed", "3", "--quiet"]) == 0
+    with corpus.open("a") as handle:
+        handle.write('{"query_id": "q000050", "actions": [\n')
+    out = workdir / "out.jsonl"
+    argv = {
+        "verify": ["verify", "--pool", str(pool), "--suspect", str(corpus),
+                   "--report", str(workdir / "verdict.json")],
+        "validate": ["validate", "--pool", str(pool), "--corpus", str(corpus)],
+        "inject": ["inject", "--pool", str(pool), "--registry", str(registry), "--uid", uid,
+                   "--in", str(corpus), "--out", str(out),
+                   "--edits", str(workdir / "edits.jsonl")],
+        "surrogate": ["simulate", "surrogate", "--domain", "data", "--harvest", str(corpus),
+                      "--n", "20", "--out", str(out)],
+    }[command]
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    assert main(argv + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"trajmark: {corpus}:51: not valid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(workdir.iterdir()) == before
+
+
 def test_cli_attack_writes_metrics(workdir, capsys):
     pool = workdir / "pool.json"
     registry = workdir / "reg.json"

@@ -14,7 +14,7 @@ from trajmark.equivalence import (
     js_divergence,
     validate_equivalence,
 )
-from trajmark.errors import ManifestError, TrajmarkError
+from trajmark.errors import InvalidRange, ManifestError, TrajmarkError
 from trajmark.simkit.domains import (
     DEFAULT_CORPUS_SIZES,
     POOL_SHAPES,
@@ -24,7 +24,11 @@ from trajmark.simkit.domains import (
     builtin_domain,
     load_domain,
 )
-from trajmark.simkit.generator import generate_greybox_corpus, template_for_trajectory
+from trajmark.simkit.generator import (
+    generate_greybox_corpus,
+    iter_greybox_corpus,
+    template_for_trajectory,
+)
 from trajmark.simkit.surrogate import (
     benign_surrogate,
     fit_surrogate,
@@ -109,6 +113,44 @@ def test_surrogate_sample_is_pinned(data_domain):
     assert [t.weight for t in fitted.templates] != [t.weight for t in data_domain.templates]
     corpus = sample_surrogate(model, data_domain, 300, seed=5)
     assert _corpus_digest(corpus) == SURROGATE_DIGEST
+
+
+def _fitted_data_domain():
+    data = builtin_domain("data")
+    return fit_surrogate(generate_greybox_corpus(data, 200, seed=3), data, eta=1.0).domain
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**63 - 1])
+@pytest.mark.parametrize("make", [
+    lambda: builtin_domain("data"), lambda: builtin_domain("business"),
+    lambda: builtin_domain("social"), _fitted_data_domain,
+], ids=["data", "business", "social", "surrogate"])
+def test_iter_greybox_corpus_yields_the_list_forms_trajectories(make, seed):
+    domain = make()
+    stream = iter_greybox_corpus(domain, 120, seed, id_prefix="e")
+    assert not isinstance(stream, list)
+    assert list(stream) == generate_greybox_corpus(domain, 120, seed, id_prefix="e")
+
+
+def test_iter_greybox_corpus_refuses_a_zero_size_before_the_first_draw(data_domain):
+    with pytest.raises(InvalidRange, match="corpus size must be >= 1, got 0"):
+        list(iter_greybox_corpus(data_domain, 0, seed=1))
+
+
+def test_fit_surrogate_reads_a_one_shot_stream_as_it_reads_the_list(data_domain):
+    harvest = generate_greybox_corpus(data_domain, 300, seed=3)
+    harvest.append(GreyBoxTrajectory("stray", (Action.make("X.Nothing"),), "r"))
+    for eta in (0.0, 0.4, 1.0):
+        from_list = fit_surrogate(harvest, data_domain, eta=eta)
+        assert fit_surrogate(iter(harvest), data_domain, eta=eta) == from_list
+        assert fit_surrogate(
+            iter_greybox_corpus(data_domain, 300, seed=3), data_domain, eta=eta
+        ) == fit_surrogate(harvest[:-1], data_domain, eta=eta)
+
+
+def test_fit_surrogate_refuses_an_empty_stream(data_domain):
+    with pytest.raises(InvalidRange, match="harvest must be non-empty"):
+        fit_surrogate(iter(()), data_domain, eta=1.0)
 
 
 def test_slot_frequencies_match_configured_distribution(mini_domain):

@@ -5,8 +5,11 @@ import gc
 import inspect
 import json
 import math
+import os
 import random
 import re
+import stat
+import threading
 import weakref
 
 import pytest
@@ -16,10 +19,10 @@ from hypothesis import strategies as st
 from trajmark.cli import main
 from trajmark.errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
 from trajmark.experiment import ExperimentConfig, run_all, run_stage
-from trajmark.injector import watermark_corpus, watermark_trajectory
+from trajmark.injector import iter_watermarked, watermark_corpus, watermark_trajectory
 from trajmark.pool import build_pool
 from trajmark.registry import Registry, passes_for_uid, register_user
-from trajmark.simkit.generator import generate_greybox_corpus
+from trajmark.simkit.generator import generate_greybox_corpus, iter_greybox_corpus
 from trajmark.trajectory import (
     Action,
     FullTrajectory,
@@ -27,9 +30,11 @@ from trajmark.trajectory import (
     _gc_paused,
     _indented_json,
     grey_box_view,
+    output_file,
     parse_trajectory_line,
     read_jsonl,
     serialize_trajectory,
+    write_jsonl,
 )
 from trajmark.verifier import localize_user
 
@@ -117,6 +122,57 @@ def test_malformed_line_names_path_and_line(tmp_path, line):
     with pytest.raises(TrajmarkError, match=re.escape(f"{path}:3: ")):
         read_jsonl(str(path))
     assert main(["validate", "--corpus", str(path), "--quiet"]) == 2
+
+
+def test_output_file_replaces_its_path_only_when_the_block_succeeds(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_text("old\n")
+
+    def lines():
+        yield GreyBoxTrajectory("q1", (Action.make("T.Op"),), "r")
+        raise MalformedLine("late")
+
+    with pytest.raises(MalformedLine, match="late"):
+        write_jsonl(str(path), lines())
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+    with output_file(str(path)) as handle:
+        handle.write("new\n")
+        assert path.read_text() == "old\n"
+    assert path.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_output_file_keeps_a_files_mode_and_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "out.jsonl"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target.name)
+    # a file a killed run left behind does not block this one
+    stale = tmp_path / f".out.jsonl.{os.getpid()}.tmp"
+    stale.write_text("")
+    with output_file(str(link)) as handle:
+        handle.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["link.jsonl", "out.jsonl", stale.name]
+    )
+
+
+def test_cli_writes_a_fifo_out_directly(tmp_path):
+    # a path that is not a regular file cannot be replaced, only written
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["simulate", "victim", "--domain", "data", "--n", "3", "--out", str(fifo),
+                 "--seed", "3", "--quiet"]) == 0
+    reader.join(timeout=60)
+    assert len(received) == 1 and len(received[0].splitlines()) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
 
 
 def test_serialize_shape():
@@ -468,8 +524,10 @@ def test_paused_entry_points_keep_name_doc_and_signature(fn, name, params):
 
 @pytest.mark.parametrize("fn", [
     watermark_trajectory, parse_trajectory_line, register_user, localize_user,
+    iter_greybox_corpus, iter_watermarked,
 ])
 def test_per_trajectory_functions_are_not_paused(fn):
+    # a paused stream would end its pause when it is made, not when it is read
     assert not hasattr(fn, "__wrapped__")
 
 

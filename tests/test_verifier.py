@@ -497,3 +497,20 @@ def test_verify_corpus_verdict_round_trip(tmp_path, data_domain, data_pool):
     obj = json.loads(path.read_text())
     assert obj["n_det"] == verdict.n_det
     assert len(obj["passes"]) == len(data_pool)
+
+
+def test_verify_corpus_reads_a_one_shot_stream_as_it_reads_the_list(data_domain, data_pool):
+    from trajmark.injector import watermark_corpus
+    from trajmark.simkit.generator import generate_greybox_corpus, iter_greybox_corpus
+
+    reg = Registry("data", len(data_pool))
+    uid = register_user(reg, rng_seed=3).uid_hex
+    victim = generate_greybox_corpus(data_domain, 400, seed=21)
+    wm, _ = watermark_corpus(victim, [p for p in data_pool if p.pass_id % 2], seed=5,
+                             uid_hex=uid)
+    for corpus in (victim, wm):
+        for theta_j, theta_n, m_min in ((0.015, 3, 30), (0.05, 1, 5)):
+            expected = verify_corpus(corpus, data_pool, theta_j, theta_n, m_min)
+            assert verify_corpus(iter(corpus), data_pool, theta_j, theta_n, m_min) == expected
+    assert verify_corpus(iter_greybox_corpus(data_domain, 400, seed=21), data_pool) == \
+        verify_corpus(victim, data_pool)
