@@ -1,23 +1,32 @@
-"""Peak resident memory of the corpus commands, each in its own child process.
+"""Peak resident memory of the CLI's commands, each in its own child process.
 
     python3 scripts/cli_rss.py --sizes 2000,50000 [--src src] > rss.json
+    python3 scripts/cli_rss.py --experiment [--stages all] [--out-dir DIR] > rss.json
 
 For each corpus size it builds a data-domain pool, registers one user,
 then runs ``simulate victim``, ``inject``, ``verify``, ``validate
 --corpus`` and ``simulate surrogate --harvest`` on files of that many
-trajectories, one command per child process. A child's peak RSS is read
-from the resource usage ``os.wait4`` returns for that child alone, so
-nothing else on the host is measured. ``import`` is the baseline: a child
-that only imports the CLI.
+trajectories, one command per child process. With ``--experiment`` it
+runs ``experiment <stage> --seed 7`` at the default config instead, for
+each of ``--stages`` (every stage and ``all`` unless given), writing the
+reports to ``<out-dir>/<stage>``. A child's peak RSS is read from the
+resource usage ``os.wait4`` returns for that child alone, so nothing else
+on the host is measured. ``import`` is the baseline: a child that only
+imports the CLI.
+
+``--max-rss-mib`` turns the measurement into a check: the script exits 1
+when any command peaked above it. A command that exits non-zero stops the
+script.
 
 Stdlib only, outside the test suite. ``--src`` points at the sources to
-run, so one script measures two checkouts. A table goes to stderr as the
-commands finish; the results, as one JSON record, to stdout.
+run, so one script measures two checkouts. A table goes to stderr when the
+commands have finished; the results, as one JSON record, to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -43,6 +52,18 @@ def run(src: str, argv: list[str], cwd: str) -> dict:
     # ru_maxrss is in KiB on Linux
     return {"rss_mib": round(usage.ru_maxrss / 1024, 1),
             "wall_s": round(time.perf_counter() - start, 2), "stdout": out.decode()}
+
+
+def measure_experiment(src: str, stages: list[str] | None, out_dir: str) -> dict:
+    """Peak RSS of ``experiment <stage> --seed 7``, one child per stage."""
+    baseline = run(src, ["-c", "import trajmark.cli as c; print(*c.STAGES)"], out_dir)
+    rows = {"import": baseline}
+    for stage in stages or [*baseline["stdout"].split(), "all"]:
+        rows[stage] = run(src, ["-m", "trajmark.cli", "experiment", stage, "--seed", "7",
+                                "--out-dir", os.path.join(out_dir, stage), "--quiet"], out_dir)
+    for row in rows.values():
+        del row["stdout"]
+    return rows
 
 
 def measure(src: str, n: int, cwd: str) -> dict:
@@ -78,17 +99,39 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="2000,50000", help="comma-separated corpus sizes")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="sources to run")
+    parser.add_argument("--experiment", action="store_true",
+                        help="measure the harness's stages instead of the corpus commands")
+    parser.add_argument("--stages", default=None,
+                        help="comma-separated stages for --experiment (default: each and all)")
+    parser.add_argument("--out-dir", default=None,
+                        help="where --experiment writes its reports (default: a temporary dir)")
+    parser.add_argument("--max-rss-mib", type=float, default=None,
+                        help="exit 1 if any command peaks above this many MiB")
     args = parser.parse_args()
     src = os.path.abspath(args.src)
     results = {}
-    for n in (int(size) for size in args.sizes.split(",")):
-        with tempfile.TemporaryDirectory(prefix="cli-rss-") as cwd:
-            results[str(n)] = rows = measure(src, n, cwd)
+    if args.experiment:
+        stages = args.stages.split(",") if args.stages else None
+        with (contextlib.nullcontext(args.out_dir) if args.out_dir
+              else tempfile.TemporaryDirectory(prefix="cli-rss-")) as out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+            results["experiment"] = measure_experiment(src, stages, os.path.abspath(out_dir))
+    else:
+        for n in (int(size) for size in args.sizes.split(",")):
+            with tempfile.TemporaryDirectory(prefix="cli-rss-") as cwd:
+                results[str(n)] = measure(src, n, cwd)
+    over = []
+    for label, rows in results.items():
         for name, row in rows.items():
-            print(f"{n:>7} {name:30s} {row['rss_mib']:7.1f} MiB {row['wall_s']:7.2f} s",
+            print(f"{label:>10} {name:30s} {row['rss_mib']:7.1f} MiB {row['wall_s']:7.2f} s",
                   file=sys.stderr)
+            if args.max_rss_mib is not None and row["rss_mib"] > args.max_rss_mib:
+                over.append(f"{label} {name}: {row['rss_mib']} MiB")
     record = {"src": src, "python": sys.version.split()[0], "peak_rss": results}
     print(json.dumps(record))
+    if over:
+        print(f"cli_rss: above {args.max_rss_mib} MiB: {'; '.join(over)}", file=sys.stderr)
+        return 1
     return 0
 
 

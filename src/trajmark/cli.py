@@ -27,6 +27,7 @@ from .experiment import (
     ExperimentConfig,
     all_pass,
     pool_accessor,
+    repeated,
     run_all,
     run_stage,
     _write_csv,
@@ -279,6 +280,8 @@ def _cmd_experiment(args) -> int:
         config.domains = tuple(args.domains.split(","))
         if not all(config.domains):
             raise InvalidRange(f"--domains must list domain names, got {args.domains!r}")
+        if (twice := repeated(config.domains)) is not None:
+            raise InvalidRange(f"--domains lists domain {twice!r} twice")
     if args.stage == "all":
         acceptance = run_all(config)["acceptance"]
     else:

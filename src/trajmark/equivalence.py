@@ -22,7 +22,7 @@ from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -574,19 +574,19 @@ def count_members(
 
 def count_members_by_trajectory(
     corpus: Iterable[GreyBoxTrajectory], eqsets: Sequence[EquivalenceSet]
-) -> list[list[list[int]]]:
-    """``count_members([traj], eqsets)`` for every trajectory of a corpus.
+) -> Iterator[list[list[int]]]:
+    """Yield ``count_members([traj], eqsets)`` for each trajectory, as it is read.
 
-    The tool index is built once for the whole corpus instead of once per
-    trajectory.
+    The corpus is iterated once and no trajectory is kept, so a generator
+    is counted one trajectory at a time; each yielded count vector is a
+    new list the caller may keep. The tool index is built once for the
+    whole corpus instead of once per trajectory.
     """
     index = _first_tool_index(eqsets)
-    out = []
     for traj in corpus:
         counts = [[0] * len(eqset.members) for eqset in eqsets]
         _walk(traj.actions, index, counts)
-        out.append(counts)
-    return out
+        yield counts
 
 
 def estimate_natural_distribution(

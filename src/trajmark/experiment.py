@@ -43,15 +43,23 @@ from .equivalence import (
     kl_divergence,
 )
 from .errors import NoObservations, SchemaViolation
-from .injector import changed_positions, watermark_corpus
+from .injector import changed_positions, iter_watermarked
 from .pool import build_pool, rebias_pool
 from .registry import Registry, register_user, passes_for_uid, uid_bits
 from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
-from .simkit.generator import generate_greybox_corpus
-from .simkit.surrogate import benign_surrogate, fit_surrogate, sample_surrogate
+from .simkit.generator import generate_greybox_corpus, iter_greybox_corpus
+from .simkit.surrogate import fit_surrogate
 from .trajectory import _gc_paused, json_value, read_json, write_json
-from .verifier import DEFAULT_THETA_J, DEFAULT_THETA_N, f1_grid, localize_user, verify_corpus
+from .verifier import (
+    DEFAULT_THETA_J,
+    DEFAULT_THETA_N,
+    classify_evidence,
+    evaluate_passes,
+    f1_grid,
+    localize_user,
+    verify_corpus,
+)
 
 DEFAULT_THETA_J_GRID = (0.005, 0.010, 0.015, 0.050, 0.100)
 DEFAULT_THETA_N_GRID = (1, 2, 3, 4, 5)
@@ -94,7 +102,8 @@ class ExperimentConfig:
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """Load a JSON object whose keys name fields and match their defaults' types.
 
-        A tuple field takes a non-empty array; a count below ``_MINIMUMS`` is refused.
+        A tuple field takes a non-empty array; a count below ``_MINIMUMS``
+        and a domain listed twice are refused.
         """
         where = f"config: {path}: $"
         defaults = {f.name: f.default for f in fields(cls)}
@@ -108,9 +117,25 @@ class ExperimentConfig:
             value = json_value(raw, kind, where, key, minimum=_MINIMUMS.get(key))
             if many and not value:
                 raise SchemaViolation(f"{where}.{key}: expected a non-empty array")
+            if key == "domains" and (twice := repeated(value)) is not None:
+                raise SchemaViolation(f"{where}.domains: domain {twice!r} is listed twice")
             values[key] = tuple(value) if many else value
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
+
+
+def repeated(names: Sequence[str]) -> str | None:
+    """The first name that occurs a second time in ``names``, or None.
+
+    A run keys its reports by domain name, so a domain listed twice
+    would run twice and write each of its rows twice.
+    """
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
 
 
 def _write_csv(path: str, header: Sequence[str], rows: list[list]) -> None:
@@ -143,30 +168,46 @@ def pool_accessor(config: ExperimentConfig) -> PoolAccessor:
 
 
 def _watermarked_victim(config, domain, passes, tag, size, id_prefix, user_seed=None):
-    """``(active passes, watermarked corpus, edit log)`` of one fresh user.
+    """``(active passes, stream)`` of one fresh user's watermarked victim corpus.
 
-    Every seed derives from ``config.seed`` and ``tag``; ``user_seed``, when
+    The stream draws each victim trajectory and yields it watermarked,
+    with its edit records, so the caller holds only what it keeps. Every
+    seed derives from ``config.seed`` and ``tag``; ``user_seed``, when
     given, registers the user in place of the derived one.
     """
     if user_seed is None:
         user_seed = derive_seed(config.seed, tag, "user")
     user = register_user(Registry(domain.name, len(passes)), user_seed)
     active = passes_for_uid(user.uid_hex, passes)
-    victim = generate_greybox_corpus(
+    victim = iter_greybox_corpus(
         domain, size, derive_seed(config.seed, tag, "victim"), id_prefix=id_prefix
     )
-    wm, edits = watermark_corpus(
+    return active, iter_watermarked(
         victim, active, seed=derive_seed(config.seed, tag, "inject"), uid_hex=user.uid_hex
     )
-    return active, wm, edits
+
+
+def _suspect(domain: DomainSpec, n: int, seed: int):
+    """``sample_surrogate``'s ``n`` trajectories from a model's domain, drawn as read.
+
+    ``domain`` is a fitted surrogate's or, for a benign model, the
+    victim's own.
+    """
+    return iter_greybox_corpus(domain, n, seed, "s")
 
 
 # ---------------------------------------------------------------------------
 # detection grid
 # ---------------------------------------------------------------------------
 
-def _grid_suspects(config: ExperimentConfig, domain: DomainSpec, passes):
-    """Positive (eta-imitation) and negative (benign) suspect corpora."""
+def _grid_evidence(config: ExperimentConfig, domain: DomainSpec, passes):
+    """Evidence of the positive (eta-imitation) and negative (benign) suspects.
+
+    Returns ``(positives, positives_low, negatives)``, each a list of
+    per-suspect ``evaluate_passes`` results. The victim corpus is held,
+    since every attacker harvests it; each harvest and each suspect dump
+    is counted as it is drawn.
+    """
     sizes = domain.corpus_sizes
     victim = generate_greybox_corpus(
         domain, sizes["fit"], derive_seed(config.seed, "grid", domain.name, "victim"),
@@ -180,32 +221,28 @@ def _grid_suspects(config: ExperimentConfig, domain: DomainSpec, passes):
     positives, positives_low = [], []
     for i, attacker in enumerate(attackers):
         active = passes_for_uid(attacker.uid_hex, passes)
-        harvested, _ = watermark_corpus(
+        harvest = iter_watermarked(
             victim, active,
             seed=derive_seed(config.seed, "grid", domain.name, "inject", i),
             uid_hex=attacker.uid_hex,
         )
-        surrogate = fit_surrogate(harvested, domain, eta=1.0)
-        positives.append(
-            sample_surrogate(
-                surrogate, domain, sizes["verify"],
-                derive_seed(config.seed, "grid", domain.name, "sample", i),
-            )
-        )
-        positives_low.append(
-            sample_surrogate(
-                surrogate, domain, sizes["verify_low"],
-                derive_seed(config.seed, "grid", domain.name, "sample-low", i),
-            )
-        )
+        surrogate = fit_surrogate((t for t, _ in harvest), domain, eta=1.0).domain
+        positives.append(evaluate_passes(_suspect(
+            surrogate, sizes["verify"],
+            derive_seed(config.seed, "grid", domain.name, "sample", i),
+        ), passes))
+        positives_low.append(evaluate_passes(_suspect(
+            surrogate, sizes["verify_low"],
+            derive_seed(config.seed, "grid", domain.name, "sample-low", i),
+        ), passes))
     negatives = [
-        sample_surrogate(
-            benign_surrogate(domain), domain, sizes["verify"],
+        evaluate_passes(_suspect(
+            domain, sizes["verify"],
             derive_seed(config.seed, "grid", domain.name, "benign", j),
-        )
+        ), passes)
         for j in range(config.n_benign)
     ]
-    return positives, positives_low, negatives, attackers
+    return positives, positives_low, negatives
 
 
 def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
@@ -214,10 +251,8 @@ def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     checks = {}
     for name in config.domains:
         domain, passes = pools(name)
-        positives, positives_low, negatives, _ = _grid_suspects(config, domain, passes)
-        cells = f1_grid(
-            positives, negatives, passes, DEFAULT_THETA_J_GRID, DEFAULT_THETA_N_GRID
-        )
+        positives, positives_low, negatives = _grid_evidence(config, domain, passes)
+        cells = f1_grid(positives, negatives, DEFAULT_THETA_J_GRID, DEFAULT_THETA_N_GRID)
         for cell in cells:
             rows.append(
                 [name, cell.theta_j, cell.theta_n,
@@ -228,8 +263,8 @@ def run_f1_grid(config: ExperimentConfig, pools: PoolAccessor) -> dict:
         loose_j = max(DEFAULT_THETA_J_GRID)
         # low-volume suspects at the strictest pass-count threshold
         high_n = max(DEFAULT_THETA_N_GRID)
-        missed = sum(not verify_corpus(corpus, passes, theta_n=high_n).classified_as_imitation
-                     for corpus in positives_low)
+        missed = sum(not classify_evidence(evs, theta_n=high_n).classified_as_imitation
+                     for evs in positives_low)
         recall_low = 1.0 - missed / len(positives_low)
         checks[name] = {
             "f1_at_default": default_cell.f1,
@@ -333,45 +368,48 @@ def run_delta_kld(config: ExperimentConfig, pools: PoolAccessor) -> dict:
 # ---------------------------------------------------------------------------
 
 def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
-    """Table-shaped identification metrics for all four strategies."""
+    """Table-shaped identification metrics for all four strategies.
+
+    The watermarked corpus and its edits are held, since every strategy
+    attacks them; each attack outcome is built, scored and dropped before
+    the next, and every suspect is counted as it is drawn.
+    """
     name = config.domains[0]
     domain, passes = pools(name)
     sizes = domain.corpus_sizes
-    _, wm, edits = _watermarked_victim(
+    _, stream = _watermarked_victim(
         config, domain, passes, "attack", sizes["attack"], "a", ATTACK_USER_SEED
     )
+    wm, edits = [], []
+    for traj, traj_edits in stream:
+        wm.append(traj)
+        edits.append(traj_edits)
     truth = changed_positions(edits)
 
-    baseline = verify_corpus(
-        sample_surrogate(
-            fit_surrogate(wm, domain, eta=1.0), domain, sizes["verify"],
-            derive_seed(config.seed, "attack", "baseline"),
-        ),
-        passes,
-    )
+    def imitation(corpus, seed):
+        """The verdict on a surrogate fitted on ``corpus``."""
+        surrogate = fit_surrogate(corpus, domain, eta=1.0).domain
+        return verify_corpus(_suspect(surrogate, sizes["verify"], seed), passes)
 
-    outcomes = [
-        attack_random_deletion(wm, 0.1, derive_seed(config.seed, "attack", "del")),
-        attack_rephrase_stub(wm, derive_seed(config.seed, "attack", "rephrase")),
-        attack_pk_replacement(
+    baseline = imitation(wm, derive_seed(config.seed, "attack", "baseline"))
+    attacks = (
+        lambda: attack_random_deletion(wm, 0.1, derive_seed(config.seed, "attack", "del")),
+        lambda: attack_rephrase_stub(wm, derive_seed(config.seed, "attack", "rephrase")),
+        lambda: attack_pk_replacement(
             wm, list(domain.sandbox.tools), derive_seed(config.seed, "attack", "pk")
         ),
-        attack_fk_replacement(
+        lambda: attack_fk_replacement(
             wm, domain.eqsets, derive_seed(config.seed, "attack", "fk")
         ),
-    ]
+    )
     rows = []
     metrics = {}
-    for outcome in outcomes:
+    for attack in attacks:
+        outcome = attack()
         m = attack_metrics(outcome, truth, wm)
         breakage = semantic_breakage_rate(wm, outcome, domain.sandbox, limit=500)
-        post = verify_corpus(
-            sample_surrogate(
-                fit_surrogate(outcome.attacked, domain, eta=1.0),
-                domain, sizes["verify"],
-                derive_seed(config.seed, "attack", "post", outcome.strategy),
-            ),
-            passes,
+        post = imitation(
+            outcome.attacked, derive_seed(config.seed, "attack", "post", outcome.strategy)
         )
         metrics[outcome.strategy] = {
             "precision": m.precision,
@@ -441,30 +479,32 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     for delta in STEALTH_DELTAS:
         passes = rebias_pool(base_passes, delta)
         active = passes_for_uid(user.uid_hex, passes)
-        wm, _ = watermark_corpus(
+        wm = iter_watermarked(
             victim, active, seed=derive_seed(config.seed, "stealth", "inject", delta),
             uid_hex=user.uid_hex,
         )
-        eqsets = [p.eqset for p in passes]
-        rows_by_traj = count_members_by_trajectory(wm, eqsets)
+        # per pass, the count vectors of the trajectories that matched it,
+        # in corpus order
+        matched: list[list[list[int]]] = [[] for _ in passes]
+        for traj_rows in count_members_by_trajectory(
+            (t for t, _ in wm), [p.eqset for p in passes]
+        ):
+            for kept, counts in zip(matched, traj_rows):
+                if any(counts):
+                    kept.append(counts)
         max_exceed = 0.0
-        for p_idx, wm_pass in enumerate(passes):
+        for wm_pass, vectors in zip(passes, matched):
             natural = wm_pass.natural
             exceed = 0
-            total = 0
-            for traj_rows in rows_by_traj:
-                counts = traj_rows[p_idx]
+            for counts in vectors:
                 m = sum(counts)
-                if m == 0:
-                    continue
                 key = (natural.weights, m)
                 if key not in boot_cache:
                     boot_cache[key] = _bootstrap_q99(natural, m, boot_rng)
                 emp = Distribution(tuple(c / m for c in counts))
-                total += 1
                 if js_divergence(emp, natural) > boot_cache[key] + 1e-9:
                     exceed += 1
-            rate = exceed / total if total else 0.0
+            rate = exceed / len(vectors) if vectors else 0.0
             max_exceed = max(max_exceed, rate)
         worst[delta] = max_exceed
         rows.append([delta, round(max_exceed, 6)])
@@ -479,11 +519,11 @@ def run_closed_loop(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Inject at corpus scale, re-estimate, and measure recovery error."""
     name = config.domains[0]
     domain, passes = pools(name)
-    active, wm, _ = _watermarked_victim(
+    active, stream = _watermarked_victim(
         config, domain, passes, "loop", config.closed_loop_corpus, "cl"
     )
     per_set = {}
-    counts = count_members(wm, [p.eqset for p in active])
+    counts = count_members((t for t, _ in stream), [p.eqset for p in active])
     for wm_pass, row in zip(active, counts):
         count = sum(row)
         if count == 0:
@@ -506,15 +546,16 @@ def run_eta_sweep(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     name = config.domains[0]
     domain, passes = pools(name)
     sizes = domain.corpus_sizes
-    active, harvested, _ = _watermarked_victim(config, domain, passes, "eta", sizes["fit"], "e")
+    active, stream = _watermarked_victim(config, domain, passes, "eta", sizes["fit"], "e")
+    # every fit reads the harvest; the edit log is not kept
+    harvested = [t for t, _ in stream]
     rows = []
     for eta in (0.7, 0.85, 1.0):
-        surrogate = fit_surrogate(harvested, domain, eta=eta)
-        suspect = sample_surrogate(
-            surrogate, domain, sizes["verify"],
-            derive_seed(config.seed, "eta", "sample", eta),
+        surrogate = fit_surrogate(harvested, domain, eta=eta).domain
+        verdict = verify_corpus(
+            _suspect(surrogate, sizes["verify"], derive_seed(config.seed, "eta", "sample", eta)),
+            passes,
         )
-        verdict = verify_corpus(suspect, passes)
         rows.append(
             [eta, len(active), verdict.n_det, verdict.classified_as_imitation]
         )

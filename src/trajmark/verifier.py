@@ -239,30 +239,29 @@ class GridCell:
 
 
 def f1_grid(
-    positive_corpora: Sequence[Sequence[GreyBoxTrajectory]],
-    negative_corpora: Sequence[Sequence[GreyBoxTrajectory]],
-    pool: Sequence[WatermarkPass],
+    positive_evidence: Sequence[Sequence[PassEvaluation]],
+    negative_evidence: Sequence[Sequence[PassEvaluation]],
     theta_j_list: Sequence[float],
     theta_n_list: Sequence[int],
     m_min: int = DEFAULT_M_MIN,
 ) -> list[GridCell]:
     """Classify every suspect at every threshold pair and score the grid.
 
-    Positives are dumps from models trained on watermarked data, negatives
-    from benign models. Per-suspect evidence is computed once; each cell
-    then runs ``classify_evidence`` over the cached evidence.
+    Each suspect is its ``evaluate_passes`` evidence: positives are dumps
+    from models trained on watermarked data, negatives from benign models.
+    The evidence is threshold-independent, so each suspect's dump is read
+    once, by whoever counted it, and may have been a stream; each cell
+    runs ``classify_evidence`` over the evidence.
     """
-    if not positive_corpora or not negative_corpora:
+    if not positive_evidence or not negative_evidence:
         raise InvalidRange("need at least one positive and one negative model")
-    pos_evals = [evaluate_passes(c, pool) for c in positive_corpora]
-    neg_evals = [evaluate_passes(c, pool) for c in negative_corpora]
     cells = []
     for theta_j in theta_j_list:
         for theta_n in theta_n_list:
             tp = sum(classify_evidence(evs, theta_j, theta_n, m_min).classified_as_imitation
-                     for evs in pos_evals)
+                     for evs in positive_evidence)
             fp = sum(classify_evidence(evs, theta_j, theta_n, m_min).classified_as_imitation
-                     for evs in neg_evals)
-            precision, recall, f1 = precision_recall_f1(tp, fp, len(pos_evals) - tp)
+                     for evs in negative_evidence)
+            precision, recall, f1 = precision_recall_f1(tp, fp, len(positive_evidence) - tp)
             cells.append(GridCell(theta_j, theta_n, precision, recall, f1))
     return cells

@@ -432,9 +432,10 @@ def test_count_members_equals_per_set_scans(action_lists):
     expected = reference_counts(corpus, eqsets)
     counts = count_members(corpus, eqsets)
     assert counts == expected
-    assert count_members_by_trajectory(corpus, eqsets) == [
-        count_members([t], eqsets) for t in corpus
-    ]
+    by_trajectory = list(count_members_by_trajectory(corpus, eqsets))
+    assert by_trajectory == [count_members([t], eqsets) for t in corpus]
+    # a one-shot stream is counted as it is read, to the same vectors
+    assert list(count_members_by_trajectory((t for t in corpus), eqsets)) == by_trajectory
     pool = [make_pass(e, (0.5, 0.5), pass_id=i) for i, e in enumerate(eqsets, start=1)]
     evaluations = evaluate_passes(corpus, pool)
     assert [ev.observation_count for ev in evaluations] == [sum(row) for row in counts]
@@ -477,7 +478,7 @@ def test_count_members_equals_per_set_scans_on_builtin_domains(name):
                 )
         expected = reference_counts(dump, domain.eqsets)
         assert count_members(dump, domain.eqsets) == expected
-        by_trajectory = count_members_by_trajectory(dump, domain.eqsets)
+        by_trajectory = list(count_members_by_trajectory(dump, domain.eqsets))
         assert [[sum(col) for col in zip(*rows)] for rows in zip(*by_trajectory)] == expected
 
 

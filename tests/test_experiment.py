@@ -2,6 +2,8 @@
 
 import json
 import re
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +18,9 @@ from trajmark.experiment import (
     pool_accessor,
     run_closed_loop,
     run_delta_kld,
+    run_f1_grid,
 )
+from trajmark.simkit.generator import generate_greybox_corpus
 from trajmark.verifier import DEFAULT_THETA_J, DEFAULT_THETA_N
 
 
@@ -69,6 +73,7 @@ def test_config_file_sets_fields_and_flags_win(tmp_path):
     ({"localization_seeds": 0}, "localization_seeds"),
     ({"closed_loop_corpus": 0}, "closed_loop_corpus"),
     ({"localization_extra_users": [0, -1]}, "localization_extra_users[1]"),
+    ({"domains": ["data", "data"]}, "$.domains: domain 'data' is listed twice"),
 ])
 def test_config_error_names_file_and_key(tmp_path, doc, where):
     path = tmp_path / "config.json"
@@ -101,3 +106,30 @@ def test_single_stage_exit_code_follows_acceptance(monkeypatch, tmp_path, max_l1
     )
     assert main(["experiment", "closed-loop", "--out-dir", str(tmp_path),
                  "--seed", "7", "--quiet"]) == code
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_f1_grid_peak_memory_does_not_grow_with_the_suspects(data_domain, data_pool):
+    # every suspect is counted as it is drawn, so three more attackers and
+    # three more benign models add their evidence to the peak, not their dumps
+    sizes = {"fit": 300, "verify": 300, "verify_low": 60}
+    domain = replace(data_domain, corpus_sizes=sizes)
+
+    def grid(n_suspects):
+        config = ExperimentConfig(domains=("data",), n_attackers=n_suspects, n_benign=n_suspects)
+        return run_f1_grid(config, lambda name: (domain, data_pool))
+
+    one_corpus = _traced_peak(lambda: generate_greybox_corpus(domain, sizes["verify"], seed=1))
+    grid(1)  # caches filled on first use are not the suspects' memory
+    small = _traced_peak(lambda: grid(1))
+    large = _traced_peak(lambda: grid(4))
+    assert large - small <= one_corpus, (small, large, one_corpus)

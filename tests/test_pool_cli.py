@@ -794,6 +794,27 @@ def test_cli_experiment_refuses_an_empty_domain_list_or_item(tmp_path, capsys, d
     assert not (tmp_path / "delta_kld.csv").exists()
 
 
+@pytest.mark.parametrize("domains", ["data,data", "data,business,data"])
+def test_cli_experiment_refuses_a_repeated_domain(tmp_path, capsys, domains):
+    # a repeated domain used to run twice and write its rows twice
+    assert main(["experiment", "f1-grid", "--domains", domains,
+                 "--out-dir", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "trajmark: --domains lists domain 'data' twice\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_experiment_refuses_a_repeated_domain_in_a_config_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domains": ["data", "social", "social"], "n_attackers": 1}))
+    out_dir = tmp_path / "reports"
+    assert main(["experiment", "f1-grid", "--config", str(config),
+                 "--out-dir", str(out_dir), "--quiet"]) == 2
+    assert capsys.readouterr() == (
+        "", f"trajmark: config: {config}: $.domains: domain 'social' is listed twice\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_cli_verify_refuses_an_m_min_below_one(workdir, capsys):
     suspect = workdir / "suspect.jsonl"
     assert main(["simulate", "victim", "--domain", "data", "--n", "20",

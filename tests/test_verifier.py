@@ -238,7 +238,11 @@ def _grid_corpora(domain):
 def test_f1_grid_cells_score_verify_corpus_verdicts(mini_domain):
     passes, positives, negatives = _grid_corpora(mini_domain)
     theta_js, theta_ns, m_min = (0.001, 0.015, 0.05, 0.2, 1.0), (1, 2, 3), 30
-    cells = f1_grid(positives, negatives, passes, theta_js, theta_ns, m_min)
+    cells = f1_grid(
+        [evaluate_passes(c, passes) for c in positives],
+        [evaluate_passes(c, passes) for c in negatives],
+        theta_js, theta_ns, m_min,
+    )
     assert [(c.theta_j, c.theta_n) for c in cells] == list(itertools.product(theta_js, theta_ns))
     for cell in cells:
         def imitations(corpora):
@@ -253,10 +257,10 @@ def test_f1_grid_cells_score_verify_corpus_verdicts(mini_domain):
 
 
 def test_f1_grid_needs_a_positive_and_a_negative(data_pool):
-    corpus = [traj([move()])]
-    for positives, negatives in (([], [corpus]), ([corpus], []), ([], [])):
+    evidence = evaluate_passes([traj([move()])], data_pool)
+    for positives, negatives in (([], [evidence]), ([evidence], []), ([], [])):
         with pytest.raises(InvalidRange, match="at least one positive and one negative"):
-            f1_grid(positives, negatives, data_pool, (0.015,), (3,))
+            f1_grid(positives, negatives, (0.015,), (3,))
 
 
 def _brute_force_ranking(vector, registry):
