@@ -34,6 +34,9 @@ $cli attack --strategy all --in wm.jsonl --edits edits.jsonl --pool-candidates d
 $cli attack --strategy fk-replace --in wm.jsonl --edits edits.jsonl \
   --pool-candidates pool-data.json --out attacked-pool.jsonl --metrics attack-pool.csv \
   --seed 11 --quiet
+# the deletion attack away from its default p
+$cli attack --strategy random-deletion --p 0.3 --in wm.jsonl --edits edits.jsonl \
+  --out attacked-p30.jsonl --metrics attack-p30.csv --seed 11 --quiet
 $cli simulate surrogate --domain data --harvest wm.jsonl --n 2000 --seed 13 \
   --out surrogate.jsonl --quiet
 $cli verify --pool pool-data.json --suspect surrogate.jsonl --report verdict.json \

@@ -12,6 +12,10 @@ Identification metrics compare an attacker's *flagged positions* (the
 action indices, in input-corpus coordinates, it believes carry watermark)
 against ground truth: the injector's edit records whose draw actually
 changed the matched member. Attacks never touch the response field.
+
+``STRATEGIES`` is the one table of strategies. Each takes ``(corpus,
+rng_seed, knowledge)``, where ``Knowledge`` holds everything any of them
+may use; deletion, rephrase and PK share one per-action loop.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import difflib
 import random
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .equivalence import EquivalenceSet, _bindings, _first_tool_index, _walk
 from .errors import CorpusMismatch, InvalidRange
@@ -28,6 +32,7 @@ from .seeds import seed_stream
 from .trajectory import Action, GreyBoxTrajectory
 from .verifier import precision_recall_f1
 
+DELETION_P = 0.1
 PK_NAME_SIMILARITY = 0.84
 REPHRASE_RATE = 0.1
 FK_SUSPICION_SHARE = 0.95
@@ -44,7 +49,6 @@ class AttackOutcome:
     trajectories that end up empty).
     """
 
-    strategy: str
     attacked: list[GreyBoxTrajectory]
     kept_input_indices: list[int]
     flagged: dict[int, set[int]] = field(default_factory=dict)
@@ -62,7 +66,6 @@ class AttackOutcome:
 class AttackMetrics:
     """Identification quality and collateral damage of one strategy."""
 
-    strategy: str
     precision: float
     recall: float
     f1: float
@@ -72,72 +75,96 @@ class AttackMetrics:
     true_edit_rate: float
 
 
-def attack_random_deletion(
-    corpus: Sequence[GreyBoxTrajectory], p: float, rng_seed: int
-) -> AttackOutcome:
-    """Delete each action independently with probability ``p``.
+@dataclass(frozen=True)
+class Knowledge:
+    """What the attackers are given: every strategy takes the same one.
 
-    Every deleted index counts as flagged; trajectories left without any
-    action are dropped from the attacked corpus.
+    ``p`` is random deletion's per-action probability, ``tool_library``
+    the tool names pk-replace guesses among, and ``candidate_sets`` the
+    equivalence pool that fk-replace scans with.
     """
-    if not 0.0 <= p <= 1.0:
-        raise InvalidRange(f"deletion probability must lie in [0,1], got {p}")
-    outcome = AttackOutcome("random-deletion", [], [])
-    seed_of = seed_stream(rng_seed, "attack", "del")
+
+    p: float = DELETION_P
+    tool_library: Sequence[str] = ()
+    candidate_sets: Sequence[EquivalenceSet] = ()
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:
+            raise InvalidRange(f"deletion probability must lie in [0,1], got {self.p}")
+
+
+def _edit_each_action(
+    corpus: Sequence[GreyBoxTrajectory], rng_seed: int, label: str, edit
+) -> AttackOutcome:
+    """Offer every action to ``edit(action, rng)``, one RNG per trajectory.
+
+    ``edit`` returns ``None`` to keep the action, or the tuple of actions
+    that replace it (empty to delete it). Every replaced position is
+    flagged and modified; a trajectory left without actions is dropped.
+    """
+    outcome = AttackOutcome([], [])
+    seed_of = seed_stream(rng_seed, "attack", label)
     for idx, traj in enumerate(corpus):
         rng = random.Random(seed_of(idx))
-        kept_actions = []
-        removed = set()
+        actions: list[Action] = []
+        touched = set()
         for pos, action in enumerate(traj.actions):
-            if rng.random() < p:
-                removed.add(pos)
+            replacement = edit(action, rng)
+            if replacement is None:
+                actions.append(action)
             else:
-                kept_actions.append(action)
-        if removed:
-            outcome.flagged[idx] = removed
-            outcome.modified[idx] = set(removed)
-        if kept_actions:
-            outcome.attacked.append(dc_replace(traj, actions=tuple(kept_actions)))
+                actions.extend(replacement)
+                touched.add(pos)
+        if touched:
+            outcome.flagged[idx] = touched
+            outcome.modified[idx] = set(touched)
+        if actions:
+            outcome.attacked.append(dc_replace(traj, actions=tuple(actions)))
             outcome.kept_input_indices.append(idx)
         else:
             outcome.dropped += 1
     return outcome
 
 
+def attack_random_deletion(
+    corpus: Sequence[GreyBoxTrajectory], rng_seed: int, knowledge: Knowledge
+) -> AttackOutcome:
+    """Delete each action independently with probability ``knowledge.p``.
+
+    Every deleted index counts as flagged; trajectories left without any
+    action are dropped from the attacked corpus.
+    """
+    p = knowledge.p
+    return _edit_each_action(
+        corpus, rng_seed, "del", lambda action, rng: () if rng.random() < p else None
+    )
+
+
 _SYNONYMS = {"std": "default", "hit": "match", "ok": "fine", "all": "every"}
 
 
-def attack_rephrase_stub(corpus: Sequence[GreyBoxTrajectory], rng_seed: int) -> AttackOutcome:
+def _rephrase(action: Action, rng: random.Random):
+    """At ``REPHRASE_RATE``, one string argument swapped for its synonym."""
+    if rng.random() < REPHRASE_RATE and action.args:
+        name, value = action.args[rng.randrange(len(action.args))]
+        if isinstance(value, str):
+            new_value = _SYNONYMS.get(value, f"{value}bis")
+            return (Action(action.tool, tuple(
+                (k, new_value if k == name else v) for k, v in action.args
+            )),)
+    return None
+
+
+def attack_rephrase_stub(
+    corpus: Sequence[GreyBoxTrajectory], rng_seed: int, knowledge: Knowledge
+) -> AttackOutcome:
     """Synonym-table rephrase over tool argument strings.
 
     Stand-in for an LLM paraphrase attack; it perturbs argument surface
     forms (with probability ``REPHRASE_RATE`` per action) but cannot reach
     the tool-choice level where the watermark lives. Not semantics-preserving.
     """
-    outcome = AttackOutcome("rephrase-stub", [], [])
-    seed_of = seed_stream(rng_seed, "attack", "rephrase")
-    for idx, traj in enumerate(corpus):
-        rng = random.Random(seed_of(idx))
-        new_actions = []
-        touched = set()
-        for pos, action in enumerate(traj.actions):
-            if rng.random() < REPHRASE_RATE and action.args:
-                name, value = action.args[rng.randrange(len(action.args))]
-                if isinstance(value, str):
-                    new_value = _SYNONYMS.get(value, f"{value}bis")
-                    new_args = tuple(
-                        (k, new_value if k == name else v) for k, v in action.args
-                    )
-                    new_actions.append(Action(action.tool, new_args))
-                    touched.add(pos)
-                    continue
-            new_actions.append(action)
-        if touched:
-            outcome.flagged[idx] = touched
-            outcome.modified[idx] = set(touched)
-        outcome.attacked.append(dc_replace(traj, actions=tuple(new_actions)))
-        outcome.kept_input_indices.append(idx)
-    return outcome
+    return _edit_each_action(corpus, rng_seed, "rephrase", _rephrase)
 
 
 def near_duplicate_map(tool_names: Sequence[str]) -> dict[str, list[str]]:
@@ -153,46 +180,32 @@ def near_duplicate_map(tool_names: Sequence[str]) -> dict[str, list[str]]:
 
 
 def attack_pk_replacement(
-    corpus: Sequence[GreyBoxTrajectory], tool_library: Sequence[str], rng_seed: int
+    corpus: Sequence[GreyBoxTrajectory], rng_seed: int, knowledge: Knowledge
 ) -> AttackOutcome:
     """Partially knowledgeable replacement via tool-name similarity.
 
-    Flags every action whose tool has a near-duplicate name in the library
-    and swaps it for a random near-duplicate, keeping the original
-    arguments - no scheme structure, no param maps. Blind swaps routinely
-    land on non-equivalent tools or wrong arities.
+    Flags every action whose tool has a near-duplicate name in
+    ``knowledge.tool_library`` and swaps it for a random near-duplicate,
+    keeping the original arguments - no scheme structure, no param maps.
+    Blind swaps routinely land on non-equivalent tools or wrong arities.
     """
-    neighbours = near_duplicate_map(tool_library)
-    outcome = AttackOutcome("pk-replace", [], [])
-    seed_of = seed_stream(rng_seed, "attack", "pk")
-    for idx, traj in enumerate(corpus):
-        rng = random.Random(seed_of(idx))
-        new_actions = []
-        touched = set()
-        for pos, action in enumerate(traj.actions):
-            options = neighbours.get(action.tool) or []
-            if options:
-                swap = rng.choice(options)
-                new_actions.append(Action(swap, action.args))
-                touched.add(pos)
-            else:
-                new_actions.append(action)
-        if touched:
-            outcome.flagged[idx] = touched
-            outcome.modified[idx] = set(touched)
-        outcome.attacked.append(dc_replace(traj, actions=tuple(new_actions)))
-        outcome.kept_input_indices.append(idx)
-    return outcome
+    neighbours = near_duplicate_map(knowledge.tool_library)
+
+    def swap(action: Action, rng: random.Random):
+        options = neighbours.get(action.tool)
+        return (Action(rng.choice(options), action.args),) if options else None
+
+    return _edit_each_action(corpus, rng_seed, "pk", swap)
 
 
 def attack_fk_replacement(
     corpus: Sequence[GreyBoxTrajectory],
-    full_scheme_pool: Sequence[EquivalenceSet],
     rng_seed: int,
+    knowledge: Knowledge,
     suspicion_share: float = FK_SUSPICION_SHARE,
     min_count: int = FK_MIN_COUNT,
 ) -> AttackOutcome:
-    """Fully knowledgeable replacement over the candidate equivalence pool.
+    """Fully knowledgeable replacement over ``knowledge.candidate_sets``.
 
     The attacker scans with injector semantics against every candidate
     set and uniformly re-samples each matched segment - with scheme
@@ -204,7 +217,7 @@ def attack_fk_replacement(
     the best available signal without knowing natural distributions.
     """
     corpus = list(corpus)
-    ordered_sets = list(full_scheme_pool)
+    ordered_sets = list(knowledge.candidate_sets)
     index = _first_tool_index(ordered_sets)
     counts = [[0] * len(eqset.members) for eqset in ordered_sets]
     spans_by_traj = []
@@ -220,7 +233,7 @@ def attack_fk_replacement(
         sum(row) >= min_count and max(row) / sum(row) > suspicion_share for row in counts
     ]
 
-    outcome = AttackOutcome("fk-replace", [], [])
+    outcome = AttackOutcome([], [])
     seed_of = seed_stream(rng_seed, "attack", "fk")
     for idx, (traj, spans) in enumerate(zip(corpus, spans_by_traj)):
         actions = traj.actions
@@ -254,6 +267,23 @@ def attack_fk_replacement(
     return outcome
 
 
+class Strategy(NamedTuple):
+    """One row of ``STRATEGIES``: the experiment harness's seed label and the attack."""
+
+    label: str
+    attack: Callable[[Sequence[GreyBoxTrajectory], int, Knowledge], AttackOutcome]
+    needs_candidate_sets: bool = False
+
+
+# the adversary ladder, in report order; the CLI and the harness both run it
+STRATEGIES = {
+    "random-deletion": Strategy("del", attack_random_deletion),
+    "rephrase-stub": Strategy("rephrase", attack_rephrase_stub),
+    "pk-replace": Strategy("pk", attack_pk_replacement),
+    "fk-replace": Strategy("fk", attack_fk_replacement, needs_candidate_sets=True),
+}
+
+
 def attack_metrics(
     outcome: AttackOutcome,
     ground_truth: dict[int, set[int]],
@@ -280,7 +310,6 @@ def attack_metrics(
     precision, recall, f1 = precision_recall_f1(tp, fp, fn)
     total_actions = sum(len(t.actions) for t in corpus)
     return AttackMetrics(
-        strategy=outcome.strategy,
         precision=precision,
         recall=recall,
         f1=f1,

@@ -9,18 +9,12 @@ all randomness is derived from that one root integer.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
 from . import __version__
-from .attacks import (
-    attack_fk_replacement,
-    attack_metrics,
-    attack_pk_replacement,
-    attack_random_deletion,
-    attack_rephrase_stub,
-    semantic_breakage_rate,
-)
+from .attacks import DELETION_P, STRATEGIES, Knowledge, attack_metrics, semantic_breakage_rate
 from .errors import InvalidRange, LengthMismatch, TrajmarkError
 from .experiment import (
     STAGES,
@@ -206,9 +200,6 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-_STRATEGIES = ("random-deletion", "rephrase-stub", "pk-replace", "fk-replace")
-
-
 def _cmd_attack(args) -> int:
     # held in memory: pk-replace builds its tool library from the whole corpus
     corpus = read_jsonl(args.infile)
@@ -216,32 +207,26 @@ def _cmd_attack(args) -> int:
     sets, tools, sandbox = ([], [], None)
     if args.pool_candidates:
         sets, tools, sandbox = _candidate_sets(args.pool_candidates)
-    strategies = _STRATEGIES if args.strategy == "all" else (args.strategy,)
+    names = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
+    # every input is checked before the first strategy writes its corpus
+    for name in names:
+        if STRATEGIES[name].needs_candidate_sets and not sets:
+            raise TrajmarkError(f"{name} requires --pool-candidates")
+    knowledge = Knowledge(
+        p=args.p,
+        tool_library=tools or sorted({a.tool for t in corpus for a in t.actions}),
+        candidate_sets=sets,
+    )
     rows = []
-    for strategy in strategies:
-        if strategy == "random-deletion":
-            outcome = attack_random_deletion(
-                corpus, args.p, derive_seed(_seed(args), "attack", strategy)
-            )
-        elif strategy == "rephrase-stub":
-            outcome = attack_rephrase_stub(
-                corpus, derive_seed(_seed(args), "attack", strategy)
-            )
-        elif strategy == "pk-replace":
-            library = tools or sorted({a.tool for t in corpus for a in t.actions})
-            outcome = attack_pk_replacement(
-                corpus, library, derive_seed(_seed(args), "attack", strategy)
-            )
-        else:
-            if not sets:
-                raise TrajmarkError("fk-replace requires --pool-candidates")
-            outcome = attack_fk_replacement(
-                corpus, sets, derive_seed(_seed(args), "attack", strategy)
-            )
+    for name in names:
+        outcome = STRATEGIES[name].attack(
+            corpus, derive_seed(_seed(args), "attack", name), knowledge
+        )
         out_path = args.out
-        if len(strategies) > 1:
-            stem, dot, ext = args.out.rpartition(".")
-            out_path = f"{stem}.{strategy}.{ext}" if dot else f"{args.out}.{strategy}"
+        if len(names) > 1:
+            # split the file name only, not a dot in a directory name
+            root, ext = os.path.splitext(args.out)
+            out_path = f"{root}.{name}{ext}"
         write_jsonl(out_path, outcome.attacked)
         metrics = attack_metrics(outcome, truth, corpus)
         breakage = ""
@@ -250,13 +235,13 @@ def _cmd_attack(args) -> int:
                 semantic_breakage_rate(corpus, outcome, sandbox, limit=500), 6
             )
         rows.append(
-            [strategy, round(metrics.precision, 6), round(metrics.recall, 6),
+            [name, round(metrics.precision, 6), round(metrics.recall, 6),
              round(metrics.f1, 6), round(metrics.modification_rate, 6),
              round(metrics.true_edit_rate, 6), breakage]
         )
         _say(
             args,
-            f"{strategy}: P={metrics.precision:.4f} R={metrics.recall:.4f} "
+            f"{name}: P={metrics.precision:.4f} R={metrics.recall:.4f} "
             f"F1={metrics.f1:.4f} -> {out_path}",
         )
     if args.metrics:
@@ -394,14 +379,14 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_localize)
 
     p = sub.add_parser("attack", help="run removal attacks and score identification")
-    p.add_argument("--strategy", required=True, choices=_STRATEGIES + ("all",))
+    p.add_argument("--strategy", required=True, choices=(*STRATEGIES, "all"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--edits", default=None, help="ground-truth edit log")
     p.add_argument("--pool-candidates", default=None,
                    help="candidate sets: builtin name, domain JSON, or pool JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--metrics", default=None)
-    p.add_argument("--p", type=float, default=0.1, help="deletion probability")
+    p.add_argument("--p", type=float, default=DELETION_P, help="deletion probability")
     common(p)
     p.set_defaults(fn=_cmd_attack)
 

@@ -26,14 +26,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence
 
-from .attacks import (
-    attack_fk_replacement,
-    attack_metrics,
-    attack_pk_replacement,
-    attack_random_deletion,
-    attack_rephrase_stub,
-    semantic_breakage_rate,
-)
+from .attacks import STRATEGIES, Knowledge, attack_metrics, semantic_breakage_rate
 from .equivalence import (
     Distribution,
     WatermarkPass,
@@ -187,15 +180,6 @@ def _watermarked_victim(config, domain, passes, tag, size, id_prefix, user_seed=
     )
 
 
-def _suspect(domain: DomainSpec, n: int, seed: int):
-    """``sample_surrogate``'s ``n`` trajectories from a model's domain, drawn as read.
-
-    ``domain`` is a fitted surrogate's or, for a benign model, the
-    victim's own.
-    """
-    return iter_greybox_corpus(domain, n, seed, "s")
-
-
 # ---------------------------------------------------------------------------
 # detection grid
 # ---------------------------------------------------------------------------
@@ -227,18 +211,18 @@ def _grid_evidence(config: ExperimentConfig, domain: DomainSpec, passes):
             uid_hex=attacker.uid_hex,
         )
         surrogate = fit_surrogate((t for t, _ in harvest), domain, eta=1.0).domain
-        positives.append(evaluate_passes(_suspect(
+        positives.append(evaluate_passes(iter_greybox_corpus(
             surrogate, sizes["verify"],
-            derive_seed(config.seed, "grid", domain.name, "sample", i),
+            derive_seed(config.seed, "grid", domain.name, "sample", i), "s",
         ), passes))
-        positives_low.append(evaluate_passes(_suspect(
+        positives_low.append(evaluate_passes(iter_greybox_corpus(
             surrogate, sizes["verify_low"],
-            derive_seed(config.seed, "grid", domain.name, "sample-low", i),
+            derive_seed(config.seed, "grid", domain.name, "sample-low", i), "s",
         ), passes))
     negatives = [
-        evaluate_passes(_suspect(
+        evaluate_passes(iter_greybox_corpus(
             domain, sizes["verify"],
-            derive_seed(config.seed, "grid", domain.name, "benign", j),
+            derive_seed(config.seed, "grid", domain.name, "benign", j), "s",
         ), passes)
         for j in range(config.n_benign)
     ]
@@ -389,29 +373,20 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     def imitation(corpus, seed):
         """The verdict on a surrogate fitted on ``corpus``."""
         surrogate = fit_surrogate(corpus, domain, eta=1.0).domain
-        return verify_corpus(_suspect(surrogate, sizes["verify"], seed), passes)
+        return verify_corpus(iter_greybox_corpus(surrogate, sizes["verify"], seed, "s"), passes)
 
     baseline = imitation(wm, derive_seed(config.seed, "attack", "baseline"))
-    attacks = (
-        lambda: attack_random_deletion(wm, 0.1, derive_seed(config.seed, "attack", "del")),
-        lambda: attack_rephrase_stub(wm, derive_seed(config.seed, "attack", "rephrase")),
-        lambda: attack_pk_replacement(
-            wm, list(domain.sandbox.tools), derive_seed(config.seed, "attack", "pk")
-        ),
-        lambda: attack_fk_replacement(
-            wm, domain.eqsets, derive_seed(config.seed, "attack", "fk")
-        ),
-    )
+    knowledge = Knowledge(tool_library=list(domain.sandbox.tools), candidate_sets=domain.eqsets)
     rows = []
     metrics = {}
-    for attack in attacks:
-        outcome = attack()
+    for name, strategy in STRATEGIES.items():
+        outcome = strategy.attack(
+            wm, derive_seed(config.seed, "attack", strategy.label), knowledge
+        )
         m = attack_metrics(outcome, truth, wm)
         breakage = semantic_breakage_rate(wm, outcome, domain.sandbox, limit=500)
-        post = imitation(
-            outcome.attacked, derive_seed(config.seed, "attack", "post", outcome.strategy)
-        )
-        metrics[outcome.strategy] = {
+        post = imitation(outcome.attacked, derive_seed(config.seed, "attack", "post", name))
+        metrics[name] = {
             "precision": m.precision,
             "recall": m.recall,
             "f1": m.f1,
@@ -422,7 +397,7 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             "baseline_n_det": baseline.n_det,
         }
         rows.append(
-            [outcome.strategy, round(m.precision, 6), round(m.recall, 6),
+            [name, round(m.precision, 6), round(m.recall, 6),
              round(m.f1, 6), round(m.modification_rate, 6), round(breakage, 6),
              post.n_det, baseline.n_det]
         )
@@ -553,7 +528,9 @@ def run_eta_sweep(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     for eta in (0.7, 0.85, 1.0):
         surrogate = fit_surrogate(harvested, domain, eta=eta).domain
         verdict = verify_corpus(
-            _suspect(surrogate, sizes["verify"], derive_seed(config.seed, "eta", "sample", eta)),
+            iter_greybox_corpus(
+                surrogate, sizes["verify"], derive_seed(config.seed, "eta", "sample", eta), "s"
+            ),
             passes,
         )
         rows.append(

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from trajmark.attacks import attack_pk_replacement, semantic_breakage_rate
+from trajmark.attacks import Knowledge, attack_pk_replacement, semantic_breakage_rate
 from trajmark.equivalence import Distribution, derive_target_distribution
 from trajmark.experiment import (
     ExperimentConfig,
@@ -208,7 +208,9 @@ def test_semantic_preservation(pools):
             checked += 1
     # contrast: blind name-similarity swaps must break a nonzero fraction
     wm_sample = corpus[:400]
-    pk = attack_pk_replacement(wm_sample, list(domain.sandbox.tools), rng_seed=83)
+    pk = attack_pk_replacement(
+        wm_sample, 83, Knowledge(tool_library=list(domain.sandbox.tools))
+    )
     pk_breakage = semantic_breakage_rate(wm_sample, pk, domain.sandbox, limit=400)
     elapsed = time.perf_counter() - start
     report(

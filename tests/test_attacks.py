@@ -2,18 +2,20 @@
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from test_equivalence import FILE_ACTION_LISTS, file_sets, reference_scan
 from trajmark.attacks import (
     FK_MIN_COUNT,
     FK_SUSPICION_SHARE,
+    STRATEGIES,
     attack_fk_replacement,
     attack_metrics,
     attack_pk_replacement,
     attack_random_deletion,
-    attack_rephrase_stub,
     near_duplicate_map,
     AttackOutcome,
+    Knowledge,
 )
 from trajmark.errors import CorpusMismatch, InvalidRange
 from trajmark.seeds import derive_rng
@@ -29,33 +31,36 @@ def traj(tools, qid="q"):
 CORPUS = [traj(["A.One", "B.Two", "C.Three"], "q1"), traj(["A.One", "A.One"], "q2")]
 
 
+def _domain_knowledge(domain, p):
+    return Knowledge(p=p, tool_library=list(domain.sandbox.tools), candidate_sets=domain.eqsets)
+
+
 def test_deletion_p_zero_is_identity():
-    out = attack_random_deletion(CORPUS, 0.0, rng_seed=1)
+    out = attack_random_deletion(CORPUS, 1, Knowledge(p=0.0))
     assert out.attacked == list(CORPUS)
     assert out.flagged == {} and out.dropped == 0
 
 
 def test_deletion_p_one_drops_everything():
-    out = attack_random_deletion(CORPUS, 1.0, rng_seed=1)
+    out = attack_random_deletion(CORPUS, 1, Knowledge(p=1.0))
     assert out.attacked == [] and out.dropped == 2
     assert out.flagged == {0: {0, 1, 2}, 1: {0, 1}}
 
 
 def test_deletion_rejects_bad_probability():
-    with pytest.raises(InvalidRange):
-        attack_random_deletion(CORPUS, 1.5, rng_seed=1)
+    # the knowledge refuses it, before any strategy runs
+    for p in (1.5, -0.1, 7.0):
+        with pytest.raises(InvalidRange):
+            Knowledge(p=p)
 
 
 def test_attacks_never_touch_response(data_domain, data_pool):
     from trajmark.simkit.generator import generate_greybox_corpus
 
     corpus = generate_greybox_corpus(data_domain, 30, seed=14)
-    for outcome in (
-        attack_random_deletion(corpus, 0.3, 5),
-        attack_rephrase_stub(corpus, 5),
-        attack_pk_replacement(corpus, list(data_domain.sandbox.tools), 5),
-        attack_fk_replacement(corpus, data_domain.eqsets, 5),
-    ):
+    knowledge = _domain_knowledge(data_domain, p=0.3)
+    for strategy in STRATEGIES.values():
+        outcome = strategy.attack(corpus, 5, knowledge)
         for out_idx, in_idx in enumerate(outcome.kept_input_indices):
             assert outcome.attacked[out_idx].response == corpus[in_idx].response
             assert outcome.attacked[out_idx].query_id == corpus[in_idx].query_id
@@ -65,20 +70,56 @@ def test_attack_determinism(data_domain):
     from trajmark.simkit.generator import generate_greybox_corpus
 
     corpus = generate_greybox_corpus(data_domain, 30, seed=15)
-    for attack in (
-        lambda: attack_random_deletion(corpus, 0.2, 9),
-        lambda: attack_rephrase_stub(corpus, 9),
-        lambda: attack_pk_replacement(corpus, list(data_domain.sandbox.tools), 9),
-        lambda: attack_fk_replacement(corpus, data_domain.eqsets, 9),
-    ):
-        a, b = attack(), attack()
+    knowledge = _domain_knowledge(data_domain, p=0.2)
+    for strategy in STRATEGIES.values():
+        a, b = strategy.attack(corpus, 9, knowledge), strategy.attack(corpus, 9, knowledge)
         assert a.attacked == b.attacked
         assert a.flagged == b.flagged
         assert a.modified == b.modified
 
 
+LOOP_TOOLS = ["Audit_d1.Log", "Audit_d1.LogAll", "Plainly.Other", "A.One"]
+LOOP_ACTIONS = st.builds(
+    Action.make,
+    st.sampled_from(LOOP_TOOLS),
+    st.dictionaries(st.sampled_from(["k", "n"]), st.sampled_from(["std", "hit", "x", 3]),
+                    max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(LOOP_ACTIONS, min_size=1, max_size=6), max_size=5),
+    st.sampled_from(["random-deletion", "rephrase-stub", "pk-replace"]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(0, 2**32),
+)
+def test_per_action_loop_properties(action_lists, name, p, seed):
+    corpus = [GreyBoxTrajectory(f"q{i}", tuple(a), "r") for i, a in enumerate(action_lists)]
+    out = STRATEGIES[name].attack(corpus, seed, Knowledge(p=p, tool_library=LOOP_TOOLS))
+    assert out.flagged == out.modified
+    assert all(a < b for a, b in zip(out.kept_input_indices, out.kept_input_indices[1:]))
+    assert out.dropped + len(out.attacked) == len(corpus)
+    for out_idx, in_idx in enumerate(out.kept_input_indices):
+        before, after = corpus[in_idx].actions, out.attacked[out_idx].actions
+        flags = out.flagged.get(in_idx, set())
+        assert flags <= set(range(len(before)))
+        kept = [a for pos, a in enumerate(before) if pos not in flags]
+        if name == "random-deletion":
+            assert list(after) == kept
+        else:
+            # a one-for-one replacement: every flagged action changed, the rest did not
+            assert len(after) == len(before)
+            assert [a for pos, a in enumerate(after) if pos not in flags] == kept
+            assert all(after[pos] != before[pos] for pos in flags)
+    for in_idx in set(range(len(corpus))) - set(out.kept_input_indices):
+        assert out.flagged[in_idx] == set(range(len(corpus[in_idx].actions)))
+
+
 def test_pk_zero_flags_without_near_duplicates():
-    out = attack_pk_replacement(CORPUS, ["A.One", "B.Two", "C.Three"], rng_seed=2)
+    out = attack_pk_replacement(
+        CORPUS, 2, Knowledge(tool_library=["A.One", "B.Two", "C.Three"])
+    )
     assert out.flagged == {}
     assert out.attacked == list(CORPUS)
 
@@ -91,7 +132,7 @@ def test_near_duplicate_map_thresholds():
 
 def test_fk_zero_matches_flags_nothing(ce_set):
     corpus = [traj(["A.One"], "q1")]
-    out = attack_fk_replacement(corpus, [ce_set], rng_seed=3)
+    out = attack_fk_replacement(corpus, 3, Knowledge(candidate_sets=[ce_set]))
     assert out.flagged == {} and out.modified == {}
     assert out.attacked == corpus
 
@@ -99,8 +140,7 @@ def test_fk_zero_matches_flags_nothing(ce_set):
 def test_metrics_exact_ground_truth_is_perfect():
     truth = {0: {1, 2}, 1: {0}}
     outcome = AttackOutcome(
-        "x", list(CORPUS), [0, 1], flagged={0: {1, 2}, 1: {0}},
-        modified={0: {1, 2}, 1: {0}},
+        list(CORPUS), [0, 1], flagged={0: {1, 2}, 1: {0}}, modified={0: {1, 2}, 1: {0}},
     )
     m = attack_metrics(outcome, truth, CORPUS)
     assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
@@ -109,16 +149,14 @@ def test_metrics_exact_ground_truth_is_perfect():
 
 def test_metrics_zero_flagged_convention():
     truth = {0: {1}}
-    outcome = AttackOutcome("x", list(CORPUS), [0, 1])
+    outcome = AttackOutcome(list(CORPUS), [0, 1])
     m = attack_metrics(outcome, truth, CORPUS)
     assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
 
 
 def test_metrics_against_confusion_oracle():
     truth = {0: {0, 2}, 1: {1}}
-    outcome = AttackOutcome(
-        "x", list(CORPUS), [0, 1], flagged={0: {0, 1}, 1: {0, 1}}
-    )
+    outcome = AttackOutcome(list(CORPUS), [0, 1], flagged={0: {0, 1}, 1: {0, 1}})
     m = attack_metrics(outcome, truth, CORPUS)
     tp = len({0, 1} & {0, 2}) + len({0, 1} & {1})  # 1 + 1
     fp = len({0, 1} - {0, 2}) + len({0, 1} - {1})  # 1 + 1
@@ -130,10 +168,10 @@ def test_metrics_against_confusion_oracle():
 
 
 def test_metrics_corpus_mismatch():
-    outcome = AttackOutcome("x", list(CORPUS), [0, 1], flagged={5: {0}})
+    outcome = AttackOutcome(list(CORPUS), [0, 1], flagged={5: {0}})
     with pytest.raises(CorpusMismatch):
         attack_metrics(outcome, {}, CORPUS)
-    outcome = AttackOutcome("x", list(CORPUS), [0, 1])
+    outcome = AttackOutcome(list(CORPUS), [0, 1])
     with pytest.raises(CorpusMismatch):
         attack_metrics(outcome, {9: {0}}, CORPUS)
 
@@ -142,7 +180,7 @@ def test_fk_rewrites_stay_in_member_space(data_domain):
     from trajmark.simkit.generator import generate_greybox_corpus
 
     corpus = generate_greybox_corpus(data_domain, 40, seed=44)
-    out = attack_fk_replacement(corpus, data_domain.eqsets, rng_seed=45)
+    out = attack_fk_replacement(corpus, 45, Knowledge(candidate_sets=data_domain.eqsets))
     # every candidate occurrence still matches its set after the attack
     for eqset in data_domain.eqsets:
         before = sum(len(reference_scan(t.actions, eqset)) for t in corpus)
@@ -205,7 +243,7 @@ def test_fk_equals_per_set_reference(name, thresholds):
     corpus = generate_greybox_corpus(domain, 150, seed=46)
     # reversed, the sets break ties between equal spans the other way round
     for eqsets in (list(domain.eqsets), list(reversed(domain.eqsets))):
-        out = attack_fk_replacement(corpus, eqsets, 47, *thresholds)
+        out = attack_fk_replacement(corpus, 47, Knowledge(candidate_sets=eqsets), *thresholds)
         attacked, flagged, modified = _reference_fk(corpus, eqsets, 47, *thresholds)
         assert [t.actions for t in out.attacked] == attacked
         assert out.flagged == flagged
@@ -228,7 +266,7 @@ def test_fk_equals_per_set_reference_on_overlapping_sets(action_lists):
     corpus = [GreyBoxTrajectory(f"q{i}", tuple(a), "r") for i, a in enumerate(action_lists)]
     eqsets = file_sets()
     for eqsets in (eqsets, eqsets[::-1]):
-        out = attack_fk_replacement(corpus, eqsets, 48, 0.5, 1)
+        out = attack_fk_replacement(corpus, 48, Knowledge(candidate_sets=eqsets), 0.5, 1)
         attacked, flagged, modified = _reference_fk(corpus, eqsets, 48, 0.5, 1)
         assert [t.actions for t in out.attacked] == attacked
         assert out.flagged == flagged

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from trajmark import cli
+from trajmark.attacks import STRATEGIES
 from trajmark.cli import main
 from trajmark.equivalence import ActionPattern, EquivalenceSet, Segment
 from trajmark.errors import InvalidRange, NoValidCandidates, TrajmarkError
@@ -756,6 +757,46 @@ def test_cli_attack_writes_metrics(workdir, capsys):
     assert len(rows) == 5
     for strategy in ("random-deletion", "rephrase-stub", "pk-replace", "fk-replace"):
         assert (workdir / f"attacked.{strategy}.jsonl").exists()
+
+
+def _victim(tmp_path, n=50):
+    victim = tmp_path / "victim.jsonl"
+    assert main(["simulate", "victim", "--domain", "data", "--n", str(n),
+                 "--out", str(victim), "--seed", "3", "--quiet"]) == 0
+    return victim
+
+
+@pytest.mark.parametrize("argv, message", [
+    # fk-replace needs candidate sets: the three strategies before it used
+    # to write their corpora before this was refused
+    (["--strategy", "all"], "trajmark: fk-replace requires --pool-candidates\n"),
+    (["--strategy", "pk-replace", "--p", "7"],
+     "trajmark: deletion probability must lie in [0,1], got 7.0\n"),
+    (["--strategy", "random-deletion", "--p", "-0.5"],
+     "trajmark: deletion probability must lie in [0,1], got -0.5\n"),
+])
+def test_cli_attack_checks_its_inputs_before_any_strategy_runs(tmp_path, capsys, argv, message):
+    victim = _victim(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["attack", *argv, "--in", str(victim), "--out", str(tmp_path / "attacked.jsonl"),
+                 "--metrics", str(tmp_path / "attack.csv"), "--quiet"]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_attack_names_outputs_by_the_file_name_only(tmp_path):
+    # a dot in a directory name used to be split, naming a directory that
+    # did not exist
+    victim = _victim(tmp_path)
+    (tmp_path / "run.v1").mkdir()
+    assert main(["attack", "--strategy", "all", "--in", str(victim),
+                 "--pool-candidates", "data", "--out", str(tmp_path / "run.v1" / "attacked"),
+                 "--seed", "5", "--quiet"]) == 0
+    assert sorted(p.name for p in (tmp_path / "run.v1").iterdir()) == sorted(
+        f"attacked.{name}" for name in STRATEGIES
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v1", "victim.jsonl"]
 
 
 def test_cli_localize_rejects_a_vector_of_another_length(tmp_path, capsys):
