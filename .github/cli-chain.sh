@@ -6,8 +6,8 @@
 # Runs every command from this checkout's sources, writing into WORKDIR,
 # which must not exist yet (a registry there would gain users). Then it
 # checks every output but the registries, whose created_at is wall-clock
-# time, and runs the document loaders on the files written. It runs the
-# first python on PATH.
+# time, runs the document loaders on the files written, and fails if a
+# temporary file (.*.tmp) is left in WORKDIR. It runs the first python on PATH.
 set -euo pipefail
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
@@ -56,3 +56,8 @@ $cli localize --verdict verdict.json --registry reg-many.json --top 5 > localize
 sha256sum -c "$repo/.github/cli-seed.sha256"
 # the document loaders, run on the files the chain above wrote
 $cli validate --pool pool-data.json --registry reg.json --corpus wm.jsonl --quiet
+# every writer renames its temporary file into place or removes it
+if find . -name '.*.tmp' | grep .; then
+  echo "temporary files left in $1" >&2
+  exit 1
+fi

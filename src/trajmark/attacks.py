@@ -37,6 +37,7 @@ PK_NAME_SIMILARITY = 0.84
 REPHRASE_RATE = 0.1
 FK_SUSPICION_SHARE = 0.95
 FK_MIN_COUNT = 20
+BREAKAGE_SAMPLE = 500  # attacked trajectories that semantic_breakage_rate runs
 
 
 @dataclass
@@ -171,9 +172,15 @@ def near_duplicate_map(tool_names: Sequence[str]) -> dict[str, list[str]]:
     """Tools whose names are at least ``PK_NAME_SIMILARITY`` alike, by difflib ratio."""
     names = sorted(set(tool_names))
     neighbours: dict[str, list[str]] = {n: [] for n in names}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if difflib.SequenceMatcher(None, a, b).ratio() >= PK_NAME_SIMILARITY:
+    # it keeps what it learns of its second name; both quick ratios bound ratio()
+    matcher = difflib.SequenceMatcher(None)
+    for j, b in enumerate(names):
+        matcher.set_seq2(b)
+        for a in names[:j]:
+            matcher.set_seq1(a)
+            if (matcher.real_quick_ratio() >= PK_NAME_SIMILARITY
+                    and matcher.quick_ratio() >= PK_NAME_SIMILARITY
+                    and matcher.ratio() >= PK_NAME_SIMILARITY):
                 neighbours[a].append(b)
                 neighbours[b].append(a)
     return neighbours
@@ -199,11 +206,7 @@ def attack_pk_replacement(
 
 
 def attack_fk_replacement(
-    corpus: Sequence[GreyBoxTrajectory],
-    rng_seed: int,
-    knowledge: Knowledge,
-    suspicion_share: float = FK_SUSPICION_SHARE,
-    min_count: int = FK_MIN_COUNT,
+    corpus: Sequence[GreyBoxTrajectory], rng_seed: int, knowledge: Knowledge
 ) -> AttackOutcome:
     """Fully knowledgeable replacement over ``knowledge.candidate_sets``.
 
@@ -213,8 +216,9 @@ def attack_fk_replacement(
     activated pass subset is unknown, everything that matches gets
     re-rolled (over-modification). Its identification claim is narrower:
     it flags the matches of sets whose harvested member distribution looks
-    suspiciously concentrated (majority share above ``suspicion_share``),
-    the best available signal without knowing natural distributions.
+    suspiciously concentrated (at least ``FK_MIN_COUNT`` matches, with a
+    majority share above ``FK_SUSPICION_SHARE``), the best available signal
+    without knowing natural distributions.
     """
     corpus = list(corpus)
     ordered_sets = list(knowledge.candidate_sets)
@@ -230,7 +234,7 @@ def attack_fk_replacement(
         spans_by_traj.append(spans)
 
     suspicious = [
-        sum(row) >= min_count and max(row) / sum(row) > suspicion_share for row in counts
+        sum(row) >= FK_MIN_COUNT and max(row) / sum(row) > FK_SUSPICION_SHARE for row in counts
     ]
 
     outcome = AttackOutcome([], [])
@@ -321,27 +325,22 @@ def attack_metrics(
 
 
 def semantic_breakage_rate(
-    original: Sequence[GreyBoxTrajectory],
-    outcome: AttackOutcome,
-    sandbox,
-    limit: int | None = None,
+    original: Sequence[GreyBoxTrajectory], outcome: AttackOutcome, sandbox
 ) -> float:
     """Fraction of attacked trajectories no longer sandbox-equivalent.
 
-    Both versions run from identical environments seeded with every string
+    The first ``BREAKAGE_SAMPLE`` attacked trajectories are run. Both
+    versions run from identical environments seeded with every string
     argument value either version references; ancillary read-backs are
     erased before comparison since they are read-only by contract.
     """
     from .simkit.sandbox import segments_equivalent
 
     broken = 0
-    checked = 0
-    for out_idx, in_idx in enumerate(outcome.kept_input_indices):
-        if limit is not None and checked >= limit:
-            break
+    sample = outcome.kept_input_indices[:BREAKAGE_SAMPLE]
+    for out_idx, in_idx in enumerate(sample):
         before = original[in_idx].actions
         after = outcome.attacked[out_idx].actions
-        checked += 1
         if before == after:
             continue
         env = {}
@@ -351,4 +350,4 @@ def semantic_breakage_rate(
                     env[value] = f"data:{value}"
         if not segments_equivalent(before, after, sandbox, env, erase_ancillary=True):
             broken += 1
-    return broken / checked if checked else 0.0
+    return broken / len(sample) if sample else 0.0

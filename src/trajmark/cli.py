@@ -20,11 +20,10 @@ from .experiment import (
     STAGES,
     ExperimentConfig,
     all_pass,
+    bad_domain,
     pool_accessor,
-    repeated,
     run_all,
     run_stage,
-    _write_csv,
 )
 from .injector import iter_watermarked, read_edit_positions, write_edit_lines
 from .pool import POOL_FORMAT_VERSION, build_pool, load_pool, pool_from_json, save_pool
@@ -33,7 +32,7 @@ from .seeds import derive_seed
 from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
 from .simkit.generator import iter_greybox_corpus
 from .simkit.surrogate import fit_surrogate
-from .trajectory import iter_jsonl, output_file, read_json, read_jsonl, write_json, write_jsonl
+from .trajectory import iter_jsonl, output_file, read_json, write_csv, write_json, write_jsonl
 from .verifier import (
     DEFAULT_M_MIN, DEFAULT_THETA_J, DEFAULT_THETA_N, detected_vector_from_json, localize_user,
     verify_corpus,
@@ -202,7 +201,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_attack(args) -> int:
     # held in memory: pk-replace builds its tool library from the whole corpus
-    corpus = read_jsonl(args.infile)
+    corpus = list(iter_jsonl(args.infile))
     truth = read_edit_positions(args.edits) if args.edits else {}
     sets, tools, sandbox = ([], [], None)
     if args.pool_candidates:
@@ -232,7 +231,7 @@ def _cmd_attack(args) -> int:
         breakage = ""
         if sandbox is not None:
             breakage = round(
-                semantic_breakage_rate(corpus, outcome, sandbox, limit=500), 6
+                semantic_breakage_rate(corpus, outcome, sandbox), 6
             )
         rows.append(
             [name, round(metrics.precision, 6), round(metrics.recall, 6),
@@ -245,7 +244,7 @@ def _cmd_attack(args) -> int:
             f"F1={metrics.f1:.4f} -> {out_path}",
         )
     if args.metrics:
-        _write_csv(
+        write_csv(
             args.metrics,
             ["strategy", "precision", "recall", "f1", "modification_rate",
              "true_edit_rate", "breakage_rate"],
@@ -255,18 +254,12 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_file(
-            args.config, seed=args.seed, out_dir=args.out_dir
-        )
-    else:
-        config = ExperimentConfig(seed=_seed(args), out_dir=args.out_dir or "reports")
-    if args.domains is not None:
-        config.domains = tuple(args.domains.split(","))
-        if not all(config.domains):
-            raise InvalidRange(f"--domains must list domain names, got {args.domains!r}")
-        if (twice := repeated(config.domains)) is not None:
-            raise InvalidRange(f"--domains lists domain {twice!r} twice")
+    domains = None if args.domains is None else tuple(args.domains.split(","))
+    if domains is not None and (i := bad_domain(domains)) is not None:
+        raise InvalidRange(f"--domains must list domain names, got {args.domains!r}"
+                           if not domains[i] else f"--domains lists domain {domains[i]!r} twice")
+    config = ExperimentConfig.from_file(args.config, seed=args.seed, out_dir=args.out_dir,
+                                        domains=domains)
     if args.stage == "all":
         acceptance = run_all(config)["acceptance"]
     else:
@@ -321,8 +314,8 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="root RNG seed (default 0)")
+    def common(p, seed=0):
+        p.add_argument("--seed", type=int, default=None, help=f"root RNG seed (default {seed})")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p = sub.add_parser("genpool", help="validate candidates and build a pass pool")
@@ -395,7 +388,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--domains", default=None, help="comma-separated domain list")
-    common(p)
+    common(p, seed=ExperimentConfig.seed)
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("validate", help="dry-run parse inputs and cross-references")

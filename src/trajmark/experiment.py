@@ -21,7 +21,6 @@ a summary JSON with pass/fail against the acceptance thresholds, and
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence
@@ -43,7 +42,7 @@ from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
 from .simkit.generator import generate_greybox_corpus, iter_greybox_corpus
 from .simkit.surrogate import fit_surrogate
-from .trajectory import _gc_paused, json_value, read_json, write_json
+from .trajectory import _gc_paused, json_value, read_json, write_csv, write_json
 from .verifier import (
     DEFAULT_THETA_J,
     DEFAULT_THETA_N,
@@ -75,10 +74,10 @@ _MINIMUMS = {
 
 @dataclass
 class ExperimentConfig:
-    """What a run may vary; flags override file values, file overrides defaults.
+    """What a run may vary; ``from_file`` builds it from defaults, a file and flags.
 
     The thresholds, sweeps and seeds that the acceptance gates are defined
-    at are module constants.
+    at are module constants; the default seed is the one they are pinned at.
     """
 
     domains: tuple[str, ...] = ("data", "business", "social")
@@ -92,15 +91,16 @@ class ExperimentConfig:
     pool_seed: ClassVar[int] = 42
 
     @classmethod
-    def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        """Load a JSON object whose keys name fields and match their defaults' types.
+    def from_file(cls, path: str | None, **flags) -> "ExperimentConfig":
+        """The defaults, then the JSON object at ``path`` if given, then each flag not None.
 
-        A tuple field takes a non-empty array; a count below ``_MINIMUMS``
-        and a domain listed twice are refused.
+        The file's keys name fields and match their defaults' types. A
+        tuple field takes a non-empty array; a count below ``_MINIMUMS``, an
+        empty domain name and a domain listed twice are refused.
         """
         where = f"config: {path}: $"
         defaults = {f.name: f.default for f in fields(cls)}
-        raw = json_value(read_json(path), dict, where)
+        raw = {} if path is None else json_value(read_json(path), dict, where)
         values = {}
         for key in raw:
             if key not in defaults:
@@ -110,33 +110,28 @@ class ExperimentConfig:
             value = json_value(raw, kind, where, key, minimum=_MINIMUMS.get(key))
             if many and not value:
                 raise SchemaViolation(f"{where}.{key}: expected a non-empty array")
-            if key == "domains" and (twice := repeated(value)) is not None:
-                raise SchemaViolation(f"{where}.domains: domain {twice!r} is listed twice")
+            if key == "domains" and (i := bad_domain(value)) is not None:
+                raise SchemaViolation(
+                    f"{where}.domains[{i}]: expected a domain name, got ''" if not value[i]
+                    else f"{where}.domains: domain {value[i]!r} is listed twice"
+                )
             values[key] = tuple(value) if many else value
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        values.update({k: v for k, v in flags.items() if v is not None})
         return cls(**values)
 
 
-def repeated(names: Sequence[str]) -> str | None:
-    """The first name that occurs a second time in ``names``, or None.
+def bad_domain(names: Sequence[str]) -> int | None:
+    """The index of the first empty name or repeated name in ``names``, or None.
 
     A run keys its reports by domain name, so a domain listed twice
     would run twice and write each of its rows twice.
     """
     seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            return name
+    for i, name in enumerate(names):
+        if not name or name in seen:
+            return i
         seen.add(name)
     return None
-
-
-def _write_csv(path: str, header: Sequence[str], rows: list[list]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 PoolAccessor = Callable[[str], tuple[DomainSpec, list[WatermarkPass]]]
@@ -384,7 +379,7 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             wm, derive_seed(config.seed, "attack", strategy.label), knowledge
         )
         m = attack_metrics(outcome, truth, wm)
-        breakage = semantic_breakage_rate(wm, outcome, domain.sandbox, limit=500)
+        breakage = semantic_breakage_rate(wm, outcome, domain.sandbox)
         post = imitation(outcome.attacked, derive_seed(config.seed, "attack", "post", name))
         metrics[name] = {
             "precision": m.precision,
@@ -650,18 +645,16 @@ def all_pass(acceptance: dict) -> bool:
 def run_stage(name: str, config: ExperimentConfig, pools: PoolAccessor) -> tuple[dict, dict]:
     """Run one stage, write its report, and return (result, acceptance entries).
 
-    The stage function is looked up by its module-global name
-    ``run_<stage>`` at call time, so a wrapper set on that name sees the call.
+    It makes ``config.out_dir`` if missing. The stage function is looked up
+    by its module-global name ``run_<stage>`` at call time, so a wrapper set
+    on that name sees the call.
     """
+    os.makedirs(config.out_dir, exist_ok=True)
     stage = STAGES[name]
     result = globals()["run_" + name.replace("-", "_")](config, pools)
     if stage.report is not None:
-        _write_csv(os.path.join(config.out_dir, stage.report), stage.header, result["rows"])
+        write_csv(os.path.join(config.out_dir, stage.report), stage.header, result["rows"])
     return result, stage.acceptance(config, result)
-
-
-def _write_summary(config: ExperimentConfig, summary: dict) -> None:
-    write_json(os.path.join(config.out_dir, "summary.json"), summary)
 
 
 @_gc_paused
@@ -672,8 +665,8 @@ def run_all(config: ExperimentConfig) -> dict:
     the stages completed so far are recorded in the summary manifest
     before the error propagates.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
     pools = pool_accessor(config)
+    summary_path = os.path.join(config.out_dir, "summary.json")
     completed: list[str] = []
     results: dict[str, dict] = {}
     acceptance: dict = {}
@@ -683,7 +676,7 @@ def run_all(config: ExperimentConfig) -> dict:
             acceptance.update(entries)
             completed.append(name)
     except Exception as exc:
-        _write_summary(config, {
+        write_json(summary_path, {
             "completed_stages": completed,
             "failed": f"{type(exc).__name__}: {exc}",
         })
@@ -697,5 +690,5 @@ def run_all(config: ExperimentConfig) -> dict:
         "acceptance": acceptance,
         "all_pass": all_pass(acceptance),
     }
-    _write_summary(config, summary)
+    write_json(summary_path, summary)
     return summary

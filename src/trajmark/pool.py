@@ -85,7 +85,8 @@ def build_pool(
 ) -> tuple[list[WatermarkPass], PoolBuildReport]:
     """Validate candidates, calibrate naturals, and derive biased targets."""
     delta = domain.delta if delta is None else delta
-    calibration_size = calibration_size or domain.corpus_sizes["calibration"]
+    if calibration_size is None:
+        calibration_size = domain.corpus_sizes["calibration"]
     # the calibration corpus is counted as it is drawn, never held
     calibration = iter_greybox_corpus(
         domain, calibration_size, derive_rng(seed, "calibration").randrange(2**63),

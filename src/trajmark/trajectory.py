@@ -11,11 +11,13 @@ actions and the response verbatim and drops every hidden step.
 Wire format: one JSON object per line (JSONL), UTF-8, ``\\n`` line endings,
 stable key order ``query_id, user_uid, actions, response``. The JSON
 documents (pools, registries, domains, verdicts, configs and summaries)
-are read by ``read_json``, checked by ``json_value``, written by ``write_json``.
+are read by ``read_json``, checked by ``json_value``, written by ``write_json``;
+every output, ``write_csv``'s reports too, goes through ``output_file``.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import gc
 import json
@@ -25,7 +27,7 @@ import re
 import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, TextIO, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar, Union
 
 from .errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
 
@@ -335,24 +337,27 @@ def output_file(path: str) -> Iterator[TextIO]:
     that reads its input as it writes leaves no partial output behind when
     a late input line is refused. A path that cannot be replaced, such as
     ``/dev/null``, a FIFO, a terminal or a file with other hard links, is
-    opened and written directly.
+    opened and written directly. No directory is made; an error names ``path``.
     """
     try:
         st = os.stat(path)
     except FileNotFoundError:
         st = None
     if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
     # a random name, so a file left by a killed run blocks no later run
     temporary = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    # 0o666 less the umask: the mode ``open`` gives a new file
-    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
+        # 0o666 less the umask: the mode ``open`` gives a new file
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
             if st is not None:
                 os.fchmod(fd, stat.S_IMODE(st.st_mode))
                 made = os.fstat(fd)
@@ -474,5 +479,13 @@ def _indented_json(value: object, depth: int = 0) -> str:
 
 def write_json(path: str, obj: object) -> None:
     """Write ``obj`` to a UTF-8 file as JSON indented by one space, plus a newline."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with output_file(path) as handle:
         handle.write(_indented_json(obj) + "\n")
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV, each line ended by ``\\r\\n``."""
+    with output_file(path) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)

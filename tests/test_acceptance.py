@@ -211,7 +211,7 @@ def test_semantic_preservation(pools):
     pk = attack_pk_replacement(
         wm_sample, 83, Knowledge(tool_library=list(domain.sandbox.tools))
     )
-    pk_breakage = semantic_breakage_rate(wm_sample, pk, domain.sandbox, limit=400)
+    pk_breakage = semantic_breakage_rate(wm_sample, pk, domain.sandbox)
     elapsed = time.perf_counter() - start
     report(
         "semantic-preservation",

@@ -1,13 +1,17 @@
 """attack strategies: conventions, determinism, and metric identities."""
 
+import difflib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_equivalence import FILE_ACTION_LISTS, file_sets, reference_scan
+import trajmark.attacks as attacks
 from trajmark.attacks import (
     FK_MIN_COUNT,
     FK_SUSPICION_SHARE,
+    PK_NAME_SIMILARITY,
     STRATEGIES,
     attack_fk_replacement,
     attack_metrics,
@@ -130,6 +134,23 @@ def test_near_duplicate_map_thresholds():
     assert nd["Plainly.Other"] == []
 
 
+@pytest.mark.parametrize("name", ["data", "business", "social"])
+def test_near_duplicate_map_equals_a_full_ratio_reference(name):
+    # the quick bounds skip pairs unscored, so the map must be the one that
+    # scores every pair in full
+    from trajmark.simkit.domains import builtin_domain
+
+    names = sorted(builtin_domain(name).sandbox.tools)
+    reference = {n: [] for n in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if difflib.SequenceMatcher(None, a, b).ratio() >= PK_NAME_SIMILARITY:
+                reference[a].append(b)
+                reference[b].append(a)
+    assert any(reference.values())
+    assert near_duplicate_map(list(reversed(names))) == reference
+
+
 def test_fk_zero_matches_flags_nothing(ce_set):
     corpus = [traj(["A.One"], "q1")]
     out = attack_fk_replacement(corpus, 3, Knowledge(candidate_sets=[ce_set]))
@@ -235,15 +256,17 @@ def _reference_fk(corpus, eqsets, rng_seed, suspicion_share, min_count):
 
 @pytest.mark.parametrize("name", ["data", "business", "social"])
 @pytest.mark.parametrize("thresholds", [(FK_SUSPICION_SHARE, FK_MIN_COUNT), (0.5, 1)])
-def test_fk_equals_per_set_reference(name, thresholds):
+def test_fk_equals_per_set_reference(monkeypatch, name, thresholds):
     from trajmark.simkit.domains import builtin_domain
     from trajmark.simkit.generator import generate_greybox_corpus
 
     domain = builtin_domain(name)
     corpus = generate_greybox_corpus(domain, 150, seed=46)
+    monkeypatch.setattr(attacks, "FK_SUSPICION_SHARE", thresholds[0])
+    monkeypatch.setattr(attacks, "FK_MIN_COUNT", thresholds[1])
     # reversed, the sets break ties between equal spans the other way round
     for eqsets in (list(domain.eqsets), list(reversed(domain.eqsets))):
-        out = attack_fk_replacement(corpus, 47, Knowledge(candidate_sets=eqsets), *thresholds)
+        out = attack_fk_replacement(corpus, 47, Knowledge(candidate_sets=eqsets))
         attacked, flagged, modified = _reference_fk(corpus, eqsets, 47, *thresholds)
         assert [t.actions for t in out.attacked] == attacked
         assert out.flagged == flagged
@@ -266,7 +289,10 @@ def test_fk_equals_per_set_reference_on_overlapping_sets(action_lists):
     corpus = [GreyBoxTrajectory(f"q{i}", tuple(a), "r") for i, a in enumerate(action_lists)]
     eqsets = file_sets()
     for eqsets in (eqsets, eqsets[::-1]):
-        out = attack_fk_replacement(corpus, 48, Knowledge(candidate_sets=eqsets), 0.5, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(attacks, "FK_SUSPICION_SHARE", 0.5)
+            patch.setattr(attacks, "FK_MIN_COUNT", 1)
+            out = attack_fk_replacement(corpus, 48, Knowledge(candidate_sets=eqsets))
         attacked, flagged, modified = _reference_fk(corpus, eqsets, 48, 0.5, 1)
         assert [t.actions for t in out.attacked] == attacked
         assert out.flagged == flagged

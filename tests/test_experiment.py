@@ -83,6 +83,47 @@ def test_config_error_names_file_and_key(tmp_path, doc, where):
     assert where in str(info.value)
 
 
+def test_config_error_names_an_empty_domain(tmp_path, capsys):
+    # an empty name used to reach load_domain, whose error named no key
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"domains": ["data", ""]}))
+    assert main(["experiment", "delta-kld", "--config", str(path),
+                 "--out-dir", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr() == (
+        "", f"trajmark: config: {path}: $.domains[1]: expected a domain name, got ''\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def _seed_of_a_run(monkeypatch, tmp_path, *argv) -> int:
+    """The seed ``experiment closed-loop`` runs at, given ``argv``."""
+    seeds = []
+
+    def closed_loop(config, pools):
+        seeds.append(config.seed)
+        return {"per_set": {}, "max_l1": 0.0, "n_active": 0}
+
+    monkeypatch.setattr(experiment, "run_closed_loop", closed_loop)
+    assert main(["experiment", "closed-loop", "--out-dir", str(tmp_path), "--quiet", *argv]) == 0
+    return seeds[0]
+
+
+def test_experiment_without_a_seed_runs_at_the_default_seed(monkeypatch, tmp_path):
+    # with no --config the seed used to be 0, with one it was 7
+    empty = tmp_path / "config.json"
+    empty.write_text("{}")
+    assert _seed_of_a_run(monkeypatch, tmp_path) == ExperimentConfig.seed == 7
+    assert _seed_of_a_run(monkeypatch, tmp_path, "--config", str(empty)) == 7
+    assert _seed_of_a_run(monkeypatch, tmp_path, "--config", str(empty), "--seed", "3") == 3
+
+
+def test_experiment_help_gives_the_default_seed(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["experiment", "--help"])
+    assert info.value.code == 0
+    assert "root RNG seed (default 7)" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("stage", list(STAGES))
 def test_parser_accepts_every_stage(stage):
     assert build_parser().parse_args(["experiment", stage]).stage == stage

@@ -439,6 +439,12 @@ def test_genpool_refuses_fewer_than_one_validation_case(tmp_path, data_domain, c
         build_pool(data_domain, seed=1, n_validation_cases=-1, calibration_size=10)
 
 
+def test_build_pool_refuses_a_zero_calibration_size(data_domain):
+    # 0 used to calibrate on the domain's default size
+    with pytest.raises(InvalidRange, match="got 0"):
+        build_pool(data_domain, seed=1, n_validation_cases=1, calibration_size=0)
+
+
 # --- one node mutated in a valid document -------------------------------------
 
 def _doc_pool(data_pool):
@@ -797,6 +803,18 @@ def test_cli_attack_names_outputs_by_the_file_name_only(tmp_path):
         f"attacked.{name}" for name in STRATEGIES
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v1", "victim.jsonl"]
+
+
+def test_cli_attack_metrics_in_a_missing_directory_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # the metrics writer used to make the directory
+    victim = _victim(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["attack", "--strategy", "random-deletion", "--in", str(victim),
+                 "--out", "attacked.jsonl", "--metrics", "missing-dir/m.csv", "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "trajmark: FileNotFoundError: [Errno 2] "
+                                       "No such file or directory: 'missing-dir/m.csv'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["attacked.jsonl", "victim.jsonl"]
 
 
 def test_cli_localize_rejects_a_vector_of_another_length(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Trajectory model: parsing, serialization, and grey-box projection."""
 
+import csv
 import dataclasses
 import gc
 import inspect
@@ -34,6 +35,8 @@ from trajmark.trajectory import (
     parse_trajectory_line,
     read_jsonl,
     serialize_trajectory,
+    write_csv,
+    write_json,
     write_jsonl,
 )
 from trajmark.verifier import localize_user
@@ -159,6 +162,41 @@ def test_output_file_keeps_a_files_mode_and_writes_through_a_symlink(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["link.jsonl", "out.jsonl", stale.name]
     )
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_json(path, {"users": {1, 2}}),  # a set has no JSON form
+    lambda path: write_csv(path, ["a", "b"], [[1, 2], 3]),  # a row must be a sequence
+], ids=["json", "csv"])
+def test_a_document_that_fails_to_encode_leaves_the_old_file(tmp_path, write):
+    path = tmp_path / "out.json"
+    path.write_bytes(b'{\n "domain": "data",\n "N": 39\n}\n')
+    before = path.read_bytes()
+    with pytest.raises((TypeError, csv.Error)):
+        write(str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+def test_write_csv_writes_the_bytes_of_a_csv_writer(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(str(path), ("name", "value"), [["a,b", 1.5], ["line\nbreak", True]])
+    assert path.read_bytes() == (
+        b'name,value\r\n"a,b",1.5\r\n"line\nbreak",True\r\n'
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "victim", "--domain", "data", "--n", "5", "--out", "{out}"],
+    ["genpool", "--domain", "data", "--cases", "1", "--out", "{out}"],
+], ids=["jsonl", "json"])
+def test_an_output_in_a_missing_directory_names_the_path_given(tmp_path, capsys, argv):
+    out = str(tmp_path / "nodir" / "out")
+    assert main([a.replace("{out}", out) for a in argv] + ["--quiet"]) == 2
+    assert capsys.readouterr() == (
+        "", f"trajmark: FileNotFoundError: [Errno 2] No such file or directory: {out!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_writes_a_fifo_out_directly(tmp_path):
