@@ -56,6 +56,22 @@ $cli localize --verdict verdict.json --registry reg-many.json --top 5 > localize
 sha256sum -c "$repo/.github/cli-seed.sha256"
 # the document loaders, run on the files the chain above wrote
 $cli validate --pool pool-data.json --registry reg.json --corpus wm.jsonl --quiet
+# refused outputs: each command exits 2, names what it refused on stderr,
+# and leaves the directory as it was
+listing=$(ls -A)
+refused() {
+  local named=$1 status=0 err
+  shift
+  err=$("$@" 2>&1 > /dev/null) || status=$?
+  if [ "$status" -ne 2 ] || [[ "$err" != *"$named"* ]] || [ "$(ls -A)" != "$listing" ]; then
+    echo "expected exit 2 naming $named and no new file from: $*" >&2
+    exit 1
+  fi
+}
+refused missing-dir/m.csv $cli attack --strategy random-deletion --in wm.jsonl \
+  --out refused.jsonl --metrics missing-dir/m.csv --quiet
+refused --out-dir $cli experiment delta-kld --out-dir "" --quiet
+refused '$.out_dir' $cli experiment delta-kld --config <(echo '{"out_dir": ""}') --quiet
 # every writer renames its temporary file into place or removes it
 if find . -name '.*.tmp' | grep .; then
   echo "temporary files left in $1" >&2

@@ -9,9 +9,11 @@ all randomness is derived from that one root integer.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import re
 import sys
+from contextlib import ExitStack
 
 from . import __version__
 from .attacks import DELETION_P, STRATEGIES, Knowledge, attack_metrics, semantic_breakage_rate
@@ -32,7 +34,9 @@ from .seeds import derive_seed
 from .simkit.domains import POOL_SHAPES, DomainSpec, load_domain
 from .simkit.generator import iter_greybox_corpus
 from .simkit.surrogate import fit_surrogate
-from .trajectory import iter_jsonl, output_file, read_json, write_csv, write_json, write_jsonl
+from .trajectory import (
+    iter_jsonl, output_file, read_json, serialize_trajectory, write_json, write_jsonl,
+)
 from .verifier import (
     DEFAULT_M_MIN, DEFAULT_THETA_J, DEFAULT_THETA_N, detected_vector_from_json, localize_user,
     verify_corpus,
@@ -216,40 +220,33 @@ def _cmd_attack(args) -> int:
         tool_library=tools or sorted({a.tool for t in corpus for a in t.actions}),
         candidate_sets=sets,
     )
-    rows = []
-    for name in names:
-        outcome = STRATEGIES[name].attack(
-            corpus, derive_seed(_seed(args), "attack", name), knowledge
-        )
-        out_path = args.out
-        if len(names) > 1:
-            # split the file name only, not a dot in a directory name
-            root, ext = os.path.splitext(args.out)
-            out_path = f"{root}.{name}{ext}"
-        write_jsonl(out_path, outcome.attacked)
-        metrics = attack_metrics(outcome, truth, corpus)
-        breakage = ""
-        if sandbox is not None:
-            breakage = round(
-                semantic_breakage_rate(corpus, outcome, sandbox), 6
+    # with several strategies, split the file name only, not a dot in a directory name
+    root, ext = os.path.splitext(args.out)
+    out_paths = [f"{root}.{name}{ext}" if len(names) > 1 else args.out for name in names]
+    rows = [["strategy", "precision", "recall", "f1", "modification_rate",
+             "true_edit_rate", "breakage_rate"]]
+    # every output is opened before the first strategy runs, so the
+    # command's files appear together or not at all
+    with ExitStack() as outputs:
+        handles = [outputs.enter_context(output_file(path)) for path in out_paths]
+        table = outputs.enter_context(output_file(args.metrics)) if args.metrics else None
+        for name, out_path, handle in zip(names, out_paths, handles):
+            outcome = STRATEGIES[name].attack(
+                corpus, derive_seed(_seed(args), "attack", name), knowledge
             )
-        rows.append(
-            [name, round(metrics.precision, 6), round(metrics.recall, 6),
-             round(metrics.f1, 6), round(metrics.modification_rate, 6),
-             round(metrics.true_edit_rate, 6), breakage]
-        )
-        _say(
-            args,
-            f"{name}: P={metrics.precision:.4f} R={metrics.recall:.4f} "
-            f"F1={metrics.f1:.4f} -> {out_path}",
-        )
-    if args.metrics:
-        write_csv(
-            args.metrics,
-            ["strategy", "precision", "recall", "f1", "modification_rate",
-             "true_edit_rate", "breakage_rate"],
-            rows,
-        )
+            handle.writelines(serialize_trajectory(t) + "\n" for t in outcome.attacked)
+            metrics = attack_metrics(outcome, truth, corpus)
+            breakage = ("" if sandbox is None
+                        else round(semantic_breakage_rate(corpus, outcome, sandbox), 6))
+            rows.append(
+                [name, round(metrics.precision, 6), round(metrics.recall, 6),
+                 round(metrics.f1, 6), round(metrics.modification_rate, 6),
+                 round(metrics.true_edit_rate, 6), breakage]
+            )
+            _say(args, f"{name}: P={metrics.precision:.4f} R={metrics.recall:.4f} "
+                       f"F1={metrics.f1:.4f} -> {out_path}")
+        if table is not None:
+            csv.writer(table).writerows(rows)
     return 0
 
 
@@ -258,6 +255,8 @@ def _cmd_experiment(args) -> int:
     if domains is not None and (i := bad_domain(domains)) is not None:
         raise InvalidRange(f"--domains must list domain names, got {args.domains!r}"
                            if not domains[i] else f"--domains lists domain {domains[i]!r} twice")
+    if args.out_dir == "":
+        raise InvalidRange("--out-dir must name a directory, got ''")
     config = ExperimentConfig.from_file(args.config, seed=args.seed, out_dir=args.out_dir,
                                         domains=domains)
     if args.stage == "all":

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -96,6 +96,23 @@ class Distribution:
         if len(self) != len(other):
             raise ArityMismatch(f"arity {len(self)} vs {len(other)}")
         return math.fsum(abs(p - q) for p, q in zip(self.weights, other.weights))
+
+
+def count_vectors(natural: Distribution, m: int) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Every count vector of ``m`` draws from ``natural``, with its multinomial probability.
+
+    Arity k gives C(m+k-1, k-1) vectors, each summing to ``m``, in the
+    order of their bar positions in a stars-and-bars layout. The
+    probability of ``counts`` is m!/(c_1!...c_k!) * p_1**c_1 ... p_k**c_k.
+    """
+    k = len(natural)
+    for bars in combinations(range(m + k - 1), k - 1):
+        counts = tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, m + k - 1)))
+        prob, left = 1.0, m
+        for c, p in zip(counts, natural.weights):
+            prob *= math.comb(left, c) * p**c
+            left -= c
+        yield counts, prob
 
 
 def derive_target_distribution(

@@ -8,7 +8,7 @@ Stages mirror the evaluation artifacts the verification story rests on:
                    up to two dropped detections per attacker
 * ``delta-kld``    watermark strength vs. distribution shift trade-off
 * ``attack-bench`` identification P/R/F1 for the four removal strategies
-* ``stealth``      per-trajectory divergence vs. bootstrap sampling noise
+* ``stealth``      per-trajectory divergence vs. exact benign sampling noise
 * ``closed-loop``  injection/re-estimation consistency at corpus scale
 * ``eta-sweep``    detection of one attacker at several imitation fidelities
 
@@ -31,6 +31,7 @@ from .equivalence import (
     WatermarkPass,
     count_members,
     count_members_by_trajectory,
+    count_vectors,
     js_divergence,
     kl_divergence,
 )
@@ -59,7 +60,6 @@ LOCALIZATION_MAX_DROPS = 2
 DELTA_SWEEP = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
 STEALTH_DELTAS = (1.0, 2.0, 3.0)
 STEALTH_CORPUS_SIZE = 4000
-BOOTSTRAP_DRAWS = 10000
 ATTACK_USER_SEED = 31  # registers the calibrated bench adversary
 
 # the least value of each count; a tuple's minimum holds for every item
@@ -96,7 +96,8 @@ class ExperimentConfig:
 
         The file's keys name fields and match their defaults' types. A
         tuple field takes a non-empty array; a count below ``_MINIMUMS``, an
-        empty domain name and a domain listed twice are refused.
+        empty domain name, a domain listed twice and an empty ``out_dir``
+        are refused.
         """
         where = f"config: {path}: $"
         defaults = {f.name: f.default for f in fields(cls)}
@@ -115,6 +116,8 @@ class ExperimentConfig:
                     f"{where}.domains[{i}]: expected a domain name, got ''" if not value[i]
                     else f"{where}.domains: domain {value[i]!r} is listed twice"
                 )
+            if key == "out_dir" and not value:
+                raise SchemaViolation(f"{where}.out_dir: expected a directory name, got ''")
             values[key] = tuple(value) if many else value
         values.update({k: v for k, v in flags.items() if v is not None})
         return cls(**values)
@@ -400,30 +403,29 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# stealth: per-trajectory divergence vs. bootstrap noise
+# stealth: per-trajectory divergence vs. exact benign noise
 # ---------------------------------------------------------------------------
 
-def _bootstrap_q99(natural, m: int, rng) -> float:
-    """99th percentile of JSD(empirical of m natural draws, natural).
+def noise_q99(natural: Distribution, m: int) -> float:
+    """The exact 99th percentile of JSD(empirical of m natural draws, natural).
 
-    Only C(m+k-1, k-1) count vectors exist for m draws over k members, so
-    the JSD is computed once per distinct vector; every draw is still taken.
+    Each count vector of m draws is one atom, its JSD to ``natural`` with
+    its multinomial probability. The percentile is the smallest atom whose
+    running probability, summed in ascending-JSD order, exceeds 0.99 by
+    more than 1e-12, so a CDF that is 0.99 in real arithmetic but lands
+    on either side of it in floats (natural (0.9, 0.1) at m = 2) does not
+    exceed it, and the next atom up is taken.
     """
-    values = []
-    jsd_of: dict[tuple[int, ...], float] = {}
-    k = len(natural)
-    for _ in range(BOOTSTRAP_DRAWS):
-        counts = [0] * k
-        for _ in range(m):
-            counts[natural.sample(rng)] += 1
-        key = tuple(counts)
-        jsd = jsd_of.get(key)
-        if jsd is None:
-            emp = Distribution(tuple(c / m for c in counts))
-            jsd = jsd_of[key] = js_divergence(emp, natural)
-        values.append(jsd)
-    values.sort()
-    return values[int(0.99 * BOOTSTRAP_DRAWS)]
+    atoms = sorted(
+        (js_divergence(Distribution(tuple(c / m for c in counts)), natural), prob)
+        for counts, prob in count_vectors(natural, m)
+    )
+    cdf = 0.0
+    for jsd, prob in atoms:
+        cdf += prob
+        if cdf > 0.99 + 1e-12:
+            break
+    return jsd
 
 
 def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
@@ -431,8 +433,9 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
 
     The attacker's filtering decision is per trajectory, so the comparison
     unit is one trajectory's per-set empirical distribution at its own
-    occurrence count m: its JSD to natural must not exceed the bootstrap
-    99th percentile of benign same-m noise more often than slack allows.
+    occurrence count m: its JSD to natural must not exceed the exact 99th
+    percentile of benign same-m noise (``noise_q99``) more often than
+    slack allows.
     """
     name = config.domains[0]
     domain, base_passes = pools(name)
@@ -444,8 +447,7 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     user = register_user(registry, derive_seed(config.seed, "stealth", "user"))
     rows = []
     worst = {}
-    boot_cache: dict[tuple, float] = {}
-    boot_rng = derive_rng(config.seed, "stealth", "bootstrap")
+    q99: dict[tuple, float] = {}
     for delta in STEALTH_DELTAS:
         passes = rebias_pool(base_passes, delta)
         active = passes_for_uid(user.uid_hex, passes)
@@ -469,10 +471,10 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             for counts in vectors:
                 m = sum(counts)
                 key = (natural.weights, m)
-                if key not in boot_cache:
-                    boot_cache[key] = _bootstrap_q99(natural, m, boot_rng)
+                if key not in q99:
+                    q99[key] = noise_q99(natural, m)
                 emp = Distribution(tuple(c / m for c in counts))
-                if js_divergence(emp, natural) > boot_cache[key] + 1e-9:
+                if js_divergence(emp, natural) > q99[key] + 1e-9:
                     exceed += 1
             rate = exceed / len(vectors) if vectors else 0.0
             max_exceed = max(max_exceed, rate)

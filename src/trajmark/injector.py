@@ -21,7 +21,6 @@ from .errors import EmptyActions
 from .seeds import seed_stream
 from .trajectory import (
     Action, GreyBoxTrajectory, _gc_paused, decode_json_line, iter_parsed_lines, json_value,
-    output_file,
 )
 
 
@@ -232,19 +231,6 @@ def write_edit_lines(
         )
         handle.write("\n")
     return len(edits)
-
-
-def write_edits(
-    path: str,
-    corpus: Iterable[GreyBoxTrajectory],
-    edits_by_traj: Iterable[Sequence[EditRecord]],
-) -> int:
-    """Write one JSON line per edit record; returns the line count."""
-    with output_file(path) as handle:
-        return sum(
-            write_edit_lines(handle, idx, traj.query_id, edits)
-            for idx, (traj, edits) in enumerate(zip(corpus, edits_by_traj))
-        )
 
 
 def _parse_edit_line(line: str) -> tuple[int, bool, list[int]]:

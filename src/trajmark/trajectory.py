@@ -297,11 +297,6 @@ def serialize_trajectory(t: GreyBoxTrajectory) -> str:
     return head + ',"actions":[' + actions + '],"response":' + _encode_str(t.response) + "}"
 
 
-def read_jsonl(path: str) -> list[GreyBoxTrajectory]:
-    """Load a whole trajectory corpus from a JSONL file."""
-    return list(iter_jsonl(path))
-
-
 def iter_jsonl(path: str) -> Iterator[GreyBoxTrajectory]:
     """Stream trajectories from a JSONL file one line at a time."""
     return iter_parsed_lines(path, parse_trajectory_line)

@@ -235,7 +235,11 @@ def test_delta_kld_tradeoff(config, pools):
 
 
 def test_stealth_within_sampling_noise(config, pools):
-    """Per-trajectory divergences stay inside bootstrap noise for delta<=3."""
+    """Per-trajectory divergences stay inside benign noise for delta<=3.
+
+    The bound is the exact 99th percentile of benign same-m JSD, from
+    every count vector of m draws and its multinomial probability.
+    """
     start = time.perf_counter()
     result = run_stealth(config, pools)
     elapsed = time.perf_counter() - start

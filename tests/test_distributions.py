@@ -1,5 +1,6 @@
-"""Distribution algebra: exponential biasing, JSD, KLD."""
+"""Distribution algebra: exponential biasing, JSD, KLD, count-vector enumeration."""
 
+import bisect
 import itertools
 import math
 import random
@@ -8,9 +9,11 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from trajmark.equivalence import (
     Distribution,
+    count_vectors,
     derive_target_distribution,
     js_divergence,
     kl_divergence,
@@ -22,6 +25,7 @@ from trajmark.errors import (
     InvalidRange,
     SupportMismatch,
 )
+from trajmark.experiment import noise_q99
 
 
 def weights_strategy(min_size=2, max_size=5):
@@ -232,3 +236,101 @@ def test_kld_of_biased_strictly_increasing_in_delta():
 def test_kld_nonnegative(ws):
     q = Distribution(tuple(reversed(ws)))
     assert kl_divergence(Distribution(ws), q) >= 0.0
+
+
+# --- count vectors and the exact benign-noise percentile ---------------------
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=1, max_size=4).filter(any),
+    st.integers(0, 10),
+)
+def test_count_vectors_enumerate_every_outcome_once(raw, m):
+    natural = Distribution(tuple(w / math.fsum(raw) for w in raw))
+    k = len(natural)
+    outcomes = list(count_vectors(natural, m))
+    vectors = [counts for counts, _ in outcomes]
+    assert len(vectors) == len(set(vectors)) == math.comb(m + k - 1, k - 1)
+    assert all(len(c) == k and min(c) >= 0 and sum(c) == m for c in vectors)
+    assert abs(math.fsum(p for _, p in outcomes) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (0.879, 0.121), (0.2, 0.3, 0.5),
+                                     (0.7, 0.0, 0.3), (0.1, 0.2, 0.3, 0.4)])
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_count_vector_probabilities_are_the_multinomial_pmf(weights, m):
+    for counts, prob in count_vectors(Distribution(weights), m):
+        assert prob == pytest.approx(stats.multinomial.pmf(counts, m, weights),
+                                     rel=1e-12, abs=1e-300)
+
+
+# Bootstrap draws per key. The empirical CDF at an atom is Binomial(N, F) / N,
+# so it lies within BOUND_SDS standard deviations (plus one draw) of the exact
+# F; a miss has odds below 1e-6 per atom. The bootstrap's percentile,
+# values[int(0.99 * N)], is the exact one unless an atom's exact CDF lies
+# within that bound of 0.99, where either neighbour may be drawn.
+BOOTSTRAP_N = 20000
+BOUND_SDS = 5
+
+
+def _cdf_bound(f):
+    return BOUND_SDS * math.sqrt(max(0.0, f * (1.0 - f)) / BOOTSTRAP_N) + 1.0 / BOOTSTRAP_N
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_noise_q99_agrees_with_a_large_bootstrap(seed):
+    rng = random.Random(seed)
+    k = rng.choice((2, 3))
+    raw = [rng.uniform(0.02, 1.0) for _ in range(k)]
+    natural = Distribution(tuple(w / math.fsum(raw) for w in raw))
+    m = rng.randint(1, 4)
+    jsd_of = {counts: js_divergence(Distribution(tuple(c / m for c in counts)), natural)
+              for counts, _ in count_vectors(natural, m)}
+    exact_cdf = {}
+    for counts, prob in count_vectors(natural, m):
+        exact_cdf[jsd_of[counts]] = exact_cdf.get(jsd_of[counts], 0.0) + prob
+    atoms = sorted(exact_cdf)
+    exact_cdf = dict(zip(atoms, itertools.accumulate(exact_cdf[a] for a in atoms)))
+
+    values = []
+    for _ in range(BOOTSTRAP_N):
+        counts = [0] * k
+        for _ in range(m):
+            counts[natural.sample(rng)] += 1
+        values.append(jsd_of[tuple(counts)])
+    values.sort()
+    for atom in atoms:
+        empirical = bisect.bisect_right(values, atom) / BOOTSTRAP_N
+        assert abs(empirical - exact_cdf[atom]) <= _cdf_bound(exact_cdf[atom])
+
+    exact = noise_q99(natural, m)
+    drawn = values[int(0.99 * BOOTSTRAP_N)]
+    near = [a for a in atoms if abs(exact_cdf[a] - 0.99) <= _cdf_bound(0.99)]
+    if near:
+        # the bootstrap may take either side of the atom near 0.99
+        i = atoms.index(near[0])
+        assert drawn in atoms[i:i + 2]
+    else:
+        assert drawn == exact
+    assert exact_cdf[exact] > 0.99
+    assert exact == atoms[0] or exact_cdf[atoms[atoms.index(exact) - 1]] <= 0.99
+
+
+def test_noise_q99_takes_the_next_atom_at_a_cdf_of_exactly_0_99():
+    # at natural (0.9, 0.1) and m = 2, P(2, 0) + P(1, 1) = 0.81 + 0.18 is 0.99
+    # in real arithmetic; float sums land on either side of it
+    natural = Distribution((0.9, 0.1))
+    prob = dict(count_vectors(natural, 2))
+    assert prob[(2, 0)] + prob[(1, 1)] > 0.99
+    assert 1.0 - prob[(0, 2)] == 0.99
+
+    def atom(*weights):
+        return js_divergence(Distribution(weights), natural)
+
+    # the rule: the running sum must exceed 0.99 by more than 1e-12
+    assert atom(0.5, 0.5) < atom(0.0, 1.0)
+    assert noise_q99(natural, 2) == atom(0.0, 1.0)
+    # a CDF clearly above 0.99 stops at the (1, 1) atom, one below it does not
+    above, below = Distribution((0.9001, 0.0999)), Distribution((0.8999, 0.1001))
+    assert noise_q99(above, 2) == js_divergence(Distribution((0.5, 0.5)), above)
+    assert noise_q99(below, 2) == js_divergence(Distribution((0.0, 1.0)), below)

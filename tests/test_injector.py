@@ -30,7 +30,7 @@ from trajmark.injector import (
     read_edit_positions,
     watermark_corpus,
     watermark_trajectory,
-    write_edits,
+    write_edit_lines,
 )
 from trajmark.pool import build_pool, save_pool
 from trajmark.registry import Registry, passes_for_uid, register_user
@@ -391,6 +391,13 @@ def test_edit_log_predicts_the_verifier_counts(domain_pools, seeds):
                        for i in range(len(pool)) if i + 1 not in active_ids), name
 
 
+def _write_edit_log(path, corpus, edits_by_traj):
+    """The edit log of a whole watermarked corpus, one line per edit record."""
+    with open(path, "w", encoding="utf-8", newline="") as log:
+        for idx, (traj, edits) in enumerate(zip(corpus, edits_by_traj)):
+            write_edit_lines(log, idx, traj.query_id, edits)
+
+
 def test_edit_log_round_trip(tmp_path, data_domain, data_pool):
     corpus = generate_greybox_corpus(data_domain, 60, seed=56, id_prefix="el")
     reg = Registry("data", len(data_pool))
@@ -398,7 +405,7 @@ def test_edit_log_round_trip(tmp_path, data_domain, data_pool):
     active = passes_for_uid(user.uid_hex, data_pool)
     _, edits_by_traj = watermark_corpus(corpus, active, seed=67, uid_hex=user.uid_hex)
     path = tmp_path / "edits.jsonl"
-    write_edits(str(path), corpus, edits_by_traj)
+    _write_edit_log(path, corpus, edits_by_traj)
     truth = changed_positions(edits_by_traj)
     assert truth
     assert read_edit_positions(str(path)) == truth
@@ -425,7 +432,7 @@ def test_streaming_inject_serves_what_watermark_corpus_returns(tmp_path, data_do
                  "--in", str(victim), "--out", str(out), "--edits", str(log),
                  "--seed", "67", "--quiet"]) == 0
     write_jsonl(str(tmp_path / "wm-list.jsonl"), wm)
-    write_edits(str(tmp_path / "edits-list.jsonl"), wm, edits_by_traj)
+    _write_edit_log(tmp_path / "edits-list.jsonl", wm, edits_by_traj)
     assert out.read_bytes() == (tmp_path / "wm-list.jsonl").read_bytes()
     assert log.read_bytes() == (tmp_path / "edits-list.jsonl").read_bytes()
 

@@ -806,7 +806,8 @@ def test_cli_attack_names_outputs_by_the_file_name_only(tmp_path):
 
 
 def test_cli_attack_metrics_in_a_missing_directory_is_a_data_error(tmp_path, capsys, monkeypatch):
-    # the metrics writer used to make the directory
+    # the metrics writer used to make the directory, and the attacked
+    # corpus used to be written before the metrics path was refused
     victim = _victim(tmp_path)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
@@ -814,7 +815,7 @@ def test_cli_attack_metrics_in_a_missing_directory_is_a_data_error(tmp_path, cap
                  "--out", "attacked.jsonl", "--metrics", "missing-dir/m.csv", "--quiet"]) == 2
     assert capsys.readouterr() == ("", "trajmark: FileNotFoundError: [Errno 2] "
                                        "No such file or directory: 'missing-dir/m.csv'\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["attacked.jsonl", "victim.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["victim.jsonl"]
 
 
 def test_cli_localize_rejects_a_vector_of_another_length(tmp_path, capsys):
@@ -872,6 +873,24 @@ def test_cli_experiment_refuses_a_repeated_domain_in_a_config_file(tmp_path, cap
         "", f"trajmark: config: {config}: $.domains: domain 'social' is listed twice\n"
     )
     assert not out_dir.exists()
+
+
+def test_cli_experiment_refuses_an_empty_out_dir(tmp_path, capsys, monkeypatch):
+    # it used to end in "FileNotFoundError: ... ''", naming no flag
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "delta-kld", "--out-dir", "", "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "trajmark: --out-dir must name a directory, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_experiment_refuses_an_empty_out_dir_in_a_config_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domains": ["data"], "out_dir": ""}))
+    assert main(["experiment", "delta-kld", "--config", str(config), "--quiet"]) == 2
+    assert capsys.readouterr() == (
+        "", f"trajmark: config: {config}: $.out_dir: expected a directory name, got ''\n"
+    )
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_cli_verify_refuses_an_m_min_below_one(workdir, capsys):

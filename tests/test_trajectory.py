@@ -31,9 +31,9 @@ from trajmark.trajectory import (
     _gc_paused,
     _indented_json,
     grey_box_view,
+    iter_jsonl,
     output_file,
     parse_trajectory_line,
-    read_jsonl,
     serialize_trajectory,
     write_csv,
     write_json,
@@ -123,7 +123,7 @@ def test_malformed_line_names_path_and_line(tmp_path, line):
     # the bad line is line 3, after a good line and a blank one
     path.write_bytes(_GOOD_LINE + b"\n\n" + line + b"\n")
     with pytest.raises(TrajmarkError, match=re.escape(f"{path}:3: ")):
-        read_jsonl(str(path))
+        list(iter_jsonl(str(path)))
     assert main(["validate", "--corpus", str(path), "--quiet"]) == 2
 
 
