@@ -5,14 +5,15 @@
 
 For each corpus size it builds a data-domain pool, registers one user,
 then runs ``simulate victim``, ``inject``, ``verify``, ``validate
---corpus`` and ``simulate surrogate --harvest`` on files of that many
-trajectories, one command per child process. With ``--experiment`` it
-runs ``experiment <stage> --seed 7`` at the default config instead, for
-each of ``--stages`` (every stage and ``all`` unless given), writing the
-reports to ``<out-dir>/<stage>``. A child's peak RSS is read from the
-resource usage ``os.wait4`` returns for that child alone, so nothing else
-on the host is measured. ``import`` is the baseline: a child that only
-imports the CLI.
+--corpus``, ``simulate surrogate --harvest`` and ``attack --strategy
+all`` on files of that many trajectories, one command per child process;
+``attack`` is the one command that holds its whole input. With
+``--experiment`` it runs ``experiment <stage> --seed 7`` at the default
+config instead, for each of ``--stages`` (every stage and ``all`` unless
+given), writing the reports to ``<out-dir>/<stage>``. A child's peak RSS
+is read from the resource usage ``os.wait4`` returns for that child
+alone, so nothing else on the host is measured. ``import`` is the
+baseline: a child that only imports the CLI.
 
 ``--max-rss-mib`` turns the measurement into a check: the script exits 1
 when any command peaked above it. A command that exits non-zero stops the
@@ -87,6 +88,10 @@ def measure(src: str, n: int, cwd: str) -> dict:
         "simulate surrogate --harvest": ["simulate", "surrogate", "--domain", "data",
                                          "--harvest", "wm.jsonl", "--n", str(n),
                                          "--seed", "13", "--out", "surrogate.jsonl"],
+        "attack --strategy all": ["attack", "--strategy", "all", "--in", "wm.jsonl",
+                                  "--edits", "edits.jsonl", "--pool-candidates", "data",
+                                  "--out", "attacked.jsonl", "--metrics", "attack.csv",
+                                  "--seed", "11"],
     }
     for name, argv in commands.items():
         rows[name] = run(src, cli + argv + ["--quiet"], cwd)

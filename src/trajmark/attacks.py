@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Sequence
 from .equivalence import EquivalenceSet, _bindings, _first_tool_index, _walk
 from .errors import CorpusMismatch, InvalidRange
 from .seeds import seed_stream
-from .trajectory import Action, GreyBoxTrajectory
+from .trajectory import Action, GreyBoxTrajectory, _check_tool
 from .verifier import precision_recall_f1
 
 DELETION_P = 0.1
@@ -146,13 +146,15 @@ _SYNONYMS = {"std": "default", "hit": "match", "ok": "fine", "all": "every"}
 
 def _rephrase(action: Action, rng: random.Random):
     """At ``REPHRASE_RATE``, one string argument swapped for its synonym."""
-    if rng.random() < REPHRASE_RATE and action.args:
-        name, value = action.args[rng.randrange(len(action.args))]
-        if isinstance(value, str):
-            new_value = _SYNONYMS.get(value, f"{value}bis")
-            return (Action(action.tool, tuple(
-                (k, new_value if k == name else v) for k, v in action.args
-            )),)
+    values = action.values
+    if rng.random() < REPHRASE_RATE and values:
+        i = rng.randrange(len(values))
+        if isinstance(values[i], str):
+            new_value = _SYNONYMS.get(values[i], f"{values[i]}bis")
+            # a string argument for a string argument: the action stays valid
+            return (Action._trusted(
+                action.tool, action.names, values[:i] + (new_value,) + values[i + 1:]
+            ),)
     return None
 
 
@@ -200,7 +202,12 @@ def attack_pk_replacement(
 
     def swap(action: Action, rng: random.Random):
         options = neighbours.get(action.tool)
-        return (Action(rng.choice(options), action.args),) if options else None
+        if not options:
+            return None
+        # the arguments were checked with the action; only the tool is new
+        tool = rng.choice(options)
+        _check_tool(tool)
+        return (Action._trusted(tool, action.names, action.values),)
 
     return _edit_each_action(corpus, rng_seed, "pk", swap)
 
@@ -222,12 +229,12 @@ def attack_fk_replacement(
     """
     corpus = list(corpus)
     ordered_sets = list(knowledge.candidate_sets)
-    index = _first_tool_index(ordered_sets)
+    index, present = _first_tool_index(ordered_sets), {}
     counts = [[0] * len(eqset.members) for eqset in ordered_sets]
     spans_by_traj = []
     for traj in corpus:
         spans: list[tuple[int, int, int, int]] = []
-        _walk(traj.actions, index, counts, spans)
+        _walk(traj.actions, index, counts, spans, present)
         # spans of different sets may overlap: at one start the shortest
         # wins, then the earliest set, and the spans it overlaps are skipped
         spans.sort(key=lambda span: (span[2], span[3], span[0]))
@@ -345,7 +352,7 @@ def semantic_breakage_rate(
             continue
         env = {}
         for action in tuple(before) + tuple(after):
-            for _, value in action.args:
+            for value in action.values:
                 if isinstance(value, str):
                     env[value] = f"data:{value}"
         if not segments_equivalent(before, after, sandbox, env, erase_ancillary=True):

@@ -315,7 +315,8 @@ def _shape_matches(shape: tuple, actions: Sequence[Action], start: int) -> bool:
             return False
     values = []
     for pos, arg_names in enumerate(names, start):
-        arg_map = dict(actions[pos].args)
+        action = actions[pos]
+        arg_map = dict(zip(action.names, action.values))
         for name in arg_names:
             value = arg_map.get(name, _MISSING)
             if value is _MISSING:
@@ -335,8 +336,11 @@ def _bindings(segment: Segment, actions: Sequence[Action], start: int) -> tuple[
     value of its first occurrence, which keeps its type where equal values
     differ in type (``1 == True``).
     """
-    arg_maps = [dict(actions[pos].args) for pos in range(start, start + len(segment.patterns))]
-    return tuple([arg_maps[offset][arg] for offset, arg in segment._binds])
+    values = []
+    for offset, arg in segment._binds:
+        action = actions[start + offset]
+        values.append(action.values[action.names.index(arg)])
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +413,13 @@ class EquivalenceSet:
             by_tool.setdefault(seg.patterns[0].tool, []).append(
                 (m_idx, len(seg.patterns), seg._arg_names, seg._shape)
             )
+        scan_index = {t: tuple(row) for t, row in by_tool.items()}
         for name, value in (
             # member 0's slot namespace, in the order bindings are drawn for it
             ("base_slots", self.members[0].slot_order),
-            ("scan_index", MappingProxyType({t: tuple(row) for t, row in by_tool.items()})),
+            ("scan_index", MappingProxyType(scan_index)),
+            # the ``_first_tool_index`` of this set alone, which ``scan_equivalence`` walks
+            ("_walk_index", {t: ((0, row),) for t, row in scan_index.items()}),
             ("_all_tools", frozenset(pat.tool for seg in self.members for pat in seg.patterns)),
             ("_plans", tuple(plans)),
         ):
@@ -421,12 +428,14 @@ class EquivalenceSet:
     def _compile(self, src: int, dst: int, mapping: ParamMapping) -> tuple:
         """The plan that builds member ``dst``'s actions from a match of member ``src``.
 
-        One ``(tool, ((arg_name, index, literal), ...))`` row per target
-        action, ``index`` into member ``src``'s ``slot_order`` or None for a
-        literal. A mapping that misses an action or a slot raises
-        ``MappingGap``. Each row is built once through ``Action``, with an
-        empty string for every bound value, which comes from a validated
-        action: only the tool, the argument names and literals can be wrong.
+        One ``(tool, names, ((index, literal), ...))`` row per target
+        action: the argument names, one tuple that every action built from
+        the row shares, then per argument an ``index`` into member
+        ``src``'s ``slot_order``, or None for a literal. A mapping that
+        misses an action or a slot raises ``MappingGap``. Each row is built
+        once through ``Action``, with an empty string for every bound value,
+        which comes from a validated action: only the tool, the argument
+        names and literals can be wrong.
         """
         patterns, order = self.members[dst].patterns, self.members[src].slot_order
         if len(mapping) != len(patterns):
@@ -436,22 +445,24 @@ class EquivalenceSet:
             )
         plan = []
         for pattern, entry in zip(patterns, mapping):
-            args = []
+            args, sources = [], []
             for arg_name, source in entry:
                 if isinstance(source, Lit):
-                    args.append((arg_name, None, source.value))
+                    args.append((arg_name, source.value))
+                    sources.append((None, source.value))
                 elif source.slot in order:
-                    args.append((arg_name, order.index(source.slot), None))
+                    args.append((arg_name, ""))
+                    sources.append((order.index(source.slot), None))
                 else:
                     raise MappingGap(
                         f"set {self.id}: mapping {src}->{dst} needs slot "
                         f"{source.slot!r} not bound by member {src}"
                     )
             try:
-                Action(pattern.tool, tuple([(a, v if i is None else "") for a, i, v in args]))
+                checked = Action(pattern.tool, args)
             except SchemaViolation as exc:
                 raise ManifestError(f"set {self.id}: mapping {src}->{dst}: {exc}") from exc
-            plan.append((pattern.tool, tuple(args)))
+            plan.append((pattern.tool, checked.names, tuple(sources)))
         return tuple(plan)
 
     def rewrite(self, src: int, dst: int, values: Sequence[Scalar]) -> tuple[Action, ...]:
@@ -464,11 +475,10 @@ class EquivalenceSet:
         again.
         """
         return tuple([
-            Action._trusted(tool, tuple([
-                (arg_name, literal if index is None else values[index])
-                for arg_name, index, literal in args
+            Action._trusted(tool, names, tuple([
+                literal if index is None else values[index] for index, literal in sources
             ]))
-            for tool, args in self._plans[src][dst]
+            for tool, names, sources in self._plans[src][dst]
         ])
 
     def tools(self) -> frozenset[str]:
@@ -503,18 +513,18 @@ def scan_equivalence(
     set; ``_bindings`` reads the bindings off each reported span.
     """
     spans: list[tuple[int, int, int, int]] = []
-    _walk(actions, _first_tool_index((eqset,)), [[0] * len(eqset.members)], spans)
+    _walk(actions, eqset._walk_index, [[0] * len(eqset.members)], spans, {})
     return [(m_idx, start, length, _bindings(eqset.members[m_idx], actions, start))
             for _, m_idx, start, length in spans]
 
 
 # tool -> (set index, that set's scan entries for the tool) per set
-_ToolIndex = dict[str, list[tuple[int, tuple[_ScanEntry, ...]]]]
+_ToolIndex = dict[str, Sequence[tuple[int, tuple[_ScanEntry, ...]]]]
 
 
 def _first_tool_index(eqsets: Sequence[EquivalenceSet]) -> _ToolIndex:
     """Merge the ``scan_index`` of the sets of one walk, in set order."""
-    index: _ToolIndex = {}
+    index: dict[str, list[tuple[int, tuple[_ScanEntry, ...]]]] = {}
     for s_idx, eqset in enumerate(eqsets):
         for tool, entries in eqset.scan_index.items():
             candidates = index.get(tool)
@@ -529,7 +539,8 @@ def _walk(
     actions: Sequence[Action],
     index: _ToolIndex,
     counts: list[list[int]],
-    spans: list[tuple[int, int, int, int]] | None = None,
+    spans: list[tuple[int, int, int, int]] | None,
+    present: dict[tuple[str, ...], frozenset],
 ) -> None:
     """The greedy scan of one trajectory for every set of ``index`` at once.
 
@@ -547,20 +558,26 @@ def _walk(
     built, and no bindings are made. The index guarantees the first tool,
     so for a member of one pattern binding distinct slots ``_shape_matches``
     reduces to the action having all of its argument names, which is tested
-    directly; every other member goes through ``_shape_matches``.
+    directly against the set of its ``names``. ``present`` maps each names
+    tuple to that set; the caller passes one dict to every walk of one
+    count, so an argument list shared by many actions is converted once.
+    Every other member goes through ``_shape_matches``.
     """
     cursors = [0] * len(counts)
     for pos, action in enumerate(actions):
         candidates = index.get(action.tool)
         if candidates is None:
             continue
-        present = dict(action.args).keys()
+        names = action.names
+        has = present.get(names)
+        if has is None:
+            has = present[names] = frozenset(names)
         for s_idx, entries in candidates:
             if cursors[s_idx] > pos:
                 continue
             for m_idx, length, arg_names, shape in entries:
                 if arg_names is not None:
-                    if not present >= arg_names:
+                    if not has >= arg_names:
                         continue
                 elif not _shape_matches(shape, actions, pos):
                     continue
@@ -580,12 +597,13 @@ def count_members(
     per-set sums of ``scan_equivalence`` results. Each trajectory is walked
     once for all sets (see ``_walk``), and no bindings are built. The corpus
     is iterated once and no trajectory is kept, so a generator or a file
-    stream is counted in constant memory.
+    stream is counted in constant memory, but for one set of argument
+    names per distinct argument list (see ``_walk``).
     """
-    index = _first_tool_index(eqsets)
+    index, present = _first_tool_index(eqsets), {}
     counts = [[0] * len(eqset.members) for eqset in eqsets]
     for traj in corpus:
-        _walk(traj.actions, index, counts)
+        _walk(traj.actions, index, counts, None, present)
     return counts
 
 
@@ -599,10 +617,10 @@ def count_members_by_trajectory(
     new list the caller may keep. The tool index is built once for the
     whole corpus instead of once per trajectory.
     """
-    index = _first_tool_index(eqsets)
+    index, present = _first_tool_index(eqsets), {}
     for traj in corpus:
         counts = [[0] * len(eqset.members) for eqset in eqsets]
-        _walk(traj.actions, index, counts)
+        _walk(traj.actions, index, counts, None, present)
         yield counts
 
 

@@ -448,6 +448,9 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     rows = []
     worst = {}
     q99: dict[tuple, float] = {}
+    # whether a count vector's JSD to natural exceeds q99, decided once per
+    # (natural, counts): the trajectories that matched a pass share few vectors
+    exceeds: dict[tuple, bool] = {}
     for delta in STEALTH_DELTAS:
         passes = rebias_pool(base_passes, delta)
         active = passes_for_uid(user.uid_hex, passes)
@@ -469,13 +472,14 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
             natural = wm_pass.natural
             exceed = 0
             for counts in vectors:
-                m = sum(counts)
-                key = (natural.weights, m)
-                if key not in q99:
-                    q99[key] = noise_q99(natural, m)
-                emp = Distribution(tuple(c / m for c in counts))
-                if js_divergence(emp, natural) > q99[key] + 1e-9:
-                    exceed += 1
+                key = (natural.weights, tuple(counts))
+                if key not in exceeds:
+                    m = sum(counts)
+                    if (natural.weights, m) not in q99:
+                        q99[natural.weights, m] = noise_q99(natural, m)
+                    emp = Distribution(tuple(c / m for c in counts))
+                    exceeds[key] = js_divergence(emp, natural) > q99[natural.weights, m] + 1e-9
+                exceed += exceeds[key]
             rate = exceed / len(vectors) if vectors else 0.0
             max_exceed = max(max_exceed, rate)
         worst[delta] = max_exceed

@@ -198,7 +198,7 @@ def watermark_corpus(
 # ---------------------------------------------------------------------------
 
 def _action_json(a: Action) -> dict:
-    return {"tool": a.tool, "args": dict(a.args)}
+    return {"tool": a.tool, "args": a.arg_map()}
 
 
 def edit_to_json(traj_index: int, query_id: str, edit: EditRecord) -> dict:

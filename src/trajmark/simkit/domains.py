@@ -176,23 +176,25 @@ class DomainSpec:
         next token drawn.
         """
         where = f"domain {self.name}: template {template.id}"
-        args, n_tokens = [], 0
+        args, sources, n_tokens = [], [], 0
         for name, gen in item.args:
             kind = gen[0] if isinstance(gen, tuple) and gen else None
             if kind == "token":
-                args.append((name, n_tokens, None))
+                args.append((name, ""))
+                sources.append((n_tokens, None))
                 n_tokens += 1
             elif kind == "lit" and len(gen) > 1:
-                args.append((name, None, gen[1]))
+                args.append((name, gen[1]))
+                sources.append((None, gen[1]))
             else:
                 raise ManifestError(
                     f"{where}: unknown argument generator {gen!r} for {item.tool}.{name}"
                 )
         try:
-            Action(item.tool, tuple([(a, v if i is None else "") for a, i, v in args]))
+            checked = Action(item.tool, args)
         except SchemaViolation as exc:
             raise ManifestError(f"{where}: {exc}") from exc
-        return None, n_tokens, (((item.tool, tuple(args)),),)
+        return None, n_tokens, (((item.tool, checked.names, tuple(sources)),),)
 
     def eqset(self, set_id: str) -> EquivalenceSet:
         return self._by_id[set_id]

@@ -18,10 +18,10 @@ from typing import Iterator
 
 from ..errors import InvalidRange
 from ..seeds import seed_stream
-from ..trajectory import Action, GreyBoxTrajectory, _gc_paused
+from ..trajectory import (
+    Action, GreyBoxTrajectory, _gc_paused, _new, _set_names, _set_tool, _set_values,
+)
 from .domains import DomainSpec
-
-_new, _set = object.__new__, object.__setattr__
 
 
 def iter_greybox_corpus(
@@ -55,13 +55,13 @@ def iter_greybox_corpus(
             # set's plan, so the injector can rewrite any member it emits
             plan = plans[0] if cum is None else plans[bisect(cum, uniform())]
             values = ["x%08x" % getrandbits(32) for _ in range(n_tokens)]
-            for tool, args in plan:
+            for tool, names, sources in plan:
                 getrandbits(32)
                 action = _new(Action)  # ``Action._trusted``, inlined
-                _set(action, "tool", tool)
-                _set(action, "args", tuple([
-                    (name, literal if index is None else values[index])
-                    for name, index, literal in args
+                _set_tool(action, tool)
+                _set_names(action, names)
+                _set_values(action, tuple([
+                    literal if index is None else values[index] for index, literal in sources
                 ]))
                 actions.append(action)
         query_id = f"{id_prefix}{idx:06d}"

@@ -1,6 +1,13 @@
 """Canonical data model for actions and trajectories, plus JSON file I/O.
 
 An action is a tool invocation with an ordered map of scalar arguments.
+It stores them as two tuples, ``names`` and ``values``, in argument
+order, with no per-argument pair: ``args`` builds the ``(name, value)``
+pairs when read. The generator and ``EquivalenceSet.rewrite`` hand every
+action they build from one compiled plan row that row's ``names`` tuple,
+so a generated corpus holds one names tuple per row, not per action. The
+parser builds one per action it reads.
+
 A grey-box trajectory is what a deployed agent service reveals to users:
 the action sequence and the final response, with internal reasoning steps
 withheld. It is the only trajectory form the pipeline builds, reads or
@@ -26,7 +33,7 @@ import os
 import re
 import stat
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar, Union
 
 from .errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
@@ -73,47 +80,101 @@ def _bad_value(tool: str, name: str, value: object) -> SchemaViolation:
     )
 
 
-@dataclass(frozen=True)
+def _check_tool(tool: str) -> None:
+    """Refuse a tool name ``Action`` would refuse."""
+    if not tool or not _TOOL_RE.match(tool):
+        raise SchemaViolation(f"bad tool name: {tool!r}")
+
+
 class Action:
-    """One tool invocation: a tool name and its ordered scalar arguments."""
+    """One tool invocation: a tool name and its ordered scalar arguments.
+
+    ``names`` holds the argument names and ``values`` their values, in the
+    same order; ``args`` pairs them up on demand. Every action a compiled
+    plan row builds shares that row's ``names`` tuple. Two actions are equal
+    when their ``(tool, args)`` are, equal actions hash alike, and no field
+    can be assigned after construction.
+    """
+
+    # ``__weakref__`` keeps actions weakly referable
+    __slots__ = ("tool", "names", "values", "__weakref__")
 
     tool: str
-    args: tuple[tuple[str, Scalar], ...] = ()
+    names: tuple[str, ...]
+    values: tuple[Scalar, ...]
 
-    def __post_init__(self) -> None:
-        if not self.tool or not _TOOL_RE.match(self.tool):
-            raise SchemaViolation(f"bad tool name: {self.tool!r}")
-        if not isinstance(self.args, tuple):
-            object.__setattr__(self, "args", tuple(self.args))
-        names = [k for k, _ in self.args]
+    def __init__(self, tool: str, args: Iterable[tuple[str, Scalar]] = ()) -> None:
+        _check_tool(tool)
+        args = tuple(args)
+        names = tuple([k for k, _ in args])
         if len(names) != len(set(names)):
-            raise SchemaViolation(f"duplicate argument names in {self.tool}: {names}")
-        for name, value in self.args:
+            raise SchemaViolation(f"duplicate argument names in {tool}: {list(names)}")
+        for name, value in args:
             if not isinstance(name, str):
                 raise SchemaViolation(f"argument name must be a string: {name!r}")
             if not _is_scalar(value):
-                raise _bad_value(self.tool, name, value)
+                raise _bad_value(tool, name, value)
+        _set_tool(self, tool)
+        _set_names(self, names)
+        _set_values(self, tuple([v for _, v in args]))
 
     @classmethod
     def make(cls, tool: str, args: Mapping[str, Scalar] | None = None) -> "Action":
         return cls(tool, tuple((args or {}).items()))
 
     @classmethod
-    def _trusted(cls, tool: str, args: tuple[tuple[str, Scalar], ...]) -> "Action":
+    def _trusted(cls, tool: str, names: tuple[str, ...], values: tuple[Scalar, ...]) -> "Action":
         """Build an action from parts that were validated already; no checks.
 
         For internal construction only: the tool name and argument names
         come from an equivalence set or template checked when it was
-        built, and every value from a validated action, a checked literal
-        or a generated token.
+        built, or from a parsed line, and every value from a validated
+        action, a checked literal or a generated token.
         """
-        action = object.__new__(cls)
-        object.__setattr__(action, "tool", tool)
-        object.__setattr__(action, "args", args)
+        action = _new(cls)
+        _set_tool(action, tool)
+        _set_names(action, names)
+        _set_values(action, values)
         return action
 
+    @property
+    def args(self) -> tuple[tuple[str, Scalar], ...]:
+        """The ``(name, value)`` pairs, in argument order."""
+        return tuple(zip(self.names, self.values))
+
     def arg_map(self) -> dict[str, Scalar]:
-        return dict(self.args)
+        return dict(zip(self.names, self.values))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tool == other.tool and self.names == other.names
+                and self.values == other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.tool, self.names, self.values))
+
+    def __repr__(self) -> str:
+        return f"Action(tool={self.tool!r}, args={self.args!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through ``_trusted``: their default
+        # assigns the fields, which ``__setattr__`` refuses
+        return Action._trusted, (self.tool, self.names, self.values)
+
+
+# the slots' own setters: ``Action.__setattr__`` refuses every assignment,
+# and these fill a new action's fields faster than ``object.__setattr__``
+_new = object.__new__
+_set_tool, _set_names, _set_values = (
+    Action.__dict__[name].__set__ for name in ("tool", "names", "values")
+)
 
 
 def _gc_paused(fn: F) -> F:
@@ -259,7 +320,11 @@ def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
         for name, value in args.items():
             if not _is_scalar(value):
                 raise _bad_value(tool, name, value)
-        actions.append(Action._trusted(tool, tuple(args.items())))
+        action = _new(Action)  # ``Action._trusted``, inlined
+        _set_tool(action, tool)
+        _set_names(action, tuple(args))
+        _set_values(action, tuple(args.values()))
+        actions.append(action)
     return GreyBoxTrajectory(obj["query_id"], tuple(actions), obj["response"], uid)
 
 
@@ -288,13 +353,16 @@ def serialize_trajectory(t: GreyBoxTrajectory) -> str:
     head = '{"query_id":' + _encode_str(t.query_id)
     if t.user_uid is not None:
         head += ',"user_uid":' + _encode_str(t.user_uid)
-    actions = ",".join([
-        '{"tool":' + _encode_str(a.tool) + ',"args":{'
-        + ",".join([_encode_str(k) + ":" + _encode_scalar(v) for k, v in a.args])
-        + "}}"
-        for a in t.actions
-    ])
-    return head + ',"actions":[' + actions + '],"response":' + _encode_str(t.response) + "}"
+    actions = []
+    for a in t.actions:
+        args = []
+        for k, v in zip(a.names, a.values):
+            # a str, what most values are, skips the scalar dispatch
+            args.append(_encode_str(k) + ":"
+                        + (_encode_str(v) if v.__class__ is str else _encode_scalar(v)))
+        actions.append('{"tool":' + _encode_str(a.tool) + ',"args":{' + ",".join(args) + "}}")
+    return (head + ',"actions":[' + ",".join(actions) + '],"response":'
+            + _encode_str(t.response) + "}")
 
 
 def iter_jsonl(path: str) -> Iterator[GreyBoxTrajectory]:

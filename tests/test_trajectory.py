@@ -1,5 +1,6 @@
 """Trajectory model: parsing, serialization, and grey-box projection."""
 
+import copy
 import csv
 import dataclasses
 import gc
@@ -7,10 +8,13 @@ import inspect
 import json
 import math
 import os
+import pickle
+import platform
 import random
 import re
 import stat
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -325,6 +329,96 @@ def test_action_rejects_non_finite_float(value):
     # no JSON form exists, so such an action could be written but not read back
     with pytest.raises(SchemaViolation, match="finite"):
         Action.make("T", {"a": value})
+
+
+# values that compare equal across types, and non-ASCII text
+_ARG_VALUES = st.one_of(
+    st.sampled_from([1, True, "1", 1.0, 0, False, -0.0, "ünï", "名前", " "]),
+    st.text(max_size=4),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ARGS = st.lists(
+    st.tuples(st.text(max_size=3) | st.sampled_from(["a", "ü", "名"]), _ARG_VALUES),
+    max_size=4,
+    unique_by=lambda pair: pair[0],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tool=st.sampled_from(["T.Op", "U.Op"]), args=_ARGS, data=st.data())
+def test_an_action_reads_compares_and_hashes_as_its_pairs(tool, args, data):
+    action = Action(tool, args)
+    assert action.args == tuple(args) and type(action.args) is tuple
+    assert action.names == tuple(name for name, _ in args)
+    assert action.values == tuple(value for _, value in args)
+    assert action.arg_map() == dict(args)
+    # the same names with values kept or redrawn, so equal pairs come up often
+    other_tool = data.draw(st.sampled_from([tool, "U.Op"]))
+    other_args = [(name, data.draw(st.just(value) | _ARG_VALUES)) for name, value in args]
+    other = Action(other_tool, other_args)
+    assert (action == other) == ((tool, tuple(args)) == (other_tool, tuple(other_args)))
+    if action == other:
+        assert hash(action) == hash(other)
+    # ``_trusted`` is the private constructor of the parser, the generator
+    # and ``rewrite``: it takes the names and values apart
+    trusted = Action._trusted(tool, action.names, action.values)
+    assert trusted == action and hash(trusted) == hash(action)
+    assert copy.copy(action) == action and pickle.loads(pickle.dumps(action)) == action
+    for name in ("tool", "names", "values", "args", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(action, name, "x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(action, name)
+    assert (action.tool, action.args) == (tool, tuple(args))
+
+
+_HAND_LINES = [
+    '{"query_id":"q","actions":[{"tool":"T.Op","args":{}}],"response":"r"}',
+    '{"query_id":"q1","user_uid":"0a","actions":[{"tool":"A.b_2","args":{"b":1,"a":true,'
+    '"c":"1","d":1.0,"e":-0.0,"f":false}},{"tool":"T","args":{"ünï":"名前 \\"q\\" \\\\  ",'
+    '"x":1e-07,"y":12345678901234567890,"z":"\\n\\u0000"}}],"response":"ok ✓"}',
+]
+
+
+def test_parse_serialize_parse_is_byte_identical(data_domain):
+    generated = [serialize_trajectory(t) for t in iter_greybox_corpus(data_domain, 200, seed=3)]
+    for line in _HAND_LINES + generated:
+        parsed = parse_trajectory_line(line)
+        assert serialize_trajectory(parsed) == line
+        assert parse_trajectory_line(serialize_trajectory(parsed)) == parsed
+
+
+def test_actions_built_from_one_plan_row_share_its_names(data_domain):
+    programs, _ = data_domain._programs
+    rows = {id(names): names for _, steps in programs for _, _, plans in steps
+            for plan in plans for _, names, _ in plan}
+    corpus = generate_greybox_corpus(data_domain, 300, seed=1)
+    # ``rows`` holds every names tuple alive, so an id names one object
+    assert all(id(a.names) in rows for t in corpus for a in t.actions)
+    for eqset in data_domain.eqsets:
+        for src, source in enumerate(eqset.members):
+            values = [f"v{i}" for i in range(len(source.slot_order))]
+            for dst, plan in enumerate(eqset._plans[src]):
+                first = eqset.rewrite(src, dst, values)
+                again = eqset.rewrite(src, dst, [v + "x" for v in values])
+                for a, b, (_, names, _) in zip(first, again, plan, strict=True):
+                    assert a.names is names and b.names is names
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="object sizes are CPython's")
+def test_a_held_corpus_costs_at_most_240_bytes_per_action(data_domain):
+    # bound fixed before measuring: an action holding one (name, value)
+    # tuple per argument and its own attribute storage took about 299 B
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = list(iter_greybox_corpus(data_domain, 2000, seed=1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / sum(len(t.actions) for t in corpus) <= 240
 
 
 class _Str(str):
