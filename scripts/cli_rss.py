@@ -6,8 +6,9 @@
 For each corpus size it builds a data-domain pool, registers one user,
 then runs ``simulate victim``, ``inject``, ``verify``, ``validate
 --corpus``, ``simulate surrogate --harvest`` and ``attack --strategy
-all`` on files of that many trajectories, one command per child process;
-``attack`` is the one command that holds its whole input. With
+all`` on files of that many trajectories, one command per child process.
+Each reads its input as a stream, ``attack`` included, so none should
+grow with the corpus. With
 ``--experiment`` it runs ``experiment <stage> --seed 7`` at the default
 config instead, for each of ``--stages`` (every stage and ``all`` unless
 given), writing the reports to ``<out-dir>/<stage>``. A child's peak RSS

@@ -16,7 +16,7 @@ import sys
 from contextlib import ExitStack
 
 from . import __version__
-from .attacks import DELETION_P, STRATEGIES, Knowledge, attack_metrics, semantic_breakage_rate
+from .attacks import DELETION_P, STRATEGIES, AttackTally, Knowledge, check_edit_log
 from .errors import InvalidRange, LengthMismatch, TrajmarkError
 from .experiment import (
     STAGES,
@@ -204,8 +204,6 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    # held in memory: pk-replace builds its tool library from the whole corpus
-    corpus = list(iter_jsonl(args.infile))
     truth = read_edit_positions(args.edits) if args.edits else {}
     sets, tools, sandbox = ([], [], None)
     if args.pool_candidates:
@@ -217,27 +215,37 @@ def _cmd_attack(args) -> int:
             raise TrajmarkError(f"{name} requires --pool-candidates")
     knowledge = Knowledge(
         p=args.p,
-        tool_library=tools or sorted({a.tool for t in corpus for a in t.actions}),
+        # without a library, pk-replace guesses among the input's tools: a first read
+        tool_library=tools or sorted({a.tool for t in iter_jsonl(args.infile) for a in t.actions}),
         candidate_sets=sets,
     )
+    runs = [STRATEGIES[name].start(derive_seed(_seed(args), "attack", name), knowledge)
+            for name in names]
+    tallies = [AttackTally(sandbox) for _ in names]
     # with several strategies, split the file name only, not a dot in a directory name
     root, ext = os.path.splitext(args.out)
     out_paths = [f"{root}.{name}{ext}" if len(names) > 1 else args.out for name in names]
     rows = [["strategy", "precision", "recall", "f1", "modification_rate",
              "true_edit_rate", "breakage_rate"]]
-    # every output is opened before the first strategy runs, so the
-    # command's files appear together or not at all
+    # every output is opened before the input is read, so the command's
+    # files appear together or not at all
     with ExitStack() as outputs:
         handles = [outputs.enter_context(output_file(path)) for path in out_paths]
         table = outputs.enter_context(output_file(args.metrics)) if args.metrics else None
-        for name, out_path, handle in zip(names, out_paths, handles):
-            outcome = STRATEGIES[name].attack(
-                corpus, derive_seed(_seed(args), "attack", name), knowledge
-            )
-            handle.writelines(serialize_trajectory(t) + "\n" for t in outcome.attacked)
-            metrics = attack_metrics(outcome, truth, corpus)
-            breakage = ("" if sandbox is None
-                        else round(semantic_breakage_rate(corpus, outcome, sandbox), 6))
+        # the strategies take turns on each input trajectory, as it is read
+        n_trajs = 0
+        for idx, traj in enumerate(iter_jsonl(args.infile)):
+            n_trajs += 1
+            marked = truth.get(idx, frozenset())
+            for run, tally, handle in zip(runs, tallies, handles):
+                step = run.step(idx, traj)
+                if step.trajectory is not None:
+                    handle.write(serialize_trajectory(step.trajectory) + "\n")
+                tally.add(traj, marked, step)
+        check_edit_log(truth, n_trajs)
+        for name, out_path, run, tally in zip(names, out_paths, runs, tallies):
+            metrics = tally.metrics(run.flag_keys())
+            breakage = "" if sandbox is None else round(tally.breakage_rate(), 6)
             rows.append(
                 [name, round(metrics.precision, 6), round(metrics.recall, 6),
                  round(metrics.f1, 6), round(metrics.modification_rate, 6),

@@ -559,8 +559,8 @@ def _walk(
     so for a member of one pattern binding distinct slots ``_shape_matches``
     reduces to the action having all of its argument names, which is tested
     directly against the set of its ``names``. ``present`` maps each names
-    tuple to that set; the caller passes one dict to every walk of one
-    count, so an argument list shared by many actions is converted once.
+    tuple to that set; a ``MemberCounter`` passes its one dict to every
+    walk, so an argument list shared by many actions is converted once.
     Every other member goes through ``_shape_matches``.
     """
     cursors = [0] * len(counts)
@@ -588,20 +588,51 @@ def _walk(
                 break
 
 
+class MemberCounter:
+    """Member matches of each set of ``eqsets``, counted one trajectory at a time.
+
+    ``add(traj)`` adds one trajectory's matches to ``counts``, one
+    member-indexed count vector per set, in set order: the per-set sums of
+    ``scan_equivalence`` results. Each trajectory is walked once for all
+    sets (see ``_walk``), and no bindings are built. ``spans``, when a list,
+    receives every hit as ``(set, member, start, length)``. ``of(traj)``
+    returns one trajectory's matches as new count vectors and leaves
+    ``counts`` alone. No trajectory is kept: the counter holds its tool
+    index, built once, its counts and one set of argument names per
+    distinct argument list (see ``_walk``).
+    """
+
+    __slots__ = ("counts", "_index", "_present", "_sizes")
+
+    def __init__(self, eqsets: Sequence[EquivalenceSet]) -> None:
+        self._index = _first_tool_index(eqsets)
+        self._present: dict[tuple[str, ...], frozenset] = {}
+        self._sizes = [len(eqset.members) for eqset in eqsets]
+        self.counts = [[0] * n for n in self._sizes]
+
+    def add(
+        self, traj: GreyBoxTrajectory, spans: list[tuple[int, int, int, int]] | None = None
+    ) -> None:
+        _walk(traj.actions, self._index, self.counts, spans, self._present)
+
+    def of(self, traj: GreyBoxTrajectory) -> list[list[int]]:
+        counts = [[0] * n for n in self._sizes]
+        _walk(traj.actions, self._index, counts, None, self._present)
+        return counts
+
+
 def count_members(
     corpus: Iterable[GreyBoxTrajectory], eqsets: Sequence[EquivalenceSet]
 ) -> list[list[int]]:
-    """Tally non-overlapping member matches of each set over a corpus, read once.
+    """``MemberCounter(eqsets).counts`` after adding every trajectory of a corpus, read once.
 
-    Returns one member-indexed count vector per set, in set order: the
-    per-set sums of ``scan_equivalence`` results. Each trajectory is walked
-    once for all sets (see ``_walk``), and no bindings are built. The corpus
-    is iterated once and no trajectory is kept, so a generator or a file
-    stream is counted in constant memory, but for one set of argument
-    names per distinct argument list (see ``_walk``).
+    The corpus is iterated once and no trajectory is kept, so a generator
+    or a file stream is counted in constant memory. The loop walks each
+    trajectory over the counter's state itself, as ``add`` would, so a
+    verdict's counting pays no extra call per trajectory.
     """
-    index, present = _first_tool_index(eqsets), {}
-    counts = [[0] * len(eqset.members) for eqset in eqsets]
+    counter = MemberCounter(eqsets)
+    index, counts, present = counter._index, counter.counts, counter._present
     for traj in corpus:
         _walk(traj.actions, index, counts, None, present)
     return counts
@@ -612,16 +643,12 @@ def count_members_by_trajectory(
 ) -> Iterator[list[list[int]]]:
     """Yield ``count_members([traj], eqsets)`` for each trajectory, as it is read.
 
-    The corpus is iterated once and no trajectory is kept, so a generator
-    is counted one trajectory at a time; each yielded count vector is a
-    new list the caller may keep. The tool index is built once for the
-    whole corpus instead of once per trajectory.
+    One ``MemberCounter`` serves the whole corpus, so its tool index is
+    built once; each yielded count vector is a new list the caller may keep.
     """
-    index, present = _first_tool_index(eqsets), {}
+    of = MemberCounter(eqsets).of
     for traj in corpus:
-        counts = [[0] * len(eqset.members) for eqset in eqsets]
-        _walk(traj.actions, index, counts, None, present)
-        yield counts
+        yield of(traj)
 
 
 def estimate_natural_distribution(

@@ -25,24 +25,24 @@ import os
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Sequence
 
-from .attacks import STRATEGIES, Knowledge, attack_metrics, semantic_breakage_rate
+from .attacks import STRATEGIES, AttackTally, Knowledge
 from .equivalence import (
     Distribution,
+    MemberCounter,
     WatermarkPass,
     count_members,
-    count_members_by_trajectory,
     count_vectors,
     js_divergence,
     kl_divergence,
 )
 from .errors import NoObservations, SchemaViolation
-from .injector import changed_positions, iter_watermarked
+from .injector import changed_in, iter_watermarked, watermarker
 from .pool import build_pool, rebias_pool
 from .registry import Registry, register_user, passes_for_uid, uid_bits
 from .seeds import derive_rng, derive_seed
 from .simkit.domains import DomainSpec, load_domain
-from .simkit.generator import generate_greybox_corpus, iter_greybox_corpus
-from .simkit.surrogate import fit_surrogate
+from .simkit.generator import iter_greybox_corpus
+from .simkit.surrogate import SurrogateFit
 from .trajectory import _gc_paused, json_value, read_json, write_csv, write_json
 from .verifier import (
     DEFAULT_THETA_J,
@@ -186,29 +186,31 @@ def _grid_evidence(config: ExperimentConfig, domain: DomainSpec, passes):
     """Evidence of the positive (eta-imitation) and negative (benign) suspects.
 
     Returns ``(positives, positives_low, negatives)``, each a list of
-    per-suspect ``evaluate_passes`` results. The victim corpus is held,
-    since every attacker harvests it; each harvest and each suspect dump
-    is counted as it is drawn.
+    per-suspect ``evaluate_passes`` results. The victim corpus is drawn
+    once: each trajectory is watermarked for every attacker and added to
+    that attacker's harvest fit as it is drawn. Each suspect dump is
+    counted as it is drawn.
     """
     sizes = domain.corpus_sizes
-    victim = generate_greybox_corpus(
-        domain, sizes["fit"], derive_seed(config.seed, "grid", domain.name, "victim"),
-        id_prefix="v",
-    )
     registry = Registry(domain.name, len(passes))
-    attackers = [
-        register_user(registry, derive_seed(config.seed, "grid", domain.name, "user", i))
-        for i in range(config.n_attackers)
-    ]
-    positives, positives_low = [], []
-    for i, attacker in enumerate(attackers):
-        active = passes_for_uid(attacker.uid_hex, passes)
-        harvest = iter_watermarked(
-            victim, active,
+    harvests = []
+    for i in range(config.n_attackers):
+        attacker = register_user(registry, derive_seed(config.seed, "grid", domain.name, "user", i))
+        mark = watermarker(
+            passes_for_uid(attacker.uid_hex, passes),
             seed=derive_seed(config.seed, "grid", domain.name, "inject", i),
             uid_hex=attacker.uid_hex,
         )
-        surrogate = fit_surrogate((t for t, _ in harvest), domain, eta=1.0).domain
+        harvests.append((mark, SurrogateFit(domain)))
+    for traj in iter_greybox_corpus(
+        domain, sizes["fit"], derive_seed(config.seed, "grid", domain.name, "victim"),
+        id_prefix="v",
+    ):
+        for mark, fit in harvests:
+            fit.add(mark(traj)[0])
+    positives, positives_low = [], []
+    for i, (_, fit) in enumerate(harvests):
+        surrogate = fit.model(1.0).domain
         positives.append(evaluate_passes(iter_greybox_corpus(
             surrogate, sizes["verify"],
             derive_seed(config.seed, "grid", domain.name, "sample", i), "s",
@@ -352,9 +354,11 @@ def run_delta_kld(config: ExperimentConfig, pools: PoolAccessor) -> dict:
 def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     """Table-shaped identification metrics for all four strategies.
 
-    The watermarked corpus and its edits are held, since every strategy
-    attacks them; each attack outcome is built, scored and dropped before
-    the next, and every suspect is counted as it is drawn.
+    The victim is drawn and watermarked once. Each watermarked trajectory
+    goes to the baseline fit and to every strategy; each strategy's
+    attacked trajectory goes to its own fit and its ``AttackTally`` as it
+    is made. No corpus is held, and every suspect is counted as it is
+    drawn.
     """
     name = config.domains[0]
     domain, passes = pools(name)
@@ -362,28 +366,34 @@ def run_attack_bench(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     _, stream = _watermarked_victim(
         config, domain, passes, "attack", sizes["attack"], "a", ATTACK_USER_SEED
     )
-    wm, edits = [], []
-    for traj, traj_edits in stream:
-        wm.append(traj)
-        edits.append(traj_edits)
-    truth = changed_positions(edits)
+    knowledge = Knowledge(tool_library=list(domain.sandbox.tools), candidate_sets=domain.eqsets)
+    baseline_fit = SurrogateFit(domain)
+    attackers = [
+        (name, strategy.start(derive_seed(config.seed, "attack", strategy.label), knowledge),
+         SurrogateFit(domain), AttackTally(domain.sandbox))
+        for name, strategy in STRATEGIES.items()
+    ]
+    for idx, (traj, edits) in enumerate(stream):
+        baseline_fit.add(traj)
+        truth = changed_in(edits)
+        for _, run, fit, tally in attackers:
+            step = run.step(idx, traj)
+            if step.trajectory is not None:
+                fit.add(step.trajectory)
+            tally.add(traj, truth, step)
 
-    def imitation(corpus, seed):
-        """The verdict on a surrogate fitted on ``corpus``."""
-        surrogate = fit_surrogate(corpus, domain, eta=1.0).domain
+    def imitation(fit, seed):
+        """The verdict on the surrogate ``fit`` gives."""
+        surrogate = fit.model(1.0).domain
         return verify_corpus(iter_greybox_corpus(surrogate, sizes["verify"], seed, "s"), passes)
 
-    baseline = imitation(wm, derive_seed(config.seed, "attack", "baseline"))
-    knowledge = Knowledge(tool_library=list(domain.sandbox.tools), candidate_sets=domain.eqsets)
+    baseline = imitation(baseline_fit, derive_seed(config.seed, "attack", "baseline"))
     rows = []
     metrics = {}
-    for name, strategy in STRATEGIES.items():
-        outcome = strategy.attack(
-            wm, derive_seed(config.seed, "attack", strategy.label), knowledge
-        )
-        m = attack_metrics(outcome, truth, wm)
-        breakage = semantic_breakage_rate(wm, outcome, domain.sandbox)
-        post = imitation(outcome.attacked, derive_seed(config.seed, "attack", "post", name))
+    for name, run, fit, tally in attackers:
+        m = tally.metrics(run.flag_keys())
+        breakage = tally.breakage_rate()
+        post = imitation(fit, derive_seed(config.seed, "attack", "post", name))
         metrics[name] = {
             "precision": m.precision,
             "recall": m.recall,
@@ -435,43 +445,39 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
     unit is one trajectory's per-set empirical distribution at its own
     occurrence count m: its JSD to natural must not exceed the exact 99th
     percentile of benign same-m noise (``noise_q99``) more often than
-    slack allows.
+    slack allows. The victim is drawn once; each trajectory is watermarked
+    and counted at every delta as it is drawn, and only a tally per delta
+    and pass is kept.
     """
     name = config.domains[0]
     domain, base_passes = pools(name)
-    victim = generate_greybox_corpus(
-        domain, STEALTH_CORPUS_SIZE, derive_seed(config.seed, "stealth", "victim"),
-        id_prefix="st",
-    )
     registry = Registry(domain.name, len(base_passes))
     user = register_user(registry, derive_seed(config.seed, "stealth", "user"))
-    rows = []
-    worst = {}
+    pools_by_delta = [rebias_pool(base_passes, delta) for delta in STEALTH_DELTAS]
+    marks = [
+        watermarker(
+            passes_for_uid(user.uid_hex, passes),
+            seed=derive_seed(config.seed, "stealth", "inject", delta), uid_hex=user.uid_hex,
+        )
+        for delta, passes in zip(STEALTH_DELTAS, pools_by_delta)
+    ]
+    # rebiasing keeps every pass's set, so one counter serves every delta
+    members = MemberCounter([p.eqset for p in base_passes])
     q99: dict[tuple, float] = {}
     # whether a count vector's JSD to natural exceeds q99, decided once per
     # (natural, counts): the trajectories that matched a pass share few vectors
     exceeds: dict[tuple, bool] = {}
-    for delta in STEALTH_DELTAS:
-        passes = rebias_pool(base_passes, delta)
-        active = passes_for_uid(user.uid_hex, passes)
-        wm = iter_watermarked(
-            victim, active, seed=derive_seed(config.seed, "stealth", "inject", delta),
-            uid_hex=user.uid_hex,
-        )
-        # per pass, the count vectors of the trajectories that matched it,
-        # in corpus order
-        matched: list[list[list[int]]] = [[] for _ in passes]
-        for traj_rows in count_members_by_trajectory(
-            (t for t, _ in wm), [p.eqset for p in passes]
-        ):
-            for kept, counts in zip(matched, traj_rows):
-                if any(counts):
-                    kept.append(counts)
-        max_exceed = 0.0
-        for wm_pass, vectors in zip(passes, matched):
-            natural = wm_pass.natural
-            exceed = 0
-            for counts in vectors:
+    # per delta and pass: [trajectories whose vector exceeds q99, trajectories that matched]
+    tallies = [[[0, 0] for _ in base_passes] for _ in STEALTH_DELTAS]
+    for traj in iter_greybox_corpus(
+        domain, STEALTH_CORPUS_SIZE, derive_seed(config.seed, "stealth", "victim"),
+        id_prefix="st",
+    ):
+        for mark, passes, by_pass in zip(marks, pools_by_delta, tallies):
+            for wm_pass, tally, counts in zip(passes, by_pass, members.of(mark(traj)[0])):
+                if not any(counts):
+                    continue
+                natural = wm_pass.natural
                 key = (natural.weights, tuple(counts))
                 if key not in exceeds:
                     m = sum(counts)
@@ -479,8 +485,14 @@ def run_stealth(config: ExperimentConfig, pools: PoolAccessor) -> dict:
                         q99[natural.weights, m] = noise_q99(natural, m)
                     emp = Distribution(tuple(c / m for c in counts))
                     exceeds[key] = js_divergence(emp, natural) > q99[natural.weights, m] + 1e-9
-                exceed += exceeds[key]
-            rate = exceed / len(vectors) if vectors else 0.0
+                tally[0] += exceeds[key]
+                tally[1] += 1
+    rows = []
+    worst = {}
+    for delta, by_pass in zip(STEALTH_DELTAS, tallies):
+        max_exceed = 0.0
+        for exceed, matched in by_pass:
+            rate = exceed / matched if matched else 0.0
             max_exceed = max(max_exceed, rate)
         worst[delta] = max_exceed
         rows.append([delta, round(max_exceed, 6)])
@@ -517,20 +529,22 @@ def run_eta_sweep(config: ExperimentConfig, pools: PoolAccessor) -> dict:
 
     Models the dropped-pass phenomenon: a learner that only partially
     absorbs the harvested biases still reproduces enough of them to trip
-    the holistic threshold.
+    the holistic threshold. The harvest is fitted once, as it is drawn,
+    and that one fit is mixed at each eta.
     """
     name = config.domains[0]
     domain, passes = pools(name)
     sizes = domain.corpus_sizes
     active, stream = _watermarked_victim(config, domain, passes, "eta", sizes["fit"], "e")
-    # every fit reads the harvest; the edit log is not kept
-    harvested = [t for t, _ in stream]
+    fit = SurrogateFit(domain)
+    for traj, _ in stream:
+        fit.add(traj)
     rows = []
     for eta in (0.7, 0.85, 1.0):
-        surrogate = fit_surrogate(harvested, domain, eta=eta).domain
         verdict = verify_corpus(
             iter_greybox_corpus(
-                surrogate, sizes["verify"], derive_seed(config.seed, "eta", "sample", eta), "s"
+                fit.model(eta).domain, sizes["verify"],
+                derive_seed(config.seed, "eta", "sample", eta), "s",
             ),
             passes,
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .equivalence import WatermarkPass, scan_equivalence
 from .errors import EmptyActions
@@ -151,6 +151,29 @@ def watermark_trajectory(
     return replace(t, actions=actions), edits
 
 
+def watermarker(
+    passes: Sequence[WatermarkPass],
+    seed: int,
+    uid_hex: str | None = None,
+    stamp_uid: bool = False,
+) -> Callable[[GreyBoxTrajectory], tuple[GreyBoxTrajectory, list[EditRecord]]]:
+    """``mark(t) -> (watermarked t, its edits)``, one trajectory at a time.
+
+    The stream for each trajectory depends only on (seed, uid, query_id),
+    so results are independent of processing order: several users' marks
+    may take turns on one trajectory as it is read.
+    """
+    seed_of = seed_stream(seed, "inject", uid_hex or "")
+
+    def mark(t: GreyBoxTrajectory) -> tuple[GreyBoxTrajectory, list[EditRecord]]:
+        wm, edits = watermark_trajectory(t, passes, random.Random(seed_of(t.query_id)))
+        if stamp_uid and uid_hex is not None:
+            wm = replace(wm, user_uid=uid_hex)
+        return wm, edits
+
+    return mark
+
+
 def iter_watermarked(
     corpus: Iterable[GreyBoxTrajectory],
     passes: Sequence[WatermarkPass],
@@ -160,16 +183,11 @@ def iter_watermarked(
 ) -> Iterator[tuple[GreyBoxTrajectory, list[EditRecord]]]:
     """Watermark a corpus as it is read, yielding each trajectory with its edits.
 
-    ``corpus`` is read once. The stream for each trajectory depends only on
-    (seed, uid, query_id), so results are independent of processing order
-    and safe to parallelize.
+    ``corpus`` is read once, each trajectory through ``watermarker``'s mark.
     """
-    seed_of = seed_stream(seed, "inject", uid_hex or "")
+    mark = watermarker(passes, seed, uid_hex, stamp_uid)
     for t in corpus:
-        wm, edits = watermark_trajectory(t, passes, random.Random(seed_of(t.query_id)))
-        if stamp_uid and uid_hex is not None:
-            wm = replace(wm, user_uid=uid_hex)
-        yield wm, edits
+        yield mark(t)
 
 
 @_gc_paused
@@ -257,13 +275,18 @@ def read_edit_positions(path: str) -> dict[int, set[int]]:
     return positions
 
 
+def changed_in(edits: Sequence[EditRecord]) -> set[int]:
+    """One trajectory's true watermark positions: its changed draws' final positions."""
+    return {p for e in edits if e.changed for p in e.final_positions}
+
+
 def changed_positions(
     edits_by_traj: Sequence[Sequence[EditRecord]],
 ) -> dict[int, set[int]]:
     """In-memory equivalent of ``read_edit_positions``."""
     positions: dict[int, set[int]] = {}
     for idx, edits in enumerate(edits_by_traj):
-        marked = {p for e in edits if e.changed for p in e.final_positions}
+        marked = changed_in(edits)
         if marked:
             positions[idx] = marked
     return positions

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from ..equivalence import Distribution, count_members
+from ..equivalence import Distribution, MemberCounter
 from ..errors import DomainMismatch, InvalidRange
 from ..trajectory import GreyBoxTrajectory
 from .domains import DomainSpec
@@ -40,6 +40,59 @@ def _mix(empirical: Distribution, natural: Distribution, eta: float) -> Distribu
     )
 
 
+def _check_eta(eta: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise InvalidRange(f"eta must lie in [0, 1], got {eta}")
+
+
+class SurrogateFit:
+    """A surrogate fit on ``domain``, fed one harvested trajectory at a time.
+
+    ``add`` matches a trajectory back to its template and counts its
+    members; ``model(eta)`` mixes what was added at one fidelity, and may be
+    asked at several. No trajectory is kept.
+    """
+
+    __slots__ = ("domain", "_members", "_templates")
+
+    def __init__(self, domain: DomainSpec) -> None:
+        self.domain = domain
+        self._members = MemberCounter(domain.eqsets)
+        self._templates: Counter[str | None] = Counter()
+
+    def add(self, traj: GreyBoxTrajectory) -> None:
+        self._templates[template_for_trajectory(self.domain, traj)] += 1
+        self._members.add(traj)
+
+    def model(self, eta: float) -> SurrogateModel:
+        """Per set, eta * empirical + (1 - eta) * natural; templates by skeleton frequency.
+
+        Unmatchable trajectories are skipped, and every template weighs the
+        same if nothing matched. An empty harvest is refused.
+        """
+        _check_eta(eta)
+        if not self._templates:
+            raise InvalidRange("harvest must be non-empty")
+        domain = self.domain
+        fitted: dict[str, Distribution] = {}
+        missing: list[str] = []
+        for eqset, row in zip(domain.eqsets, self._members.counts):
+            natural = domain.natural[eqset.id]
+            if not any(row):
+                missing.append(eqset.id)
+                fitted[eqset.id] = natural
+                continue
+            fitted[eqset.id] = _mix(Distribution.from_counts(row), natural, eta)
+        # the trajectories no template produced
+        matched = sum(n for template_id, n in self._templates.items() if template_id is not None)
+        templates = [
+            replace(t, weight=self._templates[t.id] / matched if matched
+                    else 1.0 / len(domain.templates))
+            for t in domain.templates
+        ]
+        return SurrogateModel(replace(domain, natural=fitted, templates=templates), tuple(missing))
+
+
 def fit_surrogate(
     harvested: Iterable[GreyBoxTrajectory],
     domain: DomainSpec,
@@ -47,41 +100,14 @@ def fit_surrogate(
 ) -> SurrogateModel:
     """Fit per-set categorical distributions from a harvested corpus, read once.
 
-    Fitting is deterministic: per set, eta * empirical + (1 - eta) *
-    natural. Template weights are skeleton frequencies, from matching each
-    harvested trajectory back to its template in the same pass that counts
-    its members; unmatchable trajectories are skipped and every template
-    weighs the same if nothing matches.
+    ``SurrogateFit(domain)`` fed every harvested trajectory, then mixed at
+    ``eta``; an ``eta`` outside [0, 1] is refused before the first read.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise InvalidRange(f"eta must lie in [0, 1], got {eta}")
-    by_template: Counter[str | None] = Counter()
-
-    def tally(corpus):
-        for traj in corpus:
-            by_template[template_for_trajectory(domain, traj)] += 1
-            yield traj
-
-    rows = count_members(tally(harvested), domain.eqsets)
-    if not by_template:
-        raise InvalidRange("harvest must be non-empty")
-    fitted: dict[str, Distribution] = {}
-    missing: list[str] = []
-    for eqset, row in zip(domain.eqsets, rows):
-        natural = domain.natural[eqset.id]
-        if not any(row):
-            missing.append(eqset.id)
-            fitted[eqset.id] = natural
-            continue
-        fitted[eqset.id] = _mix(Distribution.from_counts(row), natural, eta)
-
-    del by_template[None]  # the trajectories no template produced
-    matched = sum(by_template.values())
-    templates = [
-        replace(t, weight=by_template[t.id] / matched if matched else 1.0 / len(domain.templates))
-        for t in domain.templates
-    ]
-    return SurrogateModel(replace(domain, natural=fitted, templates=templates), tuple(missing))
+    _check_eta(eta)
+    fit = SurrogateFit(domain)
+    for traj in harvested:
+        fit.add(traj)
+    return fit.model(eta)
 
 
 def benign_surrogate(domain: DomainSpec) -> SurrogateModel:

@@ -1,6 +1,8 @@
 """attack strategies: conventions, determinism, and metric identities."""
 
 import difflib
+import hashlib
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,12 +20,17 @@ from trajmark.attacks import (
     attack_pk_replacement,
     attack_random_deletion,
     near_duplicate_map,
+    semantic_breakage_rate,
     AttackOutcome,
+    AttackTally,
     Knowledge,
 )
 from trajmark.errors import CorpusMismatch, InvalidRange
+from trajmark.injector import changed_in, iter_watermarked
+from trajmark.registry import Registry, passes_for_uid, register_user
 from trajmark.seeds import derive_rng
-from trajmark.trajectory import Action, GreyBoxTrajectory
+from trajmark.simkit.generator import iter_greybox_corpus
+from trajmark.trajectory import Action, GreyBoxTrajectory, serialize_trajectory
 
 
 def traj(tools, qid="q"):
@@ -297,3 +304,85 @@ def test_fk_equals_per_set_reference_on_overlapping_sets(action_lists):
         assert [t.actions for t in out.attacked] == attacked
         assert out.flagged == flagged
         assert out.modified == modified
+
+
+@pytest.fixture(scope="module")
+def watermarked(data_domain, data_pool):
+    """300 watermarked data trajectories with their true positions, by index."""
+    user = register_user(Registry("data", len(data_pool)), rng_seed=31)
+    victim = iter_greybox_corpus(data_domain, 300, seed=61, id_prefix="fx")
+    pairs = list(iter_watermarked(
+        victim, passes_for_uid(user.uid_hex, data_pool), seed=62, uid_hex=user.uid_hex
+    ))
+    return [t for t, _ in pairs], [changed_in(edits) for _, edits in pairs]
+
+
+def _outcome_digest(flagged, modified, kept, dropped, attacked) -> str:
+    doc = json.dumps({
+        "flagged": sorted((i, sorted(p)) for i, p in flagged.items()),
+        "modified": sorted((i, sorted(p)) for i, p in modified.items()),
+        "kept": kept, "dropped": dropped,
+        "attacked": [serialize_trajectory(t) for t in attacked],
+    })
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+# what the whole-corpus strategies returned on the fixture before they were
+# rewritten as one step per trajectory: the digest, then the flagged and
+# modified position counts, the kept trajectories and the dropped ones
+PARENT_OUTCOMES = {
+    ("random-deletion", 0.3): (
+        "4724b7e66cee3e29e57ac696b4cc7fd23d2c4c6612f60b599116922b4fece841", 1278, 1278, 300, 0),
+    ("random-deletion", 0.95): (
+        "70ac43f9bf2358ad4a478bfe0b6b8b9e3bca91a1781f0f1beb1d89daa784f461", 4211, 4211, 159, 141),
+    ("rephrase-stub", 0.3): (
+        "9e6bebbd142870d6cf02817a82aec061501f5e020b96605960b456bc3d779ff5", 418, 418, 300, 0),
+    ("pk-replace", 0.3): (
+        "bebc8a0a903358d8d46e89a5e50eb4cc8a2f4d13e446134067519b3ee8c9f61a", 1803, 1803, 300, 0),
+    # fk-replace flags 61 positions, resolved from its set tallies at the end
+    ("fk-replace", 0.3): (
+        "fe0e856f22d2bde9d011e8feeab78ebb3b18992d3494c9b9c147ff40e7b2f894", 61, 751, 300, 0),
+}
+
+
+@pytest.mark.parametrize("name, p", list(PARENT_OUTCOMES))
+def test_collecting_the_per_trajectory_form_gives_the_parent_outcome(
+    data_domain, watermarked, name, p
+):
+    corpus, _ = watermarked
+    knowledge = Knowledge(
+        p=p, tool_library=list(data_domain.sandbox.tools), candidate_sets=data_domain.eqsets
+    )
+    run = STRATEGIES[name].start(63, knowledge)
+    steps = [run.step(idx, traj) for idx, traj in enumerate(corpus)]
+    keys = run.flag_keys()  # known once every trajectory has been stepped
+    flagged = {}
+    for idx, step in enumerate(steps):
+        flags = set().union(*(pos for key, pos in step.marks.items() if key in keys))
+        if flags:
+            flagged[idx] = flags
+    modified = {idx: step.modified for idx, step in enumerate(steps) if step.modified}
+    kept = [idx for idx, step in enumerate(steps) if step.trajectory is not None]
+    attacked = [steps[idx].trajectory for idx in kept]
+    dropped = len(corpus) - len(kept)
+    assert (
+        _outcome_digest(flagged, modified, kept, dropped, attacked),
+        sum(map(len, flagged.values())), sum(map(len, modified.values())), len(kept), dropped,
+    ) == PARENT_OUTCOMES[name, p]
+    # the whole-corpus form is the same collection
+    outcome = STRATEGIES[name].attack(corpus, 63, knowledge)
+    assert (outcome.flagged, outcome.modified, outcome.kept_input_indices, outcome.dropped,
+            outcome.attacked) == (flagged, modified, kept, dropped, attacked)
+
+
+@pytest.mark.parametrize("name", list(STRATEGIES))
+def test_a_tally_of_the_steps_scores_as_the_collected_outcome(data_domain, watermarked, name):
+    corpus, truths = watermarked
+    knowledge = _domain_knowledge(data_domain, p=0.3)
+    run, tally = STRATEGIES[name].start(64, knowledge), AttackTally(data_domain.sandbox)
+    for idx, (traj, truth) in enumerate(zip(corpus, truths)):
+        tally.add(traj, truth, run.step(idx, traj))
+    outcome = STRATEGIES[name].attack(corpus, 64, knowledge)
+    truth_by_idx = {idx: truth for idx, truth in enumerate(truths) if truth}
+    assert tally.metrics(run.flag_keys()) == attack_metrics(outcome, truth_by_idx, corpus)
+    assert tally.breakage_rate() == semantic_breakage_rate(corpus, outcome, data_domain.sandbox)

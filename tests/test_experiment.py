@@ -16,9 +16,12 @@ from trajmark.experiment import (
     STAGES,
     ExperimentConfig,
     pool_accessor,
+    run_attack_bench,
     run_closed_loop,
     run_delta_kld,
+    run_eta_sweep,
     run_f1_grid,
+    run_stealth,
 )
 from trajmark.simkit.generator import generate_greybox_corpus
 from trajmark.verifier import DEFAULT_THETA_J, DEFAULT_THETA_N
@@ -174,3 +177,63 @@ def test_f1_grid_peak_memory_does_not_grow_with_the_suspects(data_domain, data_p
     small = _traced_peak(lambda: grid(1))
     large = _traced_peak(lambda: grid(4))
     assert large - small <= one_corpus, (small, large, one_corpus)
+
+
+# A stage that holds a corpus peaks above the traced size of that corpus; one
+# that reads each corpus once, as it is drawn, keeps only fixed state (tool
+# indexes, fits, tallies, caches), which stays well under half of one.
+_LOCKSTEP_SIZE = 600
+
+
+@pytest.mark.parametrize("stage, size_of", [
+    (run_attack_bench, "attack"),
+    (run_stealth, "STEALTH_CORPUS_SIZE"),
+    (run_eta_sweep, "fit"),
+])
+def test_a_lockstep_stage_peaks_below_half_of_its_corpus(
+    monkeypatch, data_domain, data_pool, stage, size_of
+):
+    sizes = {"fit": _LOCKSTEP_SIZE, "verify": 100, "verify_low": 60, "attack": _LOCKSTEP_SIZE}
+    domain = replace(data_domain, corpus_sizes=sizes)
+    monkeypatch.setattr(experiment, "STEALTH_CORPUS_SIZE", _LOCKSTEP_SIZE)
+    config = ExperimentConfig(domains=("data",))
+
+    def run():
+        return stage(config, lambda name: (domain, data_pool))
+
+    one_corpus = _traced_peak(lambda: generate_greybox_corpus(domain, _LOCKSTEP_SIZE, seed=1))
+    run()  # caches filled on first use are not the corpus's memory
+    peak = _traced_peak(run)
+    assert peak < one_corpus / 2, (size_of, peak, one_corpus)
+
+
+def test_every_stage_draws_each_of_its_corpora_once(monkeypatch, data_domain, data_pool, tmp_path):
+    # a consumer that re-drew its corpus would save memory by spending time
+    sizes = {"fit": 40, "verify": 30, "verify_low": 10, "attack": 50}
+    domain = replace(data_domain, corpus_sizes=sizes)
+    monkeypatch.setattr(experiment, "STEALTH_CORPUS_SIZE", 60)
+    config = ExperimentConfig(domains=("data",), n_attackers=2, n_benign=3,
+                              closed_loop_corpus=70, out_dir=str(tmp_path))
+    drawn = []
+    original = experiment.iter_greybox_corpus
+
+    def counting(*args, **kwargs):
+        for traj in original(*args, **kwargs):
+            drawn.append(traj.query_id)
+            yield traj
+
+    monkeypatch.setattr(experiment, "iter_greybox_corpus", counting)
+    expected = {
+        # one victim, then per attacker two suspects, per benign model one
+        "f1-grid": 40 + 2 * (30 + 10) + 3 * 30,
+        # one victim, then the baseline and four post-attack suspects
+        "attack-bench": 50 + 5 * 30,
+        "stealth": 60,
+        "closed-loop": 70,
+        # one harvest, then a suspect per eta
+        "eta-sweep": 40 + 3 * 30,
+    }
+    for name, count in expected.items():
+        drawn.clear()
+        experiment.run_stage(name, config, lambda _: (domain, data_pool))
+        assert len(drawn) == count, name

@@ -818,6 +818,25 @@ def test_cli_attack_metrics_in_a_missing_directory_is_a_data_error(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["victim.jsonl"]
 
 
+@pytest.mark.parametrize("strategy", ["random-deletion", "all"])
+def test_cli_attack_refuses_an_edit_log_past_the_corpus_end(tmp_path, capsys, strategy):
+    # the corpus is read once, as the strategies attack it, so its length
+    # is known only after the pass; the outputs are dropped then
+    victim = _victim(tmp_path, n=50)
+    edits = tmp_path / "edits.jsonl"
+    edits.write_text(json.dumps({"traj_index": 50, "changed": True, "final_positions": [0]})
+                     + "\n")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["attack", "--strategy", strategy, "--in", str(victim), "--edits", str(edits),
+                 "--pool-candidates", "data", "--out", str(tmp_path / "attacked.jsonl"),
+                 "--metrics", str(tmp_path / "attack.csv"), "--quiet"]) == 2
+    assert capsys.readouterr() == (
+        "", "trajmark: edit log references trajectory 50, corpus has 50\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_localize_rejects_a_vector_of_another_length(tmp_path, capsys):
     registry = tmp_path / "reg.json"
     reg = Registry("data", 39)

@@ -30,6 +30,7 @@ from trajmark.simkit.generator import (
     template_for_trajectory,
 )
 from trajmark.simkit.surrogate import (
+    SurrogateFit,
     benign_surrogate,
     fit_surrogate,
     sample_surrogate,
@@ -148,9 +149,37 @@ def test_fit_surrogate_reads_a_one_shot_stream_as_it_reads_the_list(data_domain)
         ) == fit_surrogate(harvest[:-1], data_domain, eta=eta)
 
 
+def test_one_fit_accumulation_mixes_as_a_fit_per_eta(data_domain):
+    # the eta sweep fits its harvest once and mixes that fit at each eta
+    harvest = generate_greybox_corpus(data_domain, 300, seed=3)
+    harvest.append(GreyBoxTrajectory("stray", (Action.make("X.Nothing"),), "r"))
+    fit = SurrogateFit(data_domain)
+    for traj in iter(harvest):
+        fit.add(traj)
+    rows = count_members(harvest, data_domain.eqsets)
+    templates = [template_for_trajectory(data_domain, t) for t in harvest]
+    matched = sum(t is not None for t in templates)
+    for eta in (0.0, 0.7, 0.85, 1.0):
+        model = fit.model(eta)
+        assert model == fit_surrogate(harvest, data_domain, eta=eta)
+        assert model == fit_surrogate(iter(harvest), data_domain, eta=eta)
+        # the fit, from the counts and the templates of the whole list
+        for eqset, row in zip(data_domain.eqsets, rows):
+            natural = data_domain.natural[eqset.id].weights
+            expected = [eta * c / sum(row) + (1 - eta) * n for c, n in zip(row, natural)]
+            assert model.domain.natural[eqset.id].weights == pytest.approx(expected, abs=1e-12)
+        assert [t.weight for t in model.domain.templates] == [
+            templates.count(t.id) / matched for t in data_domain.templates
+        ]
+    with pytest.raises(InvalidRange, match="eta must lie in"):
+        fit.model(1.5)
+
+
 def test_fit_surrogate_refuses_an_empty_stream(data_domain):
     with pytest.raises(InvalidRange, match="harvest must be non-empty"):
         fit_surrogate(iter(()), data_domain, eta=1.0)
+    with pytest.raises(InvalidRange, match="harvest must be non-empty"):
+        SurrogateFit(data_domain).model(1.0)
 
 
 def test_slot_frequencies_match_configured_distribution(mini_domain):
