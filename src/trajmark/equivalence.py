@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, combinations
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -294,9 +296,6 @@ class Segment:
         return len(self.patterns)
 
 
-_MISSING = object()
-
-
 def _shape_matches(shape: tuple, actions: Sequence[Action], start: int) -> bool:
     """Whether the segment compiled to ``shape`` matches at ``actions[start:]``.
 
@@ -316,12 +315,11 @@ def _shape_matches(shape: tuple, actions: Sequence[Action], start: int) -> bool:
     values = []
     for pos, arg_names in enumerate(names, start):
         action = actions[pos]
-        arg_map = dict(zip(action.names, action.values))
+        has = action.names
         for name in arg_names:
-            value = arg_map.get(name, _MISSING)
-            if value is _MISSING:
+            if name not in has:
                 return False
-            values.append(value)
+            values.append(action.values[has.index(name)])
     for first, later in same_slot:
         if values[first] != values[later]:
             return False
@@ -418,12 +416,24 @@ class EquivalenceSet:
             # member 0's slot namespace, in the order bindings are drawn for it
             ("base_slots", self.members[0].slot_order),
             ("scan_index", MappingProxyType(scan_index)),
-            # the ``_first_tool_index`` of this set alone, which ``scan_equivalence`` walks
-            ("_walk_index", {t: ((0, row),) for t, row in scan_index.items()}),
             ("_all_tools", frozenset(pat.tool for seg in self.members for pat in seg.patterns)),
             ("_plans", tuple(plans)),
+            # whether a walk keeps a cursor for the set (see ``_WalkPlan``)
+            ("_positional", None in [seg._arg_names for seg in self.members]),
         ):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def _scan_walk(self) -> tuple[_WalkPlan, dict]:
+        """This set's own ``_WalkPlan`` and the signature table its scans share.
+
+        Built at the set's first ``scan_equivalence``, so building a set
+        pays for neither. The table holds one resolution per distinct
+        argument-name list that a scan has met on one of the set's first
+        tools.
+        """
+        plan = _WalkPlan((self,))
+        return plan, plan.table()
 
     def _compile(self, src: int, dst: int, mapping: ParamMapping) -> tuple:
         """The plan that builds member ``dst``'s actions from a match of member ``src``.
@@ -510,82 +520,162 @@ def scan_equivalence(
     in the member's ``slot_order``, ready for ``rewrite``. Overlaps are
     resolved leftmost-first, then longest-member-first; matched regions are
     consumed, so the spans are pairwise disjoint. This is ``_walk`` for one
-    set; ``_bindings`` reads the bindings off each reported span.
+    set, with the set's own signature table, which every scan of the set
+    shares; ``_bindings`` reads the bindings off each reported span.
     """
+    plan, table = eqset._scan_walk
     spans: list[tuple[int, int, int, int]] = []
-    _walk(actions, eqset._walk_index, [[0] * len(eqset.members)], spans, {})
+    _walk((actions,), plan, table, [0] * plan.slots, spans)
     return [(m_idx, start, length, _bindings(eqset.members[m_idx], actions, start))
             for _, m_idx, start, length in spans]
 
 
-# tool -> (set index, that set's scan entries for the tool) per set
-_ToolIndex = dict[str, Sequence[tuple[int, tuple[_ScanEntry, ...]]]]
+_ACTIONS = attrgetter("actions")
 
 
-def _first_tool_index(eqsets: Sequence[EquivalenceSet]) -> _ToolIndex:
-    """Merge the ``scan_index`` of the sets of one walk, in set order."""
-    index: dict[str, list[tuple[int, tuple[_ScanEntry, ...]]]] = {}
-    for s_idx, eqset in enumerate(eqsets):
-        for tool, entries in eqset.scan_index.items():
-            candidates = index.get(tool)
-            if candidates is None:
-                index[tool] = [(s_idx, entries)]
-            else:
-                candidates.append((s_idx, entries))
-    return index
+class _WalkPlan:
+    """What a walk over the sets ``eqsets`` reads, built once per set list.
+
+    Counts live in one flat list: set ``s``'s member ``m`` in slot
+    ``starts[s] + m``, and one more slot, ``miss``, takes the hits of no
+    member and is never read. ``where[slot]`` names a member slot's
+    ``(set, member)``. ``index`` maps each first tool to one row per set with a
+    member starting with it, in set order: ``(set, start, positional,
+    scan entries)``. A set is positional when a member has several actions
+    or binds one slot twice; every other set only has members of one
+    action binding distinct slots, so a hit consumes only its own action
+    and no cursor is read.
+    """
+
+    __slots__ = ("index", "starts", "where", "miss", "slots")
+
+    def __init__(self, eqsets: Sequence[EquivalenceSet]) -> None:
+        self.starts = list(accumulate([len(eqset.members) for eqset in eqsets], initial=0))
+        self.miss = self.starts[-1]
+        self.slots = self.miss + 1
+        self.where = [(s_idx, m_idx) for s_idx, eqset in enumerate(eqsets)
+                      for m_idx in range(len(eqset.members))]
+        index: dict[str, list[tuple[int, int, bool, tuple[_ScanEntry, ...]]]] = {}
+        for s_idx, eqset in enumerate(eqsets):
+            for tool, entries in eqset.scan_index.items():
+                index.setdefault(tool, []).append(
+                    (s_idx, self.starts[s_idx], eqset._positional, entries)
+                )
+        self.index = index
+
+    def table(self) -> dict[str, dict[tuple[str, ...], object]]:
+        """An empty signature table: per first tool, argument names -> resolution."""
+        return {tool: {} for tool in self.index}
+
+    def rows(self, flat: list[int]) -> list[list[int]]:
+        """The per-set count rows of a flat count list."""
+        starts = self.starts
+        return [flat[a:b] for a, b in zip(starts, starts[1:])]
+
+    def resolve(self, table: dict, tool: str, names: tuple[str, ...]) -> object:
+        """What a walk does at an action with ``tool`` and argument ``names``, kept in ``table``.
+
+        Per set with a member starting with ``tool``: a set that is not
+        positional resolves to the slot of its first member, in scan
+        order, whose argument names ``names`` holds, and to nothing when
+        there is none. A positional set resolves to ``(set, candidates)``,
+        its members still possible in scan order as ``(slot, length,
+        shape)``: a member of one action binding distinct slots is decided
+        by the names and ends the list with shape None (a hit); any other
+        member needs its first pattern's names and keeps its shape, for
+        ``_shape_matches``. A set with no candidate drops out.
+
+        The resolution is the one slot when that is all there is, the
+        ``miss`` slot when there is nothing, and otherwise the tuple of
+        the sets' entries in set order. It is stored as
+        ``table[tool][names]`` and returned.
+        """
+        has = frozenset(names)
+        hits: list = []
+        for s_idx, start, positional, entries in self.index[tool]:
+            if not positional:
+                for m_idx, _, arg_names, _ in entries:
+                    if has >= arg_names:
+                        hits.append(start + m_idx)
+                        break
+                continue
+            candidates = []
+            for m_idx, length, arg_names, shape in entries:
+                if arg_names is not None:
+                    if has >= arg_names:
+                        candidates.append((start + m_idx, 1, None))
+                        break
+                elif has.issuperset(shape[0][0]):
+                    candidates.append((start + m_idx, length, shape))
+            if candidates:
+                hits.append((s_idx, tuple(candidates)))
+        if not hits:
+            resolution = self.miss
+        elif len(hits) == 1 and hits[0].__class__ is int:
+            resolution = hits[0]
+        else:
+            resolution = tuple(hits)
+        table[tool][names] = resolution
+        return resolution
 
 
 def _walk(
-    actions: Sequence[Action],
-    index: _ToolIndex,
-    counts: list[list[int]],
+    sequences: Iterable[Sequence[Action]],
+    plan: _WalkPlan,
+    table: dict[str, dict[tuple[str, ...], object]],
+    flat: list[int],
     spans: list[tuple[int, int, int, int]] | None,
-    present: dict[tuple[str, ...], frozenset],
 ) -> None:
-    """The greedy scan of one trajectory for every set of ``index`` at once.
+    """The greedy scan of each action sequence for every set of ``plan`` at once.
 
-    Every set keeps a cursor, the first position its scan has not
-    consumed. At each position only the sets with a member starting with
-    that action's tool, and whose cursor has reached it, are tried, members
-    in scan order; a hit moves that set's cursor past the matched span.
-    That is a leftmost-first, longest-member-first greedy scan, run for
-    every set side by side.
+    Each candidate action's ``(tool, names)`` is resolved once per
+    ``table`` (see ``_WalkPlan.resolve``): ``table[tool][names]`` keeps the
+    resolution, so a counter that passes its one table to every walk
+    decides an argument list shared by many actions once. A resolution
+    that is one slot is a hit of a set that is not positional, or a miss:
+    it adds one to that slot and reads no cursor.
 
-    Each hit is added to ``counts[set][member]`` and, when ``spans`` is a
-    list, appended to it as ``(set, member, start, length)``.
+    Every positional set keeps a cursor per sequence, the first position
+    its scan has not consumed. At a position its candidates are tried only
+    once its cursor has reached it, in scan order: shape None is a hit, and
+    any other goes through ``_shape_matches``. A hit moves the cursor past
+    the matched span. That is a leftmost-first, longest-member-first greedy
+    scan, run for every set side by side.
 
-    A candidate is decided from the shape its segment compiled when it was
-    built, and no bindings are made. The index guarantees the first tool,
-    so for a member of one pattern binding distinct slots ``_shape_matches``
-    reduces to the action having all of its argument names, which is tested
-    directly against the set of its ``names``. ``present`` maps each names
-    tuple to that set; a ``MemberCounter`` passes its one dict to every
-    walk, so an argument list shared by many actions is converted once.
-    Every other member goes through ``_shape_matches``.
+    Each hit adds one to ``flat``, in the slot of its set and member, and,
+    when ``spans`` is a list, is appended to it as ``(set, member, start,
+    length)``.
     """
-    cursors = [0] * len(counts)
-    for pos, action in enumerate(actions):
-        candidates = index.get(action.tool)
-        if candidates is None:
-            continue
-        names = action.names
-        has = present.get(names)
-        if has is None:
-            has = present[names] = frozenset(names)
-        for s_idx, entries in candidates:
-            if cursors[s_idx] > pos:
+    for actions in sequences:
+        cursors: dict[int, int] = {}
+        for pos, action in enumerate(actions):
+            by_names = table.get(action.tool)
+            if by_names is None:
                 continue
-            for m_idx, length, arg_names, shape in entries:
-                if arg_names is not None:
-                    if not has >= arg_names:
-                        continue
-                elif not _shape_matches(shape, actions, pos):
+            hit = by_names.get(action.names)
+            if hit is None:
+                hit = plan.resolve(table, action.tool, action.names)
+            if hit.__class__ is int:
+                flat[hit] += 1
+                if spans is not None and hit != plan.miss:
+                    spans.append((*plan.where[hit], pos, 1))
+                continue
+            for entry in hit:
+                if entry.__class__ is int:
+                    flat[entry] += 1
+                    if spans is not None:
+                        spans.append((*plan.where[entry], pos, 1))
                     continue
-                counts[s_idx][m_idx] += 1
-                cursors[s_idx] = pos + length
-                if spans is not None:
-                    spans.append((s_idx, m_idx, pos, length))
-                break
+                s_idx, candidates = entry
+                if cursors.get(s_idx, 0) > pos:
+                    continue
+                for slot, length, shape in candidates:
+                    if shape is None or _shape_matches(shape, actions, pos):
+                        flat[slot] += 1
+                        cursors[s_idx] = pos + length
+                        if spans is not None:
+                            spans.append((*plan.where[slot], pos, length))
+                        break
 
 
 class MemberCounter:
@@ -597,28 +687,32 @@ class MemberCounter:
     sets (see ``_walk``), and no bindings are built. ``spans``, when a list,
     receives every hit as ``(set, member, start, length)``. ``of(traj)``
     returns one trajectory's matches as new count vectors and leaves
-    ``counts`` alone. No trajectory is kept: the counter holds its tool
-    index, built once, its counts and one set of argument names per
-    distinct argument list (see ``_walk``).
+    ``counts`` alone. No trajectory is kept: the counter holds its walk
+    plan, built once, its flat counts, which ``counts`` reads as new rows,
+    and its signature table, one resolution per distinct ``(tool, names)``
+    of a candidate action it has seen (see ``_WalkPlan.resolve``).
     """
 
-    __slots__ = ("counts", "_index", "_present", "_sizes")
+    __slots__ = ("_plan", "_table", "_flat")
 
     def __init__(self, eqsets: Sequence[EquivalenceSet]) -> None:
-        self._index = _first_tool_index(eqsets)
-        self._present: dict[tuple[str, ...], frozenset] = {}
-        self._sizes = [len(eqset.members) for eqset in eqsets]
-        self.counts = [[0] * n for n in self._sizes]
+        self._plan = _WalkPlan(eqsets)
+        self._table = self._plan.table()
+        self._flat = [0] * self._plan.slots
+
+    @property
+    def counts(self) -> list[list[int]]:
+        return self._plan.rows(self._flat)
 
     def add(
         self, traj: GreyBoxTrajectory, spans: list[tuple[int, int, int, int]] | None = None
     ) -> None:
-        _walk(traj.actions, self._index, self.counts, spans, self._present)
+        _walk((traj.actions,), self._plan, self._table, self._flat, spans)
 
     def of(self, traj: GreyBoxTrajectory) -> list[list[int]]:
-        counts = [[0] * n for n in self._sizes]
-        _walk(traj.actions, self._index, counts, None, self._present)
-        return counts
+        flat = [0] * self._plan.slots
+        _walk((traj.actions,), self._plan, self._table, flat, None)
+        return self._plan.rows(flat)
 
 
 def count_members(
@@ -627,28 +721,13 @@ def count_members(
     """``MemberCounter(eqsets).counts`` after adding every trajectory of a corpus, read once.
 
     The corpus is iterated once and no trajectory is kept, so a generator
-    or a file stream is counted in constant memory. The loop walks each
-    trajectory over the counter's state itself, as ``add`` would, so a
-    verdict's counting pays no extra call per trajectory.
+    or a file stream is counted in constant memory. One walk takes the
+    whole corpus over the counter's state, so a verdict's counting pays no
+    call per trajectory.
     """
     counter = MemberCounter(eqsets)
-    index, counts, present = counter._index, counter.counts, counter._present
-    for traj in corpus:
-        _walk(traj.actions, index, counts, None, present)
-    return counts
-
-
-def count_members_by_trajectory(
-    corpus: Iterable[GreyBoxTrajectory], eqsets: Sequence[EquivalenceSet]
-) -> Iterator[list[list[int]]]:
-    """Yield ``count_members([traj], eqsets)`` for each trajectory, as it is read.
-
-    One ``MemberCounter`` serves the whole corpus, so its tool index is
-    built once; each yielded count vector is a new list the caller may keep.
-    """
-    of = MemberCounter(eqsets).of
-    for traj in corpus:
-        yield of(traj)
+    _walk(map(_ACTIONS, corpus), counter._plan, counter._table, counter._flat, None)
+    return counter.counts
 
 
 def estimate_natural_distribution(

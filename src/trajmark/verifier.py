@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .equivalence import Distribution, WatermarkPass, count_members, js_divergence
@@ -179,6 +180,9 @@ def verify_corpus(
     return classify_evidence(evaluate_passes(corpus, pool), theta_j, theta_n, m_min)
 
 
+_SCORE = itemgetter(1)
+
+
 def localize_user(
     detected_vector: Sequence[int], registry: Registry
 ) -> list[tuple[str, float]]:
@@ -191,9 +195,16 @@ def localize_user(
     the top-1 entry is the accusation, but the full ranking is returned
     so an investigator can work down a shortlist.
 
-    ``registry.scoring_table()`` lists the users in registration order, so
-    one stable sort by score alone gives the ranking, and the ranking of
-    the first ``n`` users is this one with the later users left out.
+    A score depends only on the user's popcount and dot product, so each
+    is read from a row per popcount, indexed by the dot product and built
+    once per call with the expression above; a popcount-0 row is the
+    single 0.0 of dot product 0. Users of one (popcount, dot) class share
+    one score, so a ranking has at most (|v|+1)(w_max-w_min+1) distinct
+    scores in a registry's weight range. ``registry.scoring_table()``
+    lists the users in registration order, and one stable sort of the
+    ``(uid_hex, score)`` pairs by score alone, highest first, keeps that
+    order within each score: it is the ranking, and the ranking of the
+    first ``n`` users is this one with the later users left out.
     """
     if not registry.users:
         raise EmptyRegistry(f"registry for domain {registry.domain!r} has no users")
@@ -204,13 +215,11 @@ def localize_user(
     v = bits_to_uid(detected_vector)
     nv = v.bit_count()
     uid_hexes, uids, popcounts = registry.scoring_table()
-    sims = []
-    for u, pop in zip(uids, popcounts):
-        dot = (v & u).bit_count()
-        sims.append(dot / math.sqrt(nv * pop) if dot else 0.0)
+    rows = [[dot / math.sqrt(nv * pop) if dot else 0.0 for dot in range(min(nv, pop) + 1)]
+            for pop in range(max(popcounts) + 1)]
+    scores = [rows[pop][(v & u).bit_count()] for u, pop in zip(uids, popcounts)]
     # reverse=True keeps equal scores in table order
-    order = sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
-    return [(uid_hexes[i], sims[i]) for i in order]
+    return sorted(zip(uid_hexes, scores), key=_SCORE, reverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from trajmark.equivalence import (
     Distribution,
     EquivalenceSet,
     Lit,
+    MemberCounter,
     Segment,
     SlotRef,
     WatermarkPass,
     count_members,
-    count_members_by_trajectory,
     eqset_from_json,
     eqset_to_json,
     scan_equivalence,
@@ -31,7 +31,9 @@ from trajmark.pool import build_pool, pool_from_json, pool_to_json
 from trajmark.simkit.domains import DomainSpec, Template, TemplateItem, builtin_domain
 from trajmark.simkit.generator import generate_greybox_corpus
 from trajmark.simkit.sandbox import SandboxSpec
-from trajmark.trajectory import Action, GreyBoxTrajectory
+from trajmark.trajectory import (
+    Action, GreyBoxTrajectory, parse_trajectory_line, serialize_trajectory,
+)
 from trajmark.verifier import evaluate_passes
 
 
@@ -380,6 +382,22 @@ def _copy_delete_set() -> EquivalenceSet:
     ))
 
 
+def _move_copy_set() -> EquivalenceSet:
+    """Move vs. copy, one action each: a set a walk keeps no cursor for."""
+    return EquivalenceSet("test.vr.move", "VR", (
+        Segment((ActionPattern("Files.Move", ("src", "dst")),)),
+        Segment((ActionPattern("Files.Copy", ("src", "dst")),)),
+    ))
+
+
+def _move_stat_set() -> EquivalenceSet:
+    """Move by source alone vs. stat: a second cursorless set starting with Files.Move."""
+    return EquivalenceSet("test.pgr.move", "PGR", (
+        Segment((ActionPattern("Files.Move", ("src",)),)),
+        Segment((ActionPattern("Files.Stat", (("path", "src"),)),)),
+    ))
+
+
 # 1, True and "1" make ``!=`` between bound values matter: 1 == True != "1"
 _VALUES = st.sampled_from(["a", "b", 1, True, "1"])
 
@@ -414,9 +432,14 @@ FILE_ACTION_LISTS = st.lists(
 
 
 def file_sets():
-    """Sets over the Files.* tools; several share tools and overlap in a corpus."""
+    """Sets over the Files.* tools; several share tools and overlap in a corpus.
+
+    Files.Move starts members of sets that keep a cursor and of two that
+    do not, so one argument-name list resolves for several sets of both
+    kinds.
+    """
     return [move_eqset(), _stat_move_set(), _ghost_set(), _self_copy_set(), _three_step_set(),
-            _copy_delete_set()]
+            _copy_delete_set(), _move_copy_set(), _move_stat_set()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,10 +455,28 @@ def test_count_members_equals_per_set_scans(action_lists):
     expected = reference_counts(corpus, eqsets)
     counts = count_members(corpus, eqsets)
     assert counts == expected
-    by_trajectory = list(count_members_by_trajectory(corpus, eqsets))
+    # one counter serves the whole corpus; ``of`` leaves its counts alone
+    counter = MemberCounter(eqsets)
+    by_trajectory = [counter.of(t) for t in corpus]
     assert by_trajectory == [count_members([t], eqsets) for t in corpus]
+    assert counter.counts == [[0] * len(eqset.members) for eqset in eqsets]
     # a one-shot stream is counted as it is read, to the same vectors
-    assert list(count_members_by_trajectory((t for t in corpus), eqsets)) == by_trajectory
+    assert count_members((t for t in corpus), eqsets) == counts
+    # the spans ``add`` reports are, set by set, the reference scan's; the
+    # sets share first tools, so one signature resolves for several sets
+    for t in corpus:
+        spans = []
+        counter.add(t, spans)
+        for s_idx, eqset in enumerate(eqsets):
+            assert [span[1:] for span in spans if span[0] == s_idx] == [
+                span[:3] for span in reference_scan(t.actions, eqset)
+            ]
+    assert counter.counts == expected
+    # a parsed copy holds equal but unshared argument names: the counter's
+    # signature table takes them for the names it has seen
+    for t in corpus:
+        counter.add(parse_trajectory_line(serialize_trajectory(t)))
+    assert counter.counts == [[2 * c for c in row] for row in expected]
     pool = [make_pass(e, (0.5, 0.5), pass_id=i) for i, e in enumerate(eqsets, start=1)]
     evaluations = evaluate_passes(corpus, pool)
     assert [ev.observation_count for ev in evaluations] == [sum(row) for row in counts]
@@ -478,7 +519,8 @@ def test_count_members_equals_per_set_scans_on_builtin_domains(name):
                 )
         expected = reference_counts(dump, domain.eqsets)
         assert count_members(dump, domain.eqsets) == expected
-        by_trajectory = list(count_members_by_trajectory(dump, domain.eqsets))
+        of = MemberCounter(domain.eqsets).of
+        by_trajectory = [of(t) for t in dump]
         assert [[sum(col) for col in zip(*rows)] for rows in zip(*by_trajectory)] == expected
 
 

@@ -16,9 +16,9 @@ from trajmark.equivalence import (
     ActionPattern,
     Distribution,
     EquivalenceSet,
+    MemberCounter,
     Segment,
     count_members,
-    count_members_by_trajectory,
     scan_equivalence,
 )
 from trajmark.errors import EmptyActions, TrajmarkError
@@ -376,8 +376,9 @@ def test_edit_log_predicts_the_verifier_counts(domain_pools, seeds):
             corpus, active, seed=inject_seed, uid_hex=user.uid_hex
         )
         eqsets = [p.eqset for p in pool]
-        before = list(count_members_by_trajectory(corpus, eqsets))
-        after = list(count_members_by_trajectory(out, eqsets))
+        of = MemberCounter(eqsets).of
+        before = [of(t) for t in corpus]
+        after = [of(t) for t in out]
         active_ids = {p.pass_id for p in active}
         for counts_before, counts_after, edits in zip(before, after, edits_by_traj):
             expected = [list(row) for row in counts_before]
