@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .equivalence import WatermarkPass, scan_equivalence
@@ -24,7 +25,7 @@ from .trajectory import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class EditRecord:
     """Ground truth for one biased draw over a matched span.
 
@@ -53,37 +54,36 @@ def apply_pass(
     """Re-sample every matched span from the pass's biased distribution.
 
     Returns the rewritten action sequence and one edit record per span
-    (including draws that kept the original member).
+    (including draws that kept the original member). When no draw changed
+    a span, the sequence returned is ``tuple(actions)``: the input itself
+    when it is a tuple.
     """
     spans = scan_equivalence(actions, wm_pass.eqset)
-    if not spans:
-        return tuple(actions), []
-    out: list[Action] = []
     edits: list[EditRecord] = []
-    cursor = 0
+    changed = False
     for member_index, start, length, bindings in spans:
-        out.extend(actions[cursor:start])
         draw = wm_pass.biased.sample(rng)
         original = tuple(actions[start : start + length])
         if draw == member_index:
             rewritten = original
         else:
             rewritten = wm_pass.eqset.rewrite(member_index, draw, bindings)
-        out.extend(rewritten)
-        edits.append(
-            EditRecord(
-                pass_id=wm_pass.pass_id,
-                start=start,
-                length=length,
-                original_index=member_index,
-                replacement_index=draw,
-                original_actions=original,
-                rewritten_actions=rewritten,
-            )
-        )
-        cursor = start + length
+            changed = True
+        edits.append(EditRecord(wm_pass.pass_id, start, length, member_index, draw,
+                                original, rewritten))
+    if not changed:
+        return tuple(actions), edits
+    out: list[Action] = []
+    cursor = 0
+    for edit in edits:
+        out.extend(actions[cursor : edit.start])
+        out.extend(edit.rewritten_actions)
+        cursor = edit.start + edit.length
     out.extend(actions[cursor:])
     return tuple(out), edits
+
+
+_ORDER_RANK = attrgetter("order_rank")
 
 
 def _carry_positions(positions: list[int], edits: Sequence[EditRecord]) -> list[int]:
@@ -117,7 +117,8 @@ def watermark_trajectory(
 
     ``passes`` may be in any order. Each pass scans the possibly
     already-rewritten sequence of its predecessors. Edit records come back
-    with ``final_positions`` resolved against the returned trajectory.
+    with ``final_positions`` resolved against the returned trajectory,
+    which is ``t`` itself when no draw changed a span.
 
     A pass none of whose set's tools occurs in the current actions has no
     span, so it draws nothing and is skipped; the tools present change
@@ -131,23 +132,25 @@ def watermark_trajectory(
     # final positions come from span arithmetic, not object identity: one
     # Action object may sit at several indices of a trajectory
     positions: list[list[int]] = []
-    for wm_pass in sorted(passes, key=lambda p: p.order_rank):
+    for wm_pass in sorted(passes, key=_ORDER_RANK):
         if present.isdisjoint(wm_pass.eqset.tools()):
             continue
-        actions, new_edits = apply_pass(actions, wm_pass, rng)
-        if not new_edits:
-            continue
-        positions = [_carry_positions(pos, new_edits) for pos in positions]
+        rewritten, new_edits = apply_pass(actions, wm_pass, rng)
+        if rewritten is not actions:
+            # a pass whose draws changed nothing moves no position
+            positions = [_carry_positions(pos, new_edits) for pos in positions]
+            actions = rewritten
+            present = {a.tool for a in actions}
         shift = 0
         for edit in new_edits:
             start = edit.start + shift
             positions.append(list(range(start, start + len(edit.rewritten_actions))))
             shift += len(edit.rewritten_actions) - edit.length
         edits.extend(new_edits)
-        if any(edit.changed for edit in new_edits):
-            present = {a.tool for a in actions}
     for edit, pos in zip(edits, positions):
         edit.final_positions = tuple(pos)
+    if actions is t.actions:
+        return t, edits
     return replace(t, actions=actions), edits
 
 
@@ -215,11 +218,9 @@ def watermark_corpus(
 # edit-log persistence (ground truth for the attack bench)
 # ---------------------------------------------------------------------------
 
-def _action_json(a: Action) -> dict:
-    return {"tool": a.tool, "args": a.arg_map()}
-
-
 def edit_to_json(traj_index: int, query_id: str, edit: EditRecord) -> dict:
+    # ``changed`` and each action's ``arg_map`` inlined: a served request
+    # writes one line per edit
     return {
         "traj_index": traj_index,
         "query_id": query_id,
@@ -228,10 +229,12 @@ def edit_to_json(traj_index: int, query_id: str, edit: EditRecord) -> dict:
         "length": edit.length,
         "original_index": edit.original_index,
         "replacement_index": edit.replacement_index,
-        "changed": edit.changed,
+        "changed": edit.replacement_index != edit.original_index,
         "final_positions": list(edit.final_positions),
-        "original_actions": [_action_json(a) for a in edit.original_actions],
-        "rewritten_actions": [_action_json(a) for a in edit.rewritten_actions],
+        "original_actions": [{"tool": a.tool, "args": dict(zip(a.names, a.values))}
+                             for a in edit.original_actions],
+        "rewritten_actions": [{"tool": a.tool, "args": dict(zip(a.names, a.values))}
+                              for a in edit.rewritten_actions],
     }
 
 

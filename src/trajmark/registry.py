@@ -23,6 +23,10 @@ from .trajectory import json_at, json_value, read_json, write_json
 
 DEFAULT_W_MIN = 5
 DEFAULT_W_MAX = 20
+# the widest UID a registry document may declare: loading spells each
+# user's UID in N/4 hex digits, so N must not come from the file unbounded;
+# every builtin pool has fewer than 64 passes
+MAX_N_BITS = 4096
 
 
 def uid_hex_width(n_bits: int) -> int:
@@ -35,7 +39,8 @@ def uid_to_hex(uid: int, n_bits: int) -> str:
 
 def hex_to_uid(uid_hex: str, n_bits: int) -> int:
     value = int(uid_hex, 16)
-    if value >= 1 << n_bits:
+    # no ``1 << n_bits``: it would build an integer as wide as N
+    if value.bit_length() > n_bits:
         raise LengthMismatch(f"uid {uid_hex!r} exceeds {n_bits} bits")
     return value
 
@@ -158,10 +163,14 @@ class Registry:
     @classmethod
     def from_json(cls, obj, where: str = "registry: $") -> "Registry":
         """The registry a document describes; a refused node names ``where`` and its path."""
+        domain = json_value(obj, str, where, "domain")
+        n_bits = json_value(obj, int, where, "N")
+        if n_bits > MAX_N_BITS:
+            raise SchemaViolation(f"{where}.N: expected at most {MAX_N_BITS}, got {n_bits}")
         with json_at(where):
             reg = cls(
-                domain=json_value(obj, str, where, "domain"),
-                n_bits=json_value(obj, int, where, "N"),
+                domain=domain,
+                n_bits=n_bits,
                 w_min=json_value(obj, int, where, "w_min", DEFAULT_W_MIN),
                 w_max=json_value(obj, int, where, "w_max", DEFAULT_W_MAX),
             )
@@ -239,15 +248,16 @@ def passes_for_uid(
     and ``rebias_pool`` return; the pool must be exactly as long as the
     UID is wide. The injector applies the passes in ``order_rank`` order.
     """
-    n_bits = len(pool)
-    uid = hex_to_uid(uid_hex, n_bits)
+    uid = hex_to_uid(uid_hex, len(pool))
     active = []
-    for i in range(n_bits):
-        if (uid >> i) & 1:
-            wm_pass = pool[i]
-            if wm_pass.pass_id != i + 1:
-                raise LengthMismatch(f"pool[{i}] holds pass {wm_pass.pass_id}, not {i + 1}")
-            active.append(wm_pass)
+    while uid:  # one step per set bit, lowest first
+        low = uid & -uid
+        i = low.bit_length() - 1
+        wm_pass = pool[i]
+        if wm_pass.pass_id != i + 1:
+            raise LengthMismatch(f"pool[{i}] holds pass {wm_pass.pass_id}, not {i + 1}")
+        active.append(wm_pass)
+        uid ^= low
     return active
 
 

@@ -32,6 +32,7 @@ import math
 import os
 import re
 import stat
+import threading
 from contextlib import contextmanager, suppress
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar, Union
@@ -80,10 +81,24 @@ def _bad_value(tool: str, name: str, value: object) -> SchemaViolation:
     )
 
 
+# tool names ``_TOOL_RE`` has accepted, so that a name already checked
+# costs one set lookup; it stops growing at ``_TOOL_NAMES_MAX`` names, so
+# input can never grow it further, and a name past the bound is checked
+# by the pattern each time
+_TOOL_NAMES: set[str] = set()
+_TOOL_NAMES_MAX = 1024
+_TOOL_NAMES_LOCK = threading.Lock()
+
+
 def _check_tool(tool: str) -> None:
-    """Refuse a tool name ``Action`` would refuse."""
+    """Refuse a tool name ``Action`` would refuse; remember one it accepts."""
+    if tool in _TOOL_NAMES:
+        return
     if not tool or not _TOOL_RE.match(tool):
         raise SchemaViolation(f"bad tool name: {tool!r}")
+    with _TOOL_NAMES_LOCK:  # so that threads cannot add past the bound together
+        if len(_TOOL_NAMES) < _TOOL_NAMES_MAX:
+            _TOOL_NAMES.add(tool)
 
 
 class Action:
@@ -280,7 +295,9 @@ def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
     Argument order inside ``args`` is preserved exactly as read. Each
     action is checked once, here, by the rules ``Action`` applies, then
     built without repeating them: a JSON object's keys are already
-    distinct strings. A refused line raises what ``Action`` would.
+    distinct strings. A refused line raises what ``Action`` would. A tool
+    name ``_check_tool`` has accepted before costs one set lookup, and
+    only a value that is not a str is put to the scalar rule.
     """
     obj = decode_json_line(line)
     if not isinstance(obj, dict):
@@ -315,15 +332,20 @@ def parse_trajectory_line(line: str) -> GreyBoxTrajectory:
         args = raw.get("args", {})
         if not isinstance(args, dict):
             raise SchemaViolation(f"actions[{len(actions)}]: 'args' must be an object")
-        if not _TOOL_RE.match(tool):
-            raise SchemaViolation(f"bad tool name: {tool!r}")
-        for name, value in args.items():
-            if not _is_scalar(value):
-                raise _bad_value(tool, name, value)
+        if tool not in _TOOL_NAMES:
+            _check_tool(tool)
+        values = tuple(args.values())
+        for value in values:
+            # a str, what most values are, skips the scalar rule
+            if value.__class__ is not str and not _is_scalar(value):
+                # the item loop, so that the refusal names the argument
+                for name, value in args.items():
+                    if not _is_scalar(value):
+                        raise _bad_value(tool, name, value)
         action = _new(Action)  # ``Action._trusted``, inlined
         _set_tool(action, tool)
         _set_names(action, tuple(args))
-        _set_values(action, tuple(args.values()))
+        _set_values(action, values)
         actions.append(action)
     return GreyBoxTrajectory(obj["query_id"], tuple(actions), obj["response"], uid)
 
@@ -353,16 +375,17 @@ def serialize_trajectory(t: GreyBoxTrajectory) -> str:
     head = '{"query_id":' + _encode_str(t.query_id)
     if t.user_uid is not None:
         head += ',"user_uid":' + _encode_str(t.user_uid)
+    # each f-string builds its result in one step, where ``+`` builds one
+    # string per operator
     actions = []
     for a in t.actions:
         args = []
         for k, v in zip(a.names, a.values):
             # a str, what most values are, skips the scalar dispatch
-            args.append(_encode_str(k) + ":"
-                        + (_encode_str(v) if v.__class__ is str else _encode_scalar(v)))
-        actions.append('{"tool":' + _encode_str(a.tool) + ',"args":{' + ",".join(args) + "}}")
-    return (head + ',"actions":[' + ",".join(actions) + '],"response":'
-            + _encode_str(t.response) + "}")
+            args.append(f"{_encode_str(k)}:"
+                        f"{_encode_str(v) if v.__class__ is str else _encode_scalar(v)}")
+        actions.append(f'{{"tool":{_encode_str(a.tool)},"args":{{{",".join(args)}}}}}')
+    return f'{head},"actions":[{",".join(actions)}],"response":{_encode_str(t.response)}}}'
 
 
 def iter_jsonl(path: str) -> Iterator[GreyBoxTrajectory]:

@@ -23,6 +23,7 @@ from trajmark.equivalence import (
 )
 from trajmark.errors import EmptyActions, TrajmarkError
 from trajmark.injector import (
+    EditRecord,
     _carry_positions,
     apply_pass,
     changed_positions,
@@ -268,6 +269,99 @@ def test_skipping_idle_passes_changes_nothing(items, ranks, deltas, targets, see
     assert edits == expected_edits
     assert [e.final_positions for e in edits] == [e.final_positions for e in expected_edits]
     assert rng.random() == reference_rng.random()
+
+
+def _reference_apply_pass(actions, wm_pass, rng):
+    """``apply_pass`` as first written: the output sequence is always rebuilt."""
+    spans = scan_equivalence(actions, wm_pass.eqset)
+    if not spans:
+        return tuple(actions), []
+    out, edits, cursor = [], [], 0
+    for member_index, start, length, bindings in spans:
+        out.extend(actions[cursor:start])
+        draw = wm_pass.biased.sample(rng)
+        original = tuple(actions[start : start + length])
+        if draw == member_index:
+            rewritten = original
+        else:
+            rewritten = wm_pass.eqset.rewrite(member_index, draw, bindings)
+        out.extend(rewritten)
+        edits.append(EditRecord(wm_pass.pass_id, start, length, member_index, draw,
+                                original, rewritten))
+        cursor = start + length
+    out.extend(actions[cursor:])
+    return tuple(out), edits
+
+
+def _reference_watermark(t, passes, rng):
+    """``watermark_trajectory`` as first written: every applied pass carries the
+    positions, and the trajectory is always rebuilt."""
+    actions = t.actions
+    present = {a.tool for a in actions}
+    edits, positions = [], []
+    for wm_pass in sorted(passes, key=lambda p: p.order_rank):
+        if present.isdisjoint(wm_pass.eqset.tools()):
+            continue
+        actions, new_edits = _reference_apply_pass(actions, wm_pass, rng)
+        if not new_edits:
+            continue
+        positions = [_carry_positions(pos, new_edits) for pos in positions]
+        shift = 0
+        for edit in new_edits:
+            start = edit.start + shift
+            positions.append(list(range(start, start + len(edit.rewritten_actions))))
+            shift += len(edit.rewritten_actions) - edit.length
+        edits.extend(new_edits)
+        if any(edit.changed for edit in new_edits):
+            present = {a.tool for a in actions}
+    for edit, pos in zip(edits, positions):
+        edit.final_positions = tuple(pos)
+    return replace(t, actions=actions), edits
+
+
+def test_a_pass_whose_draws_change_nothing_returns_its_input(ce_set):
+    # delta 50 draws the matched member, Files.Move, every time
+    p = make_pass(ce_set, (0.6, 0.4), target_index=0, delta=50.0)
+    move = Action.make("Files.Move", {"src": "a", "dst": "b"})
+    actions = (move, Action.make("Other.Tool", {"k": 1}), move)
+    out, edits = apply_pass(actions, p, random.Random(0))
+    assert out is actions
+    assert [e.changed for e in edits] == [False, False]
+    t = traj(actions)
+    wm, edits = watermark_trajectory(t, [p], random.Random(0))
+    assert wm is t
+    assert [e.final_positions for e in edits] == [(0,), (2,)]
+    assert (wm, edits) == _reference_watermark(t, [p], random.Random(0))
+    # a list is returned as a tuple of its items
+    out, _ = apply_pass(list(actions), p, random.Random(0))
+    assert out == actions and isinstance(out, tuple)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_injector_equals_its_reference_on_generated_corpora(domain_pools, seed):
+    """Equal trajectories, edit records and final positions, and the same draws,
+    for random pass subsets of every domain's pool in random order."""
+    picks = random.Random(seed)
+    kept = changed = 0
+    for name, (domain, pool) in domain_pools.items():
+        corpus = generate_greybox_corpus(domain, 40, seed=seed, id_prefix="x")
+        for t in corpus:
+            passes = picks.sample(pool, picks.randint(0, len(pool)))
+            rng, reference_rng = random.Random(seed ^ 1), random.Random(seed ^ 1)
+            wm, edits = watermark_trajectory(t, passes, rng)
+            expected, expected_edits = _reference_watermark(t, passes, reference_rng)
+            assert (wm, edits) == (expected, expected_edits), name
+            assert rng.random() == reference_rng.random()
+            if edits and wm is t:
+                kept += 1  # spans were drawn, and no draw changed one
+            changed += wm is not t
+            for p in passes:
+                rng, reference_rng = random.Random(seed), random.Random(seed)
+                out, edits = apply_pass(t.actions, p, rng)
+                assert (out, edits) == _reference_apply_pass(t.actions, p, reference_rng)
+                assert rng.random() == reference_rng.random()
+    assert kept and changed
 
 
 def test_closed_loop_recovery_small_dense_corpus(mini_domain):

@@ -3,12 +3,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import trajmark
 from trajmark import cli
 from trajmark.attacks import STRATEGIES
 from trajmark.cli import main
@@ -694,6 +698,48 @@ def test_cli_refuses_a_registry_record_outside_the_weight_band(workdir, capsys):
                  "--uid", "3", "--in", str(victim), "--out", str(workdir / "wm.jsonl"),
                  "--edits", str(workdir / "edits.jsonl"), "--quiet"]) == 2
     assert capsys.readouterr().err == message
+
+
+def _registry_of_width(workdir, capsys, n_bits):
+    """The CLI chain's ``reg-many.json``, its ``N`` replaced by ``n_bits``."""
+    pool, registry = workdir / "pool.json", workdir / "reg-many.json"
+    for seed in (5, *range(100, 108)):
+        assert main(["register", "--pool", str(pool), "--registry", str(registry),
+                     "--seed", str(seed), "--quiet"]) == 0
+    capsys.readouterr()
+    doc = json.loads(registry.read_text())
+    doc["N"] = n_bits
+    registry.write_text(json.dumps(doc))
+    return registry
+
+
+def test_cli_refuses_a_registry_wider_than_its_bound(workdir, capsys):
+    # 1 << 10**30 cannot be built: the UID check compares bit lengths
+    registry = _registry_of_width(workdir, capsys, 10**30)
+    verdict = workdir / "verdict.json"
+    verdict.write_text(json.dumps({"detected_vector": [0] * 39}))
+    message = (f"trajmark: registry: {registry}: $.N: expected at most 4096, "
+               f"got {10**30}\n")
+    for argv in (["validate", "--registry", str(registry)],
+                 ["localize", "--verdict", str(verdict), "--registry", str(registry)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+
+
+def test_a_registry_of_2_pow_63_bits_allocates_nothing_in_proportion(workdir, capsys):
+    # an uncapped run could ask for a 2**63-bit integer; the child's
+    # address space is capped so that a regression fails, not the host
+    registry = _registry_of_width(workdir, capsys, 2**63)
+    src = os.path.dirname(os.path.dirname(trajmark.__file__))
+    script = ("import resource, sys; cap = 512 << 20; "
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+              "from trajmark.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", script, "validate", "--registry", str(registry)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (f"trajmark: registry: {registry}: $.N: expected at most 4096, "
+                           f"got {2**63}\n")
 
 
 @pytest.mark.parametrize("mode", ["victim", "benign"])

@@ -13,6 +13,7 @@ import platform
 import random
 import re
 import stat
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajmark import trajectory
 from trajmark.cli import main
 from trajmark.errors import EmptyActions, MalformedLine, SchemaViolation, TrajmarkError
 from trajmark.experiment import ExperimentConfig, run_all, run_stage
@@ -552,6 +554,9 @@ _MUTATIONS = {
     "missing_tool": lambda a: {k: v for k, v in a.items() if k != "tool"},
     "missing_args": lambda a: {k: v for k, v in a.items() if k != "args"},
     "int_tool": lambda a: {**a, "tool": 7},
+    # unhashable: a tool-name lookup before the str check would raise TypeError
+    "list_tool": lambda a: {**a, "tool": [1]},
+    "object_tool": lambda a: {**a, "tool": {}},
     "null_tool": lambda a: {**a, "tool": None},
     "empty_tool": lambda a: {**a, "tool": ""},
     "bad_tool": lambda a: {**a, "tool": "bad tool!"},
@@ -591,6 +596,50 @@ def test_parser_refuses_exactly_what_the_reference_refuses(t, mutations):
         except TrajmarkError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_the_tool_name_memo_stays_within_its_bound(monkeypatch):
+    memo = set()
+    monkeypatch.setattr(trajectory, "_TOOL_NAMES", memo)
+    bound = trajectory._TOOL_NAMES_MAX
+
+    def line(tool):
+        return json.dumps({"query_id": "q", "actions": [{"tool": tool, "args": {"a": "v"}}],
+                           "response": "r"})
+
+    for i in range(bound + 100):
+        tool = f"Tool{i}.Op"
+        assert parse_trajectory_line(line(tool)).actions[0].tool == tool
+        assert len(memo) <= bound
+    assert len(memo) == bound
+    # a valid name the full memo has not seen is checked by the pattern
+    assert "Unseen_1.Op" not in memo
+    assert parse_trajectory_line(line("Unseen_1.Op")).actions[0].tool == "Unseen_1.Op"
+    assert len(memo) == bound
+    with pytest.raises(SchemaViolation) as refused:
+        parse_trajectory_line(line("bad tool!"))
+    assert str(refused.value) == "bad tool name: 'bad tool!'"
+
+
+def test_threads_filling_the_tool_name_memo_do_not_pass_its_bound(monkeypatch):
+    memo = set()
+    monkeypatch.setattr(trajectory, "_TOOL_NAMES", memo)
+    monkeypatch.setattr(trajectory, "_TOOL_NAMES_MAX", 64)
+    lines = [[json.dumps({"query_id": "q", "actions": [{"tool": f"T{w}_{i}.Op", "args": {}}],
+                          "response": "r"}) for i in range(300)] for w in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda own=own: [parse_trajectory_line(x) for x in own])
+                   for own in lines]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(memo) == 64
 
 
 # ---------------------------------------------------------------------------
